@@ -18,57 +18,34 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import Jet, jet_einsum, jet_gradients, jet_partial, jet_tensor, jet_values
+from .jets import Jet, jet_coefficients, jet_components, jet_einsum, jet_gradients
+from .jets import jet_partial, jet_product_einsum, jet_space, jet_tensor, jet_values
 from .tensor import DOWN, UP, MetricNotPositiveDefinite, orthonormal_frame
 
 
-def jet_matrix_inverse(g_jets):
+def jet_matrix_inverse(g_jets, order=None):
     """Inverse of a jet-valued matrix via the truncated Neumann series.
 
     Writing G = G0 (I + X) with X = G0^{-1}(G - G0), the non-constant part X
     is nilpotent in the truncated algebra, so I - X + X^2 - X^3 terminates.
+    The result has ``order`` (default: the lowest order among the entries of
+    ``g_jets``).
     """
     m = g_jets.shape[0]
-    probe = g_jets[0, 0]
-    order = probe.order
-    g0 = jet_values(g_jets)
-    g0_inv = np.linalg.inv(g0)
-
-    x = jet_tensor((m, m))
-    for i in range(m):
-        for j in range(m):
-            acc = None
-            for l in range(m):
-                term = g_jets[l, j] * g0_inv[..., i, l]
-                acc = term if acc is None else acc + term
-            # subtract the constant part: X has zero value by construction
-            coeff = acc.coeff.copy()
-            coeff[..., 0] -= np.eye(m)[i, j]
-            x[i, j] = Jet(acc.space, coeff)
-
-    def matmul(a, b):
-        return jet_einsum("il,lj->ij", a, b)
-
-    series = jet_tensor((m, m))
-    for i in range(m):
-        for j in range(m):
-            series[i, j] = Jet.constant(probe.space, 1.0 if i == j else 0.0, probe.batch_shape)
-    power = x
-    sign = -1.0
+    order = min(jet.order for jet in g_jets.flat) if order is None else order
+    space = jet_space(m, order)
+    g = jet_coefficients(g_jets, order)
+    g0_inv = np.linalg.inv(g[..., 0])
+    x = np.einsum("...il,...ljc->...ijc", g0_inv, g)
+    x[..., 0] -= np.eye(m)
+    identity = np.zeros_like(x)
+    identity[..., 0] = np.eye(m)
+    series, power, sign = identity, x, -1.0
     for _ in range(order):
         series = series + sign * power
-        power = matmul(power, x)
+        power = jet_product_einsum(space, "...il,...lj->...ij", power, x, np.zeros_like(x))
         sign = -sign
-
-    out = jet_tensor((m, m))
-    for i in range(m):
-        for j in range(m):
-            acc = None
-            for l in range(m):
-                term = series[i, l] * g0_inv[..., l, j]
-                acc = term if acc is None else acc + term
-            out[i, j] = acc
-    return out
+    return jet_components(space, np.einsum("...ilc,...lj->...ijc", series, g0_inv), 2)
 
 
 def christoffel_components(ginv, dg):
@@ -82,7 +59,7 @@ def christoffel_components(ginv, dg):
 
 def christoffel_derivative_components(ginv, dg, d2g):
     """d_d Gamma^k_ij from metric derivatives; d2g[p,a,b,u,v] = d_u d_v g_ab."""
-    dginv = -np.einsum("pka,pabd,pbl->pkld", ginv, dg, ginv)
+    dginv = -np.einsum("pka,pabd,pbl->pkld", ginv, dg, ginv, optimize="greedy")
     bracket = (
         np.einsum("pjli->plij", dg) + np.einsum("pilj->plij", dg) - np.einsum("pijl->plij", dg)
     )
@@ -109,7 +86,7 @@ def curvature_components(coeff, dcoeff):
 
 def ricci_components(riemann, g, frame):
     """Ric(X, Y) = sum_i g(R(e_i, X)Y, e_i) via the orthonormal frame."""
-    return np.einsum("pai,pci,plc,plaxy->pxy", frame, frame, g, riemann)
+    return np.einsum("pai,pci,plc,plaxy->pxy", frame, frame, g, riemann, optimize="greedy")
 
 
 def scalar_curvature(ricci, ginv):
@@ -120,8 +97,9 @@ def covariant_derivative_jets(field, coeff_jets, variance):
     """Jet-level covariant derivative; appends the direction slot last.
 
     ``field`` is a jet tensor (or a bare Jet for scalars) and ``coeff_jets``
-    the (m, m, m) connection coefficients.  Each application drops the jet
-    order by one.
+    the (m, m, m) connection coefficients.  The result has order
+    min(order(field) - 1, order(coeff)) and is computed densely over
+    (batch, *field.shape, ncoeff) coefficient arrays.
     """
     if isinstance(field, Jet):
         m = field.dim
@@ -130,19 +108,20 @@ def covariant_derivative_jets(field, coeff_jets, variance):
             out[d] = field.derivative(d)
         return out
     m = field.shape[0]
-    out = jet_tensor(field.shape + (m,))
-    for idx in np.ndindex(field.shape):
-        for d in range(m):
-            acc = field[idx].derivative(d)
-            for s, flag in enumerate(variance):
-                for a in range(m):
-                    swapped = idx[:s] + (a,) + idx[s + 1 :]
-                    if flag == UP:
-                        acc = acc + coeff_jets[idx[s], d, a] * field[swapped]
-                    else:
-                        acc = acc - coeff_jets[a, d, idx[s]] * field[swapped]
-            out[idx + (d,)] = acc
-    return out
+    order = min(min(j.order for j in field.flat) - 1, min(j.order for j in coeff_jets.flat))
+    space = jet_space(m, order)
+    f = jet_coefficients(field, order + 1)
+    src, fac = map(np.array, zip(*(jet_space(m, order + 1).derivative_table(d) for d in range(m))))
+    out = f[..., src] * fac  # (batch, *field.shape, direction, ncoeff)
+
+    gamma = jet_coefficients(coeff_jets, order)
+    f = f[..., : space.ncoeff]
+    slots = "ABCDEFGH"[: len(variance)]
+    for s, flag in enumerate(variance):
+        gsub = f"{slots[s]}da" if flag == UP else f"ad{slots[s]}"
+        subscripts = f"...{gsub},...{slots[:s]}a{slots[s + 1:]}->...{slots}d"
+        jet_product_einsum(space, subscripts, gamma if flag == UP else -gamma, f, out)
+    return jet_components(space, out, len(variance) + 1)
 
 
 def covariant_derivative_components(values, jacobian, coeff, variance):
@@ -165,10 +144,12 @@ def covariant_derivative_components(values, jacobian, coeff, variance):
 class GeometryFrame:
     """Levi-Civita data for a batch of chart points.
 
-    Built from order-3 metric jets; exposes both the numeric tensors
-    (Christoffel symbols, curvature, Ricci, scalar curvature, orthonormal
-    frame) and the jet-level metric, inverse and Christoffel fields needed to
-    differentiate derived fields downstream.
+    Built from metric jets of order r >= 2 (order 3 in the pipeline); exposes
+    both the numeric tensors (Christoffel symbols, curvature, Ricci, scalar
+    curvature, orthonormal frame) and the jet-level metric, inverse and
+    Christoffel fields needed to differentiate derived fields downstream.
+    The inverse and the Christoffel jets have order r - 1: Gamma = g^{-1} dg
+    needs no more of the inverse than dg carries.
     """
 
     def __init__(self, points, metric_jets):
@@ -192,7 +173,7 @@ class GeometryFrame:
             raise MetricNotPositiveDefinite(
                 "metric is not positive definite at a sample point"
             ) from err
-        self.ginv_jets = jet_matrix_inverse(metric_jets)
+        self.ginv_jets = jet_matrix_inverse(metric_jets, probe.order - 1)
         self.ginv = jet_values(self.ginv_jets)
         self.dg = jet_gradients(metric_jets)
 
@@ -237,7 +218,7 @@ class GeometryFrame:
         hess = f_jet.hessian()
         grad = f_jet.gradient()
         return np.einsum("pij,pij->p", self.ginv, hess) - np.einsum(
-            "pij,paij,pa->p", self.ginv, self.gamma, grad
+            "pij,paij,pa->p", self.ginv, self.gamma, grad, optimize="greedy"
         )
 
     def connection_laplacian(self, vector_jets, source_coeff):
@@ -263,11 +244,11 @@ class GeometryFrame:
 
     def curvature_contraction(self, vector):
         """sum_i R(e_i, V)e_i as a vector: g^{ac} R[l,a,b,c] V^b."""
-        return np.einsum("pac,plabc,pb->pl", self.ginv, self.riemann, vector)
+        return np.einsum("pac,plabc,pb->pl", self.ginv, self.riemann, vector, optimize="greedy")
 
     def ricci_raised(self, vector):
         """sum_i Ric(e_i, V) e_i: the Ricci form applied to V, index raised."""
-        return np.einsum("pka,pab,pb->pk", self.ginv, self.ricci, vector)
+        return np.einsum("pka,pab,pb->pk", self.ginv, self.ricci, vector, optimize="greedy")
 
     # -- identity residuals --------------------------------------------------
 
@@ -288,10 +269,7 @@ class GeometryFrame:
 
     def gradient_field(self, f_jet):
         """grad f as a jet field: g^{ki} d_i f."""
-        m = self.dim
-        df = jet_tensor((m,))
-        for i in range(m):
-            df[i] = f_jet.derivative(i)
+        df = covariant_derivative_jets(f_jet, self.gamma_jets, ())
         return jet_einsum("ki,i->k", self.ginv_jets, df)
 
     def divergence_identity_residual(self, f_jet):

@@ -14,7 +14,7 @@ Conventions:
 * mixed-partial symmetry holds by construction (one slot per exponent vector);
 * arithmetic between jets of different orders truncates to the lower order.
 
-Products use a precomputed scatter table per (dim, order); compositions with
+Products use a precomputed dense scatter table per (dim, order); compositions with
 elementary functions use a Horner evaluation of the truncated series, which is
 exact in the truncated algebra because the non-constant part is nilpotent.
 """
@@ -26,13 +26,9 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy import sparse
 
 MAX_ORDER = 3
 MAX_DIM = 8
-
-# above this table size the scatter step runs through a sparse matmul
-_DENSE_SCATTER_LIMIT = 20000
 
 
 class JetDomainError(ValueError):
@@ -85,8 +81,8 @@ class JetSpace:
     def product_table(self):
         """(ti, tj, scatter) with out = (a[ti] * b[tj]) @ scatter.
 
-        The scatter matrix is dense for small spaces and CSR above
-        ``_DENSE_SCATTER_LIMIT`` entries (it has one 1.0 per row).
+        The scatter matrix is dense with one 1.0 per row; its largest
+        instance (dim 8, order 3) is 969 x 165.
         """
         if self._product is None:
             ti, tj, tk = [], [], []
@@ -98,14 +94,8 @@ class JetSpace:
                     ti.append(i)
                     tj.append(j)
                     tk.append(self.position[ec])
-            rows = len(ti)
-            if rows * self.ncoeff > _DENSE_SCATTER_LIMIT:
-                scatter = sparse.csr_matrix(
-                    (np.ones(rows), (np.arange(rows), tk)), shape=(rows, self.ncoeff)
-                )
-            else:
-                scatter = np.zeros((rows, self.ncoeff))
-                scatter[np.arange(rows), tk] = 1.0
+            scatter = np.zeros((len(ti), self.ncoeff))
+            scatter[np.arange(len(ti)), tk] = 1.0
             self._product = (np.array(ti), np.array(tj), scatter)
         return self._product
 
@@ -295,11 +285,7 @@ class Jet:
         if isinstance(other, Jet):
             a, b = self._aligned(other)
             ti, tj, scatter = a.space.product_table()
-            prod = a.coeff[..., ti] * b.coeff[..., tj]
-            if sparse.issparse(scatter):
-                flat = prod.reshape(-1, prod.shape[-1]) @ scatter
-                return Jet(a.space, np.asarray(flat).reshape(prod.shape[:-1] + (a.space.ncoeff,)))
-            return Jet(a.space, prod @ scatter)
+            return Jet(a.space, (a.coeff[..., ti] * b.coeff[..., tj]) @ scatter)
         other = np.asarray(other, dtype=float)
         return Jet(self.space, self.coeff * other[..., None])
 
@@ -412,26 +398,49 @@ def jet_tensor(shape):
     return np.empty(shape, dtype=object)
 
 
+def jet_coefficients(tensor, order):
+    """Dense coefficients up to ``order``: shape ``batch + tensor.shape + (ncoeff,)``."""
+    if isinstance(tensor, Jet):
+        return tensor.truncated(order).coeff
+    parts = [jet.truncated(order).coeff for jet in tensor.flat]
+    batch = np.broadcast_shapes(*(p.shape[:-1] for p in parts))
+    out = np.empty(batch + (len(parts), parts[0].shape[-1]))
+    for k, part in enumerate(parts):
+        out[..., k, :] = part
+    return out.reshape(batch + tensor.shape + (-1,))
+
+
+def jet_components(space, coeff, rank):
+    """Jet tensor over the ``rank`` axes of ``coeff`` before its coefficient axis."""
+    shape = coeff.shape[coeff.ndim - 1 - rank : -1]
+    out = jet_tensor(shape)
+    for idx in np.ndindex(shape):
+        out[idx] = Jet(space, coeff[(...,) + idx + (slice(None),)])
+    return out
+
+
+def jet_product_einsum(space, subscripts, a, b, out):
+    """Add the two-operand einsum of dense coefficient arrays into ``out``.
+
+    The coefficient axes are last and left out of ``subscripts``.  The product
+    is truncated to ``space``: one plain einsum per coefficient pair (i, j) -> k
+    of its product table, so no temporary is larger than one coefficient of
+    the result.
+    """
+    ti, tj, scatter = space.product_table()
+    for i, j, k in zip(ti, tj, np.nonzero(scatter)[1]):
+        out[..., k] += np.einsum(subscripts, a[..., i], b[..., j])
+    return out
+
+
 def jet_values(tensor):
     """Component values, batch axis first: shape ``batch + tensor.shape``."""
-    if isinstance(tensor, Jet):
-        return np.asarray(tensor.value, dtype=float)
-    probe = tensor[next(np.ndindex(tensor.shape))]
-    out = np.empty(probe.batch_shape + tensor.shape)
-    for idx in np.ndindex(tensor.shape):
-        out[(...,) + idx] = tensor[idx].value
-    return out
+    return jet_coefficients(tensor, 0)[..., 0]
 
 
 def jet_gradients(tensor):
     """Component gradients, batch first, derivative axis last."""
-    if isinstance(tensor, Jet):
-        return np.asarray(tensor.gradient(), dtype=float)
-    probe = tensor[next(np.ndindex(tensor.shape))]
-    out = np.empty(probe.batch_shape + tensor.shape + (probe.dim,))
-    for idx in np.ndindex(tensor.shape):
-        out[(...,) + idx + (slice(None),)] = tensor[idx].gradient()
-    return out
+    return jet_coefficients(tensor, 1)[..., 1:]
 
 
 def jet_partial(tensor):

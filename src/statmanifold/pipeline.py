@@ -101,16 +101,24 @@ class DiagnosticsReport:
         return 0
 
 
-def evaluate_spec(spec: ManifoldSpec, points=None, count=None, seed=None, order=3):
+def _frames(compiled, points):
+    """Geometry and statistical frames at the jet order budget.
+
+    d Gamma needs the metric to order 3 (GeometryFrame keeps g^{-1} one order
+    lower); C and everything built from it (K, T, the tension fields, g(K, K))
+    is differentiated at most twice downstream, so order 2 suffices.
+    """
+    geometry = GeometryFrame(points, compiled.metric_jets(points, 3))
+    return geometry, StatisticalFrame(geometry, compiled.cubic_jets(points, 2))
+
+
+def evaluate_spec(spec: ManifoldSpec, points=None, count=None, seed=None):
     """Build the geometry, statistical and identity-map frames on a sample."""
     compiled = spec.compile()
     if points is None:
         points = compiled.sample_points(count, seed)
-    points = np.asarray(points, dtype=float)
-    geometry = GeometryFrame(points, compiled.metric_jets(points, order))
-    statistical = StatisticalFrame(geometry, compiled.cubic_jets(points, order))
-    identity = IdentityMapReport(statistical)
-    return geometry, statistical, identity
+    geometry, statistical = _frames(compiled, np.asarray(points, dtype=float))
+    return geometry, statistical, IdentityMapReport(statistical)
 
 
 def _probe_scalar(points, order=3):
@@ -345,8 +353,7 @@ def crosscheck(spec: ManifoldSpec, h=1e-3, threshold=FD_TOLERANCE, count=None, s
     shrunk = _shrink_box(spec, 2.0 * h)
     points = shrunk.sample_points(count, seed)
 
-    geometry = GeometryFrame(points, compiled.metric_jets(points, 3))
-    stat = StatisticalFrame(geometry, compiled.cubic_jets(points, 3))
+    geometry, stat = _frames(compiled, points)
 
     # finite-difference metric derivatives
     n = points.shape[0]
@@ -369,7 +376,7 @@ def crosscheck(spec: ManifoldSpec, h=1e-3, threshold=FD_TOLERANCE, count=None, s
     lap_jet = geometry.laplacian_scalar(probe)
     grad_fd, hess_fd = _fd_scalar(lambda q: _probe_scalar(q, order=0).value, points, h)
     lap_fd = np.einsum("pij,pij->p", ginv, hess_fd) - np.einsum(
-        "pij,paij,pa->p", ginv, gamma_fd, grad_fd
+        "pij,paij,pa->p", ginv, gamma_fd, grad_fd, optimize="greedy"
     )
 
     # Tchebychev operator: fd derivatives of the T field (order-0 evaluations)

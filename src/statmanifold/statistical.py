@@ -74,7 +74,7 @@ def tchebychev(g_inv, difference, g):
 
 def interchange_tensor(riemann, g, ginv):
     """Curvature interchange L: g(L(Z,W)X,Y) = g(R(X,Y)Z,W)."""
-    return np.einsum("pln,paj,pakni->plijk", ginv, g, riemann)
+    return np.einsum("pln,paj,pakni->plijk", ginv, g, riemann, optimize="greedy")
 
 
 class StatisticalFrame:
@@ -208,7 +208,7 @@ class StatisticalFrame:
 
     def ricci_g_tt(self):
         """Ric^g(T, T) per point (sign hypothesis of the parallel-T criterion)."""
-        return np.einsum("pab,pa,pb->p", self.geometry.ricci, self.T, self.T)
+        return np.einsum("pab,pa,pb->p", self.geometry.ricci, self.T, self.T, optimize="greedy")
 
     def constant_curvature_fit(self):
         """Least-squares fit of R against lambda (g(Y,Z)X - g(X,Z)Y).
@@ -254,11 +254,13 @@ class StatisticalFrame:
     # -- scalar identities ------------------------------------------------------
 
     def metric_inner_tt(self):
-        return np.einsum("pij,pi,pj->p", self.geometry.g, self.T, self.T)
+        return np.einsum("pij,pi,pj->p", self.geometry.g, self.T, self.T, optimize="greedy")
 
     def metric_inner_kk(self):
         g, ginv = self.geometry.g, self.geometry.ginv
-        return np.einsum("pkl,pia,pjb,pkij,plab->p", g, ginv, ginv, self.K, self.K)
+        return np.einsum(
+            "pkl,pia,pjb,pkij,plab->p", g, ginv, ginv, self.K, self.K, optimize="greedy"
+        )
 
     def scalar_relation_residual(self, lam):
         """|lambda m(m-1) - (rho-hat + g(T,T) - g(K,K))|."""
@@ -282,14 +284,17 @@ class StatisticalFrame:
         phi = jet_einsum("kij,kij->", k_low, k_up)
         laplacian = geom.laplacian_scalar(phi)
 
+        path = "greedy"
         f = (
-            np.einsum("pau,pkaxc,pcuy->pkxy", ginv, riem, self.K)
-            - np.einsum("pau,pcaxu,pkcy->pkxy", ginv, riem, self.K)
-            - np.einsum("pau,pcaxy,pkuc->pkxy", ginv, riem, self.K)
+            np.einsum("pau,pkaxc,pcuy->pkxy", ginv, riem, self.K, optimize=path)
+            - np.einsum("pau,pcaxu,pkcy->pkxy", ginv, riem, self.K, optimize=path)
+            - np.einsum("pau,pcaxy,pkuc->pkxy", ginv, riem, self.K, optimize=path)
         )
-        g_f_k = 2.0 * np.einsum("pkl,pxa,pyb,pkxy,plab->p", g, ginv, ginv, f, self.K)
+        g_f_k = 2.0 * np.einsum(
+            "pkl,pxa,pyb,pkxy,plab->p", g, ginv, ginv, f, self.K, optimize=path
+        )
         g_dk_dk = 2.0 * np.einsum(
-            "pkl,pia,pjb,pdc,pkijd,plabc->p", g, ginv, ginv, ginv, self.dK, self.dK
+            "pkl,pia,pjb,pdc,pkijd,plabc->p", g, ginv, ginv, ginv, self.dK, self.dK, optimize=path
         )
         residual = np.abs(laplacian - g_f_k - g_dk_dk)
         return {

@@ -5,15 +5,28 @@ import pytest
 
 from statmanifold import (
     GeometryFrame,
+    ManifoldSpec,
+    SampleSpec,
     centroaffine_power_surface,
     eval_jet,
     evaluate_spec,
     flat_constant_cubic,
+    get_builtin,
     hyperbolic_ball,
     parse_expression,
+    random_polynomial_cubic,
     sphere_stereographic,
 )
-from statmanifold.jets import Jet, coordinate_jets, jet_einsum, jet_space, jet_tensor, jet_values
+from statmanifold.geometry import jet_matrix_inverse
+from statmanifold.jets import (
+    Jet,
+    coordinate_jets,
+    jet_coefficients,
+    jet_einsum,
+    jet_space,
+    jet_tensor,
+    jet_values,
+)
 from statmanifold.pipeline import crosscheck
 
 
@@ -157,6 +170,56 @@ def test_numeric_covariant_derivative_matches_jet_route():
         jet_values(w), jet_gradients(w), geom.gamma, ("down",)
     )
     np.testing.assert_allclose(numeric, jet_route, atol=1e-12)
+    # mixed rank-3 route: K of a non-parallel polynomial cubic form on a curved chart
+    curved = get_builtin("sphere-m3").spec.to_dict()
+    curved["cubic"] = random_polynomial_cubic(3, 2, seed=1).spec.to_dict()["cubic"]
+    geom, stat, _ = evaluate_spec(ManifoldSpec.from_dict(curved), count=20)
+    variance = ("up", "down", "down")
+    k_values, k_partials = jet_values(stat.K_jets), jet_gradients(stat.K_jets)
+    jet_route = jet_values(geom.nabla(stat.K_jets, variance))
+    numeric = covariant_derivative_components(k_values, k_partials, geom.gamma, variance)
+    assert np.max(np.abs(numeric - k_partials)) > 0.1  # the connection terms matter
+    np.testing.assert_allclose(numeric, jet_route, atol=1e-12)
+
+
+def skewed_metric_spec():
+    """A curved 2-d metric with an off-diagonal entry."""
+    return ManifoldSpec(
+        name="skewed-metric",
+        dim=2,
+        coordinates=["x1", "x2"],
+        metric={"11": "1 + x1*x1", "12": "0.3*x1*x2", "22": "2 + sin(x2)"},
+        cubic={},
+        sample=SampleSpec(box={"x1": (-1.0, 1.0), "x2": (-1.0, 1.0)}),
+    )
+
+
+@pytest.mark.parametrize("spec", [skewed_metric_spec(), get_builtin("sphere-m3").spec])
+def test_metric_is_levi_civita_parallel_at_jet_level(spec):
+    # nabla^g g = 0 as a function, so every Taylor coefficient of the jet
+    # route vanishes; the numeric route only sees the values
+    geom, _, _ = evaluate_spec(spec, count=20)
+    nabla_g = geom.nabla(geom.g_jets, ("down", "down"))
+    assert np.max(np.abs(geom.gamma)) > 0.1
+    assert nabla_g[0, 0, 0].order == 2
+    assert np.max(np.abs(jet_coefficients(nabla_g, 1))) < 1e-12
+    assert np.max(np.abs(jet_coefficients(nabla_g, 2))) < 1e-12
+
+
+def test_jet_order_budget():
+    inst = centroaffine_power_surface(2.0, 3.0)
+    geom, stat, _ = evaluate_spec(inst.spec, count=20)
+    assert {jet.order for jet in geom.g_jets.flat} == {3}
+    for name in ("ginv_jets", "gamma_jets"):
+        assert {jet.order for jet in getattr(geom, name).flat} == {2}, name
+    for name in ("C_jets", "K_jets", "T_jets"):
+        assert {jet.order for jet in getattr(stat, name).flat} == {2}, name
+    # the order-2 inverse is the order-<=2 part of the order-3 inverse
+    full = jet_matrix_inverse(geom.g_jets)
+    assert full[0, 0].order == 3
+    np.testing.assert_allclose(
+        jet_coefficients(geom.ginv_jets, 2), jet_coefficients(full, 2), rtol=0, atol=1e-12
+    )
 
 
 def test_jet_matrix_inverse_consistency():
@@ -164,8 +227,8 @@ def test_jet_matrix_inverse_consistency():
     compiled = inst.spec.compile()
     points = compiled.sample_points(count=20)
     g_jets = compiled.metric_jets(points, 3)
-    geom = GeometryFrame(points, g_jets)
-    product = jet_einsum("il,lj->ij", geom.ginv_jets, g_jets)
+    product = jet_einsum("il,lj->ij", jet_matrix_inverse(g_jets), g_jets)
+    assert product[0, 0].order == 3
     values = jet_values(product)
     np.testing.assert_allclose(values, np.broadcast_to(np.eye(2), values.shape), atol=1e-12)
     # every derivative coefficient of g^{-1} g - I vanishes as well

@@ -1,10 +1,15 @@
 """Jet algebra: analytic derivative examples, algebraic laws, truncation."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import statmanifold
 from statmanifold import Jet, JetDomainError, coordinate_jets, jet_space
 from statmanifold.jets import jet_einsum, jet_tensor, jet_values
 
@@ -188,3 +193,14 @@ def test_compose_chain_rule_against_reference():
     assert j.gradient()[0] == pytest.approx(d1, rel=1e-13)
     assert j.hessian()[0, 0] == pytest.approx(d2, rel=1e-13)
     assert j.third()[0, 0, 0] == pytest.approx(d3, rel=1e-12)
+
+
+def test_import_needs_numpy_only():
+    # numpy is the only declared runtime dependency (pyproject.toml)
+    src = str(Path(statmanifold.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, statmanifold; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
