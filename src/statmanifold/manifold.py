@@ -32,9 +32,8 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 
 from .expr import EvalDomainError, ExprError, eval_jet, parse_expression
-from .jets import Jet, jet_space, jet_tensor
+from .jets import MAX_DIM, Jet, jet_space, jet_tensor
 
-MAX_DIM = 8
 SCHEMA_VERSION = 1
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
@@ -198,14 +197,22 @@ class ManifoldSpec:
         return "".join(str(i) for i in indices)
 
     def _probe(self, asts, problems):
-        """Evaluate every expression at probe points and check g is positive definite."""
+        """Evaluate every expression to order 2 at probe points; each jet must be
+        finite there, and g positive definite."""
         points = self._probe_points()
         values = {}
         for (label, key), ast in asts.items():
             try:
-                values[(label, key)] = eval_jet(ast, points, 2, self.parameters).value
+                with np.errstate(over="ignore", invalid="ignore"):
+                    jet = eval_jet(ast, points, 2, self.parameters)
             except EvalDomainError as err:
                 problems.append(f"{label}[{key}] leaves its domain inside the box: {err}")
+                continue
+            bad = ~np.all(np.isfinite(jet.coeff), axis=-1)
+            if bad.any():
+                at = points[int(np.argmax(bad))].tolist()
+                problems.append(f"{label}[{key}] is not finite to order 2 at probe point {at}")
+            values[(label, key)] = jet.value
         if problems:
             return
         g = np.zeros((points.shape[0], self.dim, self.dim))

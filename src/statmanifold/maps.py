@@ -24,12 +24,21 @@ from .statistical import StatisticalFrame
 TRUE, FALSE, INCONCLUSIVE = "true", "false", "inconclusive"
 
 
-def _state(value, tolerance):
+def band(value, tolerance):
+    """Flag state of a residual, with a 10x hysteresis band reported as inconclusive."""
     if value <= tolerance:
         return TRUE
     if value <= 10.0 * tolerance:
         return INCONCLUSIVE
     return FALSE
+
+
+def band_agreement(a, b, tolerance):
+    """Whether two residuals raise the same flag: consistent, inconsistent or inconclusive."""
+    a_state, b_state = band(a, tolerance), band(b, tolerance)
+    if INCONCLUSIVE in (a_state, b_state):
+        return INCONCLUSIVE
+    return "consistent" if a_state == b_state else "inconsistent"
 
 
 class IdentityMapReport:
@@ -116,11 +125,15 @@ class IdentityMapReport:
 
     # -- flags ----------------------------------------------------------------
 
+    def flag_residuals(self):
+        """Per point, max |(T1), (T2)| and max |tau2, taubar2|: the inputs of both flags."""
+        t_res = np.max(np.abs(np.concatenate([self.t1, self.t2], axis=1)), axis=1)
+        b_res = np.max(np.abs(np.concatenate([self.tau2, self.taubar2], axis=1)), axis=1)
+        return t_res, b_res
+
     def semi_equiaffine_flag(self, tolerance=1e-8):
         """True iff the (T1) and (T2) residuals stay within tolerance."""
-        t1 = float(np.max(np.abs(self.t1))) if self.t1.size else 0.0
-        t2 = float(np.max(np.abs(self.t2))) if self.t2.size else 0.0
-        return max(t1, t2) <= tolerance
+        return float(np.max(self.flag_residuals()[0])) <= tolerance
 
     def flag_equivalence(self, tolerance=1e-8):
         """Compare the (T1) and (T2) flag with the tau2 = taubar2 = 0 flag.
@@ -128,10 +141,5 @@ class IdentityMapReport:
         The two must coincide; a 10x hysteresis band around the tolerance is
         reported as inconclusive instead of flapping.
         """
-        t_res = float(np.max(np.abs(np.concatenate([self.t1, self.t2], axis=1))))
-        b_res = float(np.max(np.abs(np.concatenate([self.tau2, self.taubar2], axis=1))))
-        t_state = _state(t_res, tolerance)
-        b_state = _state(b_res, tolerance)
-        if INCONCLUSIVE in (t_state, b_state):
-            return INCONCLUSIVE
-        return "consistent" if t_state == b_state else "inconsistent"
+        t_res, b_res = self.flag_residuals()
+        return band_agreement(float(np.max(t_res)), float(np.max(b_res)), tolerance)

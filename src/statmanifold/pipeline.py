@@ -33,14 +33,17 @@ from .geometry import (
 )
 from .jets import coordinate_jets
 from .manifold import ManifoldSpec, _permutations3
-from .maps import IdentityMapReport
-from .statistical import StatisticalFrame
+from .maps import INCONCLUSIVE, IdentityMapReport, band, band_agreement
+from .statistical import StatisticalFrame, fit_constant_curvature, scalar_relation_gap
 
-PASS, FAIL, NOT_APPLICABLE, INCONCLUSIVE = "pass", "fail", "not-applicable", "inconclusive"
+PASS, FAIL, NOT_APPLICABLE = "pass", "fail", "not-applicable"
 
 DEFAULT_TOLERANCE = 1e-8
 FD_TOLERANCE = 1e-4
 CONSTANT_CURVATURE_SCALE = 1e-6
+# points per frame in run_diagnostics and crosscheck: large enough that numpy
+# dispatch is amortised, small enough that a block's arrays stay in cache
+BLOCK_POINTS = 1024
 
 
 @dataclass
@@ -89,7 +92,7 @@ class DiagnosticsReport:
         }
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     @property
     def failed_checks(self):
@@ -133,139 +136,154 @@ def _probe_scalar(points, order=3):
     return f
 
 
-def _check(points, residual, tolerance):
-    residual = np.asarray(residual, dtype=float)
+def _check(points, residual, tolerance, status=None):
+    """Max and first argmax of a per-point residual; status from the tolerance unless given."""
     idx = int(np.argmax(residual))
     value = float(residual[idx])
-    return CheckResult(value, list(points[idx]), PASS if value <= tolerance else FAIL)
+    return CheckResult(value, list(points[idx]), status or (PASS if value <= tolerance else FAIL))
 
 
-def _conditional(points, residual, tolerance, applicable):
-    result = _check(points, residual, tolerance)
-    if not applicable:
-        result.status = NOT_APPLICABLE
-    return result
+def _per_point(points, block_fn):
+    """Run ``block_fn`` on consecutive blocks of BLOCK_POINTS points and
+    concatenate the (nested dicts of) per-point arrays it returns."""
+
+    def concatenate(parts):
+        if isinstance(parts[0], dict):
+            return {key: concatenate([part[key] for part in parts]) for key in parts[0]}
+        return np.concatenate(parts)
+
+    starts = range(0, len(points), BLOCK_POINTS)
+    return concatenate([block_fn(points[i : i + BLOCK_POINTS]) for i in starts])
+
+
+def _block_residuals(compiled, points):
+    """Per-point residuals of one block of points, before any reduction."""
+    geometry, stat = _frames(compiled, points)
+    identity = IdentityMapReport(stat)
+    res_a, res_b = identity.main1_residuals()
+    r_minus_l, r_minus_rbar, alt_dk = stat.conjugate_symmetry_residuals()
+    flag_t, flag_b = identity.flag_residuals()
+    # identity checks in report order: each fails the run beyond the tolerance
+    identities = {
+        "codazzi": stat.codazzi_residual(),
+        "cubic_form_is_nabla_g": stat.cubic_is_nabla_g_residual(),
+        "cubic_form_roundtrip": stat.cubic_reconstruction_residual(),
+        "conjugate_duality": stat.duality_residual(),
+        "levi_civita_mean": stat.levi_civita_mean_residual(),
+        "curvature_conjugation": stat.curvature_conjugation_residual(),
+        "curvature_interchange_sum": stat.interchange_sum_residual(),
+        "first_bianchi": np.maximum(
+            geometry.first_bianchi_residual(), geometry.first_bianchi_residual(stat.R)
+        ),
+        "metric_compatibility": geometry.metric_compatibility_residual(),
+        "divergence_identity_gradient_field": geometry.divergence_identity_residual(
+            _probe_scalar(points)
+        ),
+        "tension_is_minus_tchebychev": identity.tension_residual(),
+        "conjugate_tension_is_tchebychev": identity.conjugate_tension_residual(),
+        "harmonic_tension_vanishes": identity.harmonic_residual(),
+        "difftension": identity.difftension_residual(),
+        "bitension_path_independence": identity.path_independence_residual(),
+        "main1_identity_a": res_a,
+        "main1_identity_b": res_b,
+        "tchebychev_dual_via_volume_form": stat.volume_form_dual_residual(),
+    }
+    return {
+        "identities": identities,
+        # inputs of the pooled constant-curvature fit and the scalar relation
+        "fit": {"riemann": stat.R, "g": geometry.g, "scalar_sum": stat.scalar_sum()},
+        # residuals behind the condition flags and the conditional checks
+        "r_minus_l": r_minus_l,
+        "r_minus_rbar": r_minus_rbar,
+        "alt_dk": alt_dk,
+        "ric_asym": stat.ricci_asymmetry_residual(),
+        "eq5": stat.tchebychev_closedness_residual(),
+        "t_norm": stat.tchebychev_norm(),
+        "tch_op": stat.tchebychev_operator_norm(),
+        "volume_parallel": stat.volume_form_parallel_residual(),
+        "ricci_tt": stat.ricci_g_tt(),
+        "flag_t": flag_t,
+        "flag_b": flag_b,
+        "laplacian_cubic": stat.laplacian_cubic_terms()["residual"],
+        "geodesic_potential": stat.geodesic_potential_check()[0],
+    }
+
+
+_AGREEMENT_STATUS = {"consistent": PASS, "inconsistent": FAIL, INCONCLUSIVE: INCONCLUSIVE}
 
 
 def run_diagnostics(spec: ManifoldSpec, tolerance=DEFAULT_TOLERANCE, count=None, seed=None):
-    """Run the full diagnostic battery on a spec; deterministic given (spec, seed)."""
+    """Run the full diagnostic battery on a spec; deterministic given (spec, seed).
+
+    Frames are built block by block (BLOCK_POINTS points each); every max,
+    argmax, flag and fit reduces the concatenated per-point residuals, so
+    the report does not depend on the block size.
+    """
     start = time.perf_counter()
-    geometry, stat, identity = evaluate_spec(spec, count=count, seed=seed)
-    points = geometry.points
+    compiled = spec.compile()
+    points = compiled.sample_points(count, seed)
+    res = _per_point(points, lambda block: _block_residuals(compiled, block))
     tol = float(tolerance)
 
-    checks = {}
-    checks["codazzi"] = _check(points, stat.codazzi_residual(), tol)
-    checks["cubic_form_is_nabla_g"] = _check(points, stat.cubic_is_nabla_g_residual(), tol)
-    checks["cubic_form_roundtrip"] = _check(points, stat.cubic_reconstruction_residual(), tol)
-    checks["conjugate_duality"] = _check(points, stat.duality_residual(), tol)
-    checks["levi_civita_mean"] = _check(points, stat.levi_civita_mean_residual(), tol)
-    checks["curvature_conjugation"] = _check(points, stat.curvature_conjugation_residual(), tol)
-    checks["curvature_interchange_sum"] = _check(points, stat.interchange_sum_residual(), tol)
-    checks["first_bianchi"] = _check(
-        points,
-        np.maximum(
-            geometry.first_bianchi_residual(),
-            geometry.first_bianchi_residual(stat.R),
-        ),
-        tol,
-    )
-    checks["metric_compatibility"] = _check(points, geometry.metric_compatibility_residual(), tol)
-    checks["divergence_identity_gradient_field"] = _check(
-        points, geometry.divergence_identity_residual(_probe_scalar(points)), tol
-    )
-    checks["tension_is_minus_tchebychev"] = _check(points, identity.tension_residual(), tol)
-    checks["conjugate_tension_is_tchebychev"] = _check(
-        points, identity.conjugate_tension_residual(), tol
-    )
-    checks["harmonic_tension_vanishes"] = _check(points, identity.harmonic_residual(), tol)
-    checks["difftension"] = _check(points, identity.difftension_residual(), max(tol, 1e-12))
-    checks["bitension_path_independence"] = _check(
-        points, identity.path_independence_residual(), tol
-    )
-    res_a, res_b = identity.main1_residuals()
-    checks["main1_identity_a"] = _check(points, res_a, tol)
-    checks["main1_identity_b"] = _check(points, res_b, tol)
-    checks["tchebychev_dual_via_volume_form"] = _check(
-        points, stat.volume_form_dual_residual(), tol
-    )
-
-    # condition residuals (flags, not failures)
-    r_minus_l, r_minus_rbar, alt_dk = stat.conjugate_symmetry_residuals()
-    conj_sym = float(np.max(np.maximum(np.maximum(r_minus_l, r_minus_rbar), alt_dk)))
-    ric_asym = float(np.max(stat.ricci_asymmetry_residual()))
-    eq5 = float(np.max(stat.tchebychev_closedness_residual()))
-    t_norm = float(np.max(stat.tchebychev_norm()))
-    tch_op = float(np.max(stat.tchebychev_operator_norm()))
-    t1_max = float(np.max(np.abs(identity.t1)))
-    t2_max = float(np.max(np.abs(identity.t2)))
-    lam, cc_residual = stat.constant_curvature_fit()
+    checks = {
+        name: _check(points, residual, max(tol, 1e-12) if name == "difftension" else tol)
+        for name, residual in res.pop("identities").items()
+    }
+    fit = res.pop("fit")
+    peak = {name: float(np.max(residual)) for name, residual in res.items()}
+    conj = np.maximum(np.maximum(res["r_minus_l"], res["r_minus_rbar"]), res["alt_dk"])
+    lam, cc_residual = fit_constant_curvature(fit["riemann"], fit["g"])
     cc_max = float(np.max(cc_residual))
     cc_flag = cc_max <= CONSTANT_CURVATURE_SCALE * (1.0 + abs(lam))
+    ric_asym, eq5, t_norm = peak["ric_asym"], peak["eq5"], peak["t_norm"]
 
     flags = {
         "codazzi": checks["codazzi"].status == PASS,
         "ric_symmetric": ric_asym <= tol,
-        "conjugate_symmetric": conj_sym <= tol,
+        "conjugate_symmetric": float(np.max(conj)) <= tol,
         "equiaffine": t_norm <= tol,
-        "semi_equiaffine": identity.semi_equiaffine_flag(tol),
+        "semi_equiaffine": peak["flag_t"] <= tol,
         "constant_curvature": cc_flag,
     }
 
     # the symmetry of Ric and the closedness of g(T, .) must flag together
-    ric_state = _band(ric_asym, tol)
-    eq5_state = _band(eq5, tol)
-    if INCONCLUSIVE in (ric_state, eq5_state):
-        sym_status = INCONCLUSIVE
-    else:
-        sym_status = PASS if ric_state == eq5_state else FAIL
+    sym_status = _AGREEMENT_STATUS[band_agreement(ric_asym, eq5, tol)]
     checks["ricci_symmetry_equivalence"] = CheckResult(
         max(ric_asym, eq5), list(points[0]), sym_status
     )
 
-    checks["conjugate_symmetry_residuals"] = CheckResult(
-        conj_sym, list(points[int(np.argmax(np.maximum(np.maximum(r_minus_l, r_minus_rbar), alt_dk)))]),
-        PASS if _flags_together(r_minus_l, r_minus_rbar, alt_dk, tol) else FAIL,
+    # the three conjugate-symmetry residuals must agree at the flag level
+    states = {band(peak[name], tol) for name in ("r_minus_l", "r_minus_rbar", "alt_dk")}
+    checks["conjugate_symmetry_residuals"] = _check(
+        points, conj, tol, PASS if len(states - {INCONCLUSIVE}) <= 1 else FAIL
     )
 
     # equiaffine iff the metric volume form is nabla-parallel
-    vol_res = float(np.max(stat.volume_form_parallel_residual()))
-    t_state = _band(t_norm, tol)
-    vol_state = _band(vol_res, tol)
-    if INCONCLUSIVE in (t_state, vol_state):
-        vol_status = INCONCLUSIVE
-    else:
-        vol_status = PASS if t_state == vol_state else FAIL
+    vol_res = peak["volume_parallel"]
+    vol_status = _AGREEMENT_STATUS[band_agreement(t_norm, vol_res, tol)]
     checks["equiaffine_volume_form_equivalence"] = CheckResult(
         max(t_norm, vol_res), list(points[0]), vol_status
     )
 
+    def conditional(residual, tolerance, applicable):
+        return _check(points, residual, tolerance, None if applicable else NOT_APPLICABLE)
+
     # parallel-T criterion: semi-equiaffine, symmetric Ric, Ric^g(T,T) <= 0
     # together force nabla^g T = 0
-    ricci_tt = float(np.max(stat.ricci_g_tt()))
-    checks["parallel_tchebychev_criterion"] = _conditional(
-        points,
-        stat.tchebychev_operator_norm(),
+    checks["parallel_tchebychev_criterion"] = conditional(
+        res["tch_op"],
         tol,
-        applicable=(flags["semi_equiaffine"] and flags["ric_symmetric"] and ricci_tt <= tol),
+        flags["semi_equiaffine"] and flags["ric_symmetric"] and peak["ricci_tt"] <= tol,
     )
-
-    checks["scalar_curvature_relation"] = _conditional(
-        points, stat.scalar_relation_residual(lam), 1e-6, applicable=cc_flag
+    checks["scalar_curvature_relation"] = conditional(
+        scalar_relation_gap(lam, spec.dim, fit["scalar_sum"]), 1e-6, cc_flag
     )
-    lap_terms = stat.laplacian_cubic_terms()
-    checks["laplacian_cubic_form"] = _conditional(
-        points,
-        lap_terms["residual"],
-        1e-6,
-        applicable=flags["conjugate_symmetric"] and tch_op <= 10.0 * tol,
+    checks["laplacian_cubic_form"] = conditional(
+        res["laplacian_cubic"], 1e-6, flags["conjugate_symmetric"] and peak["tch_op"] <= 10.0 * tol
     )
-    geo_res, _rho = stat.geodesic_potential_check()
-    checks["geodesic_potential"] = _conditional(
-        points, geo_res, tol, applicable=(t_norm > tol and t2_max <= tol)
+    checks["geodesic_potential"] = conditional(
+        res["geodesic_potential"], tol, t_norm > tol and peak["geodesic_potential"] <= tol
     )
-
-    equivalence = identity.flag_equivalence(tol)
 
     report = DiagnosticsReport(
         name=spec.name,
@@ -281,25 +299,11 @@ def run_diagnostics(spec: ManifoldSpec, tolerance=DEFAULT_TOLERANCE, count=None,
             "max_residual": cc_max,
             "is_constant": cc_flag,
         },
-        main1_flag_equivalence=equivalence,
+        main1_flag_equivalence=band_agreement(peak["flag_t"], peak["flag_b"], tol),
         runtime_seconds=0.0,
     )
     report.runtime_seconds = time.perf_counter() - start
     return report
-
-
-def _band(value, tolerance):
-    if value <= tolerance:
-        return "true"
-    if value <= 10.0 * tolerance:
-        return INCONCLUSIVE
-    return "false"
-
-
-def _flags_together(a, b, c, tolerance):
-    """The three conjugate-symmetry residuals must agree at the flag level."""
-    states = {_band(float(np.max(r)), tolerance) for r in (a, b, c)}
-    return len(states - {INCONCLUSIVE}) <= 1
 
 
 # -- finite-difference crosscheck ----------------------------------------------
@@ -331,11 +335,12 @@ class CrosscheckReport:
         }
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _relative(a, b):
-    return float(np.max(np.abs(a - b) / (1.0 + np.abs(a))))
+    """Per-point max of |a - b| / (1 + |a|)."""
+    return np.max((np.abs(a - b) / (1.0 + np.abs(a))).reshape(len(a), -1), axis=1)
 
 
 def crosscheck(spec: ManifoldSpec, h=1e-3, threshold=FD_TOLERANCE, count=None, seed=None):
@@ -344,15 +349,22 @@ def crosscheck(spec: ManifoldSpec, h=1e-3, threshold=FD_TOLERANCE, count=None, s
     The sample box is shrunk by 2h on each side so the stencil stays inside
     the domain; Christoffel symbols, the curvature tensor, the scalar
     Laplacian of a smooth probe, and the Tchebychev operator are each
-    recomputed from finite-difference derivative estimates and compared.
+    recomputed from finite-difference derivative estimates and compared,
+    block by block as in :func:`run_diagnostics`.
     """
     if h <= 0:
         raise ValueError("fd step must be positive")
     compiled = spec.compile()
-    m = spec.dim
-    shrunk = _shrink_box(spec, 2.0 * h)
-    points = shrunk.sample_points(count, seed)
+    points = _shrink_box(spec, 2.0 * h).sample_points(count, seed)
+    deviations = _per_point(points, lambda block: _crosscheck_block(compiled, block, h))
+    report = CrosscheckReport(name=spec.name, h=float(h), threshold=float(threshold))
+    report.deviations = {name: float(np.max(dev)) for name, dev in deviations.items()}
+    return report
 
+
+def _crosscheck_block(compiled, points, h):
+    """Per-point relative deviations of the jet route from the fd route on one block."""
+    m = compiled.dim
     geometry, stat = _frames(compiled, points)
 
     # finite-difference metric derivatives
@@ -361,7 +373,7 @@ def crosscheck(spec: ManifoldSpec, h=1e-3, threshold=FD_TOLERANCE, count=None, s
     d2g_fd = np.zeros((n, m, m, m, m))
     for i in range(1, m + 1):
         for j in range(i, m + 1):
-            jet = fd_jet(compiled.metric_asts[f"{i}{j}"], points, 2, h, spec.parameters)
+            jet = fd_jet(compiled.metric_asts[f"{i}{j}"], points, 2, h, compiled.spec.parameters)
             grad, hess = jet.gradient(), jet.hessian()
             dg_fd[:, i - 1, j - 1] = dg_fd[:, j - 1, i - 1] = grad
             d2g_fd[:, i - 1, j - 1] = d2g_fd[:, j - 1, i - 1] = hess
@@ -384,12 +396,12 @@ def crosscheck(spec: ManifoldSpec, h=1e-3, threshold=FD_TOLERANCE, count=None, s
     t_values = _tchebychev_values(compiled, points)
     tch_fd = t_jacobian_fd + np.einsum("pkda,pa->pkd", gamma_fd, t_values)
 
-    report = CrosscheckReport(name=spec.name, h=float(h), threshold=float(threshold))
-    report.deviations["christoffel"] = _relative(geometry.gamma, gamma_fd)
-    report.deviations["curvature"] = _relative(geometry.riemann, riemann_fd)
-    report.deviations["scalar_laplacian"] = _relative(lap_jet, lap_fd)
-    report.deviations["tchebychev_operator"] = _relative(stat.tch, tch_fd)
-    return report
+    return {
+        "christoffel": _relative(geometry.gamma, gamma_fd),
+        "curvature": _relative(geometry.riemann, riemann_fd),
+        "scalar_laplacian": _relative(lap_jet, lap_fd),
+        "tchebychev_operator": _relative(stat.tch, tch_fd),
+    }
 
 
 def _shrink_box(spec, margin):

@@ -11,6 +11,8 @@ nabla-bar = nabla^g - K.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .geometry import GeometryFrame, curvature_components, ricci_components
@@ -75,6 +77,28 @@ def tchebychev(g_inv, difference, g):
 def interchange_tensor(riemann, g, ginv):
     """Curvature interchange L: g(L(Z,W)X,Y) = g(R(X,Y)Z,W)."""
     return np.einsum("pln,paj,pakni->plijk", ginv, g, riemann, optimize="greedy")
+
+
+def fit_constant_curvature(riemann, g):
+    """Least-squares fit of R against lambda (g(Y,Z)X - g(X,Z)Y).
+
+    Returns (lambda, per-point max residual); the fit pools every component
+    at every point of the batch.
+    """
+    m = g.shape[-1]
+    if m < 2:
+        raise ValueError("constant curvature requires dimension >= 2")
+    eye = np.eye(m)
+    model = np.einsum("pjk,li->plijk", g, eye) - np.einsum("pik,lj->plijk", g, eye)
+    denom = float(np.sum(model * model))
+    lam = float(np.sum(riemann * model) / denom)
+    residual = np.max(np.abs(riemann - lam * model), axis=(1, 2, 3, 4))
+    return lam, residual
+
+
+def scalar_relation_gap(lam, dim, scalar_sum):
+    """|lambda m(m-1) - (rho-hat + g(T,T) - g(K,K))| from the per-point sum."""
+    return np.abs(lam * dim * (dim - 1) - scalar_sum)
 
 
 class StatisticalFrame:
@@ -186,6 +210,13 @@ class StatisticalFrame:
         m = np.einsum("pky,pkx->pxy", self.geometry.g, self.tch)
         return np.max(np.abs(m - np.einsum("pxy->pyx", m)), axis=(1, 2))
 
+    @cached_property
+    def _volume_form_derivative(self):
+        """sum_a coeff(nabla)^a_Xa - d_X log sqrt(det g); its norm is |nabla omega_g| / omega_g."""
+        geom = self.geometry
+        dlog = 0.5 * np.einsum("pij,pijx->px", geom.ginv, geom.dg)
+        return np.einsum("paxa->px", self.nabla) - dlog
+
     def volume_form_dual_residual(self):
         """Residual of eta(X) = sum_a coeff(nabla)^a_Xa - d_X log sqrt(det g).
 
@@ -194,38 +225,19 @@ class StatisticalFrame:
         route independent of the metric contraction of K; in particular the
         structure is equiaffine iff the metric volume form is nabla-parallel.
         """
-        geom = self.geometry
-        dlog = 0.5 * np.einsum("pij,pijx->px", geom.ginv, geom.dg)
-        coeff_trace = np.einsum("paxa->px", self.nabla)
-        return np.max(np.abs(coeff_trace - dlog - self.eta), axis=1)
+        return np.max(np.abs(self._volume_form_derivative - self.eta), axis=1)
 
     def volume_form_parallel_residual(self):
         """|nabla omega_g| / omega_g per point; zero iff the structure is equiaffine."""
-        geom = self.geometry
-        dlog = 0.5 * np.einsum("pij,pijx->px", geom.ginv, geom.dg)
-        coeff_trace = np.einsum("paxa->px", self.nabla)
-        return np.max(np.abs(coeff_trace - dlog), axis=1)
+        return np.max(np.abs(self._volume_form_derivative), axis=1)
 
     def ricci_g_tt(self):
         """Ric^g(T, T) per point (sign hypothesis of the parallel-T criterion)."""
         return np.einsum("pab,pa,pb->p", self.geometry.ricci, self.T, self.T, optimize="greedy")
 
     def constant_curvature_fit(self):
-        """Least-squares fit of R against lambda (g(Y,Z)X - g(X,Z)Y).
-
-        Returns (lambda, per-point max residual); the fit pools every
-        component at every sampled point.
-        """
-        m = self.geometry.dim
-        if m < 2:
-            raise ValueError("constant curvature requires dimension >= 2")
-        g = self.geometry.g
-        eye = np.eye(m)
-        model = np.einsum("pjk,li->plijk", g, eye) - np.einsum("pik,lj->plijk", g, eye)
-        denom = float(np.sum(model * model))
-        lam = float(np.sum(self.R * model) / denom)
-        residual = np.max(np.abs(self.R - lam * model), axis=(1, 2, 3, 4))
-        return lam, residual
+        """(lambda, per-point max residual) of :func:`fit_constant_curvature` on this frame."""
+        return fit_constant_curvature(self.R, self.geometry.g)
 
     def tchebychev_norm(self):
         return np.max(np.abs(self.T), axis=1)
@@ -262,11 +274,13 @@ class StatisticalFrame:
             "pkl,pia,pjb,pkij,plab->p", g, ginv, ginv, self.K, self.K, optimize="greedy"
         )
 
+    def scalar_sum(self):
+        """rho-hat + g(T,T) - g(K,K) per point; lambda m(m-1) under constant curvature."""
+        return self.geometry.scalar + self.metric_inner_tt() - self.metric_inner_kk()
+
     def scalar_relation_residual(self, lam):
         """|lambda m(m-1) - (rho-hat + g(T,T) - g(K,K))|."""
-        m = self.geometry.dim
-        rhs = self.geometry.scalar + self.metric_inner_tt() - self.metric_inner_kk()
-        return np.abs(lam * m * (m - 1) - rhs)
+        return scalar_relation_gap(lam, self.geometry.dim, self.scalar_sum())
 
     def laplacian_cubic_terms(self):
         """Terms of Delta_g g(K,K) = 2 g(F,K) + 2 g(nabla^g K, nabla^g K).

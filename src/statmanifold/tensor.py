@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jets import MAX_DIM
+
 UP = "up"
 DOWN = "down"
-
-MAX_DIM = 8
 
 _LETTERS = "abcdefgh"
 _PAIR_LETTERS = "mnopqrst"

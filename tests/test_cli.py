@@ -88,6 +88,16 @@ def test_run_rejects_invalid_spec(tmp_path, capsys):
     assert "sorted index triple" in capsys.readouterr().err
 
 
+def test_run_rejects_non_finite_expression(centroaffine_spec, capsys):
+    payload = json.loads(centroaffine_spec.read_text())
+    payload["cubic"]["111"] = "exp(800*x1)"
+    centroaffine_spec.write_text(json.dumps(payload))
+    assert main(["run", str(centroaffine_spec)]) == 3
+    captured = capsys.readouterr()
+    assert "cubic[111] is not finite" in captured.err
+    assert captured.out == ""
+
+
 def test_run_missing_file(capsys):
     assert main(["run", "/no/such/spec.json"]) == 3
 

@@ -84,6 +84,17 @@ def test_probe_detects_domain_violation():
         spec.validate()
 
 
+def test_probe_rejects_non_finite_jets():
+    # exp(800 x1) overflows at x1 > 0.89 inside the box; the report would be NaN
+    spec = minimal_spec(cubic={"111": "exp(800*x1)"})
+    with pytest.raises(SpecValidationError) as err:
+        spec.validate()
+    (problem,) = err.value.problems
+    assert problem.startswith("cubic[111] is not finite to order 2 at probe point [")
+    point = [float(v) for v in problem.split("[")[2].rstrip("]").split(",")]
+    assert 800 * point[0] > np.log(np.finfo(float).max)
+
+
 def test_probe_detects_indefinite_metric():
     spec = minimal_spec(metric={"11": "-1", "12": "0", "22": "1"})
     with pytest.raises(SpecValidationError, match="positive definite"):

@@ -1,0 +1,55 @@
+"""Blocked evaluation: reports do not depend on the block size, and memory
+is bounded by the block, not the sample."""
+
+import tracemalloc
+
+import pytest
+
+from statmanifold import crosscheck, get_builtin, pipeline, run_diagnostics
+
+
+def _residuals_and_rest(report):
+    rest = report.to_dict()
+    rest.pop("runtime_seconds")
+    residuals = {name: check.pop("max_residual") for name, check in rest["checks"].items()}
+    residuals["constant_curvature"] = rest["constant_curvature"].pop("max_residual")
+    return residuals, rest
+
+
+def test_block_size_does_not_change_reports(monkeypatch):
+    spec = get_builtin("centroaffine-2-3").spec
+    whole = run_diagnostics(spec, seed=5)
+    whole_fd = crosscheck(spec, seed=5)
+    assert whole.num_points <= pipeline.BLOCK_POINTS
+
+    monkeypatch.setattr(pipeline, "BLOCK_POINTS", 7)
+    assert whole.num_points % 7 and whole.num_points // 7 >= 10  # many blocks, one partial
+    blocked = run_diagnostics(spec, seed=5)
+    blocked_fd = crosscheck(spec, seed=5)
+
+    whole_res, whole_rest = _residuals_and_rest(whole)
+    blocked_res, blocked_rest = _residuals_and_rest(blocked)
+    # statuses, flags, argmax points, lambda and the flag equivalence are exact
+    assert blocked_rest == whole_rest
+    assert blocked_res == pytest.approx(whole_res, rel=0, abs=1e-12)
+    assert blocked_fd.deviations == pytest.approx(whole_fd.deviations, rel=0, abs=1e-12)
+    assert blocked_fd.passed == whole_fd.passed
+
+
+def _peak_bytes(spec, count):
+    tracemalloc.start()
+    try:
+        run_diagnostics(spec, count=count, seed=2)
+        crosscheck(spec, count=count, seed=2)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_is_bounded_by_the_block():
+    spec = get_builtin("sphere-m3").spec
+    corners = 2**spec.dim
+    run_diagnostics(spec, count=20, seed=2)  # warm the jet tables out of the measurement
+    one_block = _peak_bytes(spec, pipeline.BLOCK_POINTS - corners)
+    three_blocks = _peak_bytes(spec, 3 * pipeline.BLOCK_POINTS - corners)
+    assert three_blocks <= 1.25 * one_block, (one_block, three_blocks)
