@@ -32,7 +32,7 @@ for m, c in ((2, 1.0), (3, 1.0), (2, 4.0)):
     geom, _, _ = evaluate_spec(instance.spec)
     ast = parse_expression(instance.oracle["eigenfunction"],
                            instance.spec.coordinates, instance.spec.parameters)
-    f = eval_jet(ast, geom.points, 3, instance.spec.parameters)
+    f = eval_jet(ast, geom.points, 3)
     laplacian = geom.laplacian_scalar(f)
     ratio = laplacian / f.value
     print(f"S^{m}(c={c:g}): Laplacian/eigenfunction ratio = {ratio[0]:+.8f} "

@@ -49,17 +49,7 @@ from .statistical import (
     difference_tensor,
     tchebychev,
 )
-from .tensor import (
-    DOWN,
-    UP,
-    MetricNotPositiveDefinite,
-    PointTensor,
-    contract,
-    inner,
-    lower_index,
-    orthonormal_frame,
-    raise_index,
-)
+from .tensor import DOWN, UP, MetricNotPositiveDefinite, orthonormal_frame
 
 __version__ = "0.1.0"
 
@@ -80,7 +70,6 @@ __all__ = [
     "ManifoldSpec",
     "MetricNotPositiveDefinite",
     "NonConstantExponentError",
-    "PointTensor",
     "SampleSpec",
     "SpecValidationError",
     "StatisticalFrame",
@@ -88,7 +77,6 @@ __all__ = [
     "UP",
     "builtin_names",
     "centroaffine_power_surface",
-    "contract",
     "coordinate_jets",
     "crosscheck",
     "cubic_from_difference",
@@ -100,12 +88,9 @@ __all__ = [
     "flat_constant_cubic",
     "get_builtin",
     "hyperbolic_ball",
-    "inner",
     "jet_space",
-    "lower_index",
     "orthonormal_frame",
     "parse_expression",
-    "raise_index",
     "random_polynomial_cubic",
     "random_symmetric_constants",
     "run_diagnostics",

@@ -81,12 +81,6 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Param:
-    name: str
-    span: tuple = (0, 0)
-
-
-@dataclass(frozen=True)
 class Unary:
     op: str
     child: object
@@ -131,13 +125,12 @@ def _tokenize(src):
 
 
 class _Parser:
-    def __init__(self, src, variables, parameters, substitute):
+    def __init__(self, src, variables, parameters):
         self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
         self.variables = {name: i for i, name in enumerate(variables)}
         self.parameters = dict(parameters or {})
-        self.substitute = substitute
 
     def peek(self):
         return self.tokens[self.pos]
@@ -201,10 +194,7 @@ class _Parser:
             if value in self.variables:
                 return Var(value, self.variables[value], (offset, offset + len(value)))
             if value in self.parameters:
-                span = (offset, offset + len(value))
-                if self.substitute:
-                    return Const(float(self.parameters[value]), span)
-                return Param(value, span)
+                return Const(float(self.parameters[value]), (offset, offset + len(value)))
             raise UnknownIdentifierError(f"unknown identifier {value!r} at offset {offset}", offset)
         if kind == "op" and value == "(":
             node = self.expr()
@@ -248,7 +238,7 @@ class _Parser:
 
 
 def _fold_constant(node):
-    """Value of a variable-free subtree, or None if it contains a variable/parameter."""
+    """Value of a variable-free subtree, or None if it contains a variable."""
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Unary):
@@ -269,34 +259,17 @@ def _fold_constant(node):
     return None
 
 
-def parse_expression(src, variables, parameters=None, *, substitute_parameters=True):
+def parse_expression(src, variables, parameters=None):
     """Parse a component expression against declared coordinates and parameters.
 
-    Parameters are substituted as constants by default; pass
-    ``substitute_parameters=False`` to retain them as named nodes (they must
-    then be bound at evaluation time).
+    Parameters are substituted as constants.
     """
     if not src or not src.strip():
         raise ExprSyntaxError("empty expression", 0)
     names = list(variables)
     if len(set(names)) != len(names):
         raise ValueError("coordinate names must be distinct")
-    return _Parser(src, names, parameters, substitute_parameters).parse()
-
-
-def free_parameters(node):
-    if isinstance(node, Param):
-        return {node.name}
-    if isinstance(node, Unary):
-        return free_parameters(node.child)
-    if isinstance(node, Binary):
-        return free_parameters(node.left) | free_parameters(node.right)
-    if isinstance(node, Call):
-        out = set()
-        for arg in node.args:
-            out |= free_parameters(arg)
-        return out
-    return set()
+    return _Parser(src, names, parameters).parse()
 
 
 # -- pretty printing ---------------------------------------------------------
@@ -315,7 +288,7 @@ def _render(node):
         if node.value < 0:
             return f"-{-node.value!r}", 3
         return repr(node.value), 4
-    if isinstance(node, (Var, Param)):
+    if isinstance(node, Var):
         return node.name, 4
     if isinstance(node, Unary):
         text, prec = _render(node.child)
@@ -340,7 +313,7 @@ def _render(node):
 # -- evaluation --------------------------------------------------------------
 
 
-def eval_jet(node, point, order, parameters=None):
+def eval_jet(node, point, order):
     """Evaluate an expression as a jet of the requested order at ``point``.
 
     ``point`` is a single chart point (m,) or a batch (N, m); coefficients of
@@ -358,10 +331,6 @@ def eval_jet(node, point, order, parameters=None):
             return Jet.constant(space, n.value, batch)
         if isinstance(n, Var):
             return coords[n.index]
-        if isinstance(n, Param):
-            if parameters is None or n.name not in parameters:
-                raise ExprError(f"unbound parameter {n.name!r}", n.span[0])
-            return Jet.constant(space, float(parameters[n.name]), batch)
         if isinstance(n, Unary):
             return -ev(n.child)
         if isinstance(n, Binary):
@@ -387,7 +356,10 @@ def eval_jet(node, point, order, parameters=None):
                 raise _domain_error(err, n, point) from None
         raise TypeError(f"not an expression node: {n!r}")
 
-    return ev(node)
+    try:
+        return ev(node)
+    finally:
+        del ev  # ev refers to itself through its closure; drop the cycle now
 
 
 def _domain_error(err, node, point):
@@ -404,12 +376,12 @@ def _domain_error(err, node, point):
     )
 
 
-def eval_value(node, point, parameters=None):
+def eval_value(node, point):
     """Plain evaluation (order-0 jet value)."""
-    return eval_jet(node, point, 0, parameters).value
+    return eval_jet(node, point, 0).value
 
 
-def fd_jet(node, point, order, h, parameters=None):
+def fd_jet(node, point, order, h):
     """Central-difference estimate of the jet, for cross-checking only.
 
     Supports orders 1 and 2; the point must sit inside the expression's
@@ -424,7 +396,7 @@ def fd_jet(node, point, order, h, parameters=None):
     m = point.shape[-1]
 
     def f(q):
-        return eval_value(node, q, parameters)
+        return eval_value(node, q)
 
     def shifted(i, si, j=None, sj=None):
         q = point.copy()

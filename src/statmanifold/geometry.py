@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import Jet, jet_coefficients, jet_components, jet_einsum, jet_gradients
-from .jets import jet_partial, jet_product_einsum, jet_space, jet_tensor, jet_values
+from .jets import Jet, jet_einsum, jet_partial, jet_product_einsum, jet_space
 from .tensor import DOWN, UP, MetricNotPositiveDefinite, orthonormal_frame
 
 
@@ -28,13 +27,12 @@ def jet_matrix_inverse(g_jets, order=None):
 
     Writing G = G0 (I + X) with X = G0^{-1}(G - G0), the non-constant part X
     is nilpotent in the truncated algebra, so I - X + X^2 - X^3 terminates.
-    The result has ``order`` (default: the lowest order among the entries of
-    ``g_jets``).
+    The result has ``order`` (default: the order of ``g_jets``).
     """
-    m = g_jets.shape[0]
-    order = min(jet.order for jet in g_jets.flat) if order is None else order
+    m = g_jets.dim
+    order = g_jets.order if order is None else order
     space = jet_space(m, order)
-    g = jet_coefficients(g_jets, order)
+    g = g_jets.truncated(order).coeff
     g0_inv = np.linalg.inv(g[..., 0])
     x = np.einsum("...il,...ljc->...ijc", g0_inv, g)
     x[..., 0] -= np.eye(m)
@@ -43,9 +41,9 @@ def jet_matrix_inverse(g_jets, order=None):
     series, power, sign = identity, x, -1.0
     for _ in range(order):
         series = series + sign * power
-        power = jet_product_einsum(space, "...il,...lj->...ij", power, x, np.zeros_like(x))
+        power = jet_product_einsum(space, "...il,...lj->...ij", power, x)
         sign = -sign
-    return jet_components(space, np.einsum("...ilc,...lj->...ijc", series, g0_inv), 2)
+    return Jet(space, np.einsum("...ilc,...lj->...ijc", series, g0_inv))
 
 
 def christoffel_components(ginv, dg):
@@ -96,32 +94,24 @@ def scalar_curvature(ricci, ginv):
 def covariant_derivative_jets(field, coeff_jets, variance):
     """Jet-level covariant derivative; appends the direction slot last.
 
-    ``field`` is a jet tensor (or a bare Jet for scalars) and ``coeff_jets``
-    the (m, m, m) connection coefficients.  The result has order
-    min(order(field) - 1, order(coeff)) and is computed densely over
-    (batch, *field.shape, ncoeff) coefficient arrays.
+    ``field`` is a jet tensor with one ``variance`` flag per tensor axis (a
+    scalar has none) and ``coeff_jets`` the (m, m, m) connection
+    coefficients.  The result has order min(order(field) - 1, order(coeff)).
     """
-    if isinstance(field, Jet):
-        m = field.dim
-        out = jet_tensor((m,))
-        for d in range(m):
-            out[d] = field.derivative(d)
-        return out
-    m = field.shape[0]
-    order = min(min(j.order for j in field.flat) - 1, min(j.order for j in coeff_jets.flat))
-    space = jet_space(m, order)
-    f = jet_coefficients(field, order + 1)
-    src, fac = map(np.array, zip(*(jet_space(m, order + 1).derivative_table(d) for d in range(m))))
-    out = f[..., src] * fac  # (batch, *field.shape, direction, ncoeff)
-
-    gamma = jet_coefficients(coeff_jets, order)
-    f = f[..., : space.ncoeff]
+    order = min(field.order - 1, coeff_jets.order)
+    space = jet_space(field.dim, order)
+    out = jet_partial(field.truncated(order + 1))  # (batch, *field axes, direction)
+    gamma, f = coeff_jets.coeff, field.coeff
     slots = "ABCDEFGH"[: len(variance)]
     for s, flag in enumerate(variance):
         gsub = f"{slots[s]}da" if flag == UP else f"ad{slots[s]}"
         subscripts = f"...{gsub},...{slots[:s]}a{slots[s + 1:]}->...{slots}d"
-        jet_product_einsum(space, subscripts, gamma if flag == UP else -gamma, f, out)
-    return jet_components(space, out, len(variance) + 1)
+        product = jet_product_einsum(space, subscripts, gamma, f)
+        if flag == UP:
+            out.coeff += product
+        else:
+            out.coeff -= product
+    return out
 
 
 def covariant_derivative_components(values, jacobian, coeff, variance):
@@ -159,23 +149,22 @@ class GeometryFrame:
         self.points = points
         m = points.shape[1]
         self.dim = m
-        if metric_jets.shape != (m, m):
-            raise ValueError("metric jets must form an (m, m) array")
-        probe = metric_jets[0, 0]
-        if probe.order < 2:
+        if metric_jets.batch_shape != (points.shape[0], m, m):
+            raise ValueError("metric jets must have batch shape (N, m, m)")
+        if metric_jets.order < 2:
             raise ValueError("metric jets must have order >= 2")
 
         self.g_jets = metric_jets
-        self.g = jet_values(metric_jets)
+        self.g = metric_jets.value
         try:
             np.linalg.cholesky(self.g)
         except np.linalg.LinAlgError as err:
             raise MetricNotPositiveDefinite(
                 "metric is not positive definite at a sample point"
             ) from err
-        self.ginv_jets = jet_matrix_inverse(metric_jets, probe.order - 1)
-        self.ginv = jet_values(self.ginv_jets)
-        self.dg = jet_gradients(metric_jets)
+        self.ginv_jets = jet_matrix_inverse(metric_jets, metric_jets.order - 1)
+        self.ginv = self.ginv_jets.value
+        self.dg = metric_jets.gradient()
 
         dg_jets = jet_partial(metric_jets)
         self.gamma_jets = 0.5 * (
@@ -183,8 +172,8 @@ class GeometryFrame:
             + jet_einsum("kl,ilj->kij", self.ginv_jets, dg_jets)
             - jet_einsum("kl,ijl->kij", self.ginv_jets, dg_jets)
         )
-        self.gamma = jet_values(self.gamma_jets)
-        self.dgamma = jet_gradients(self.gamma_jets)
+        self.gamma = self.gamma_jets.value
+        self.dgamma = self.gamma_jets.gradient()
         self.riemann = curvature_components(self.gamma, self.dgamma)
         self.frame = orthonormal_frame(self.g)
         self.ricci = ricci_components(self.riemann, self.g, self.frame)
@@ -202,16 +191,12 @@ class GeometryFrame:
 
     def divergence(self, vector_jets):
         """div V = tr(nabla V)."""
-        grad = self.nabla(vector_jets, (UP,))
-        return np.einsum("pkk->p", jet_values(grad))
+        return np.einsum("pkk->p", self.nabla(vector_jets, (UP,)).value)
 
     def divergence_jet(self, vector_jets):
         """div V as a scalar jet (order drops by one)."""
         grad = self.nabla(vector_jets, (UP,))
-        acc = None
-        for k in range(self.dim):
-            acc = grad[k, k] if acc is None else acc + grad[k, k]
-        return acc
+        return Jet(grad.space, np.trace(grad.coeff, axis1=-3, axis2=-2))
 
     def laplacian_scalar(self, f_jet):
         """Laplace-Beltrami of a scalar jet: g^{ij}(Hess f)_ij."""
@@ -229,8 +214,8 @@ class GeometryFrame:
         Levi-Civita coefficients gives the rough Laplacian.
         """
         s_jets = self.nabla(vector_jets, (UP,))
-        s = jet_values(s_jets)  # (N, k, y)
-        ds = jet_gradients(s_jets)  # (N, k, y, x)
+        s = s_jets.value  # (N, k, y)
+        ds = s_jets.gradient()  # (N, k, y, x)
         b = (
             np.einsum("pkyx->pkxy", ds)
             + np.einsum("pkxc,pcy->pkxy", self.gamma, s)
@@ -275,8 +260,8 @@ class GeometryFrame:
     def divergence_identity_residual(self, f_jet):
         """Residual of X div(V) = g(Delta_g V, X) - Ric(V, X) for V = grad f."""
         v_jets = self.gradient_field(f_jet)
-        v = jet_values(v_jets)
-        lhs = jet_gradients(self.divergence_jet(v_jets))  # (N, x)
+        v = v_jets.value
+        lhs = self.divergence_jet(v_jets).gradient()  # (N, x)
         delta_v = self.rough_laplacian(v_jets)
         rhs = np.einsum("pxa,pa->px", self.g, delta_v) - np.einsum(
             "pax,pa->px", self.ricci, v

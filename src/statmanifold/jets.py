@@ -6,6 +6,12 @@ coordinates.  Coefficient arrays carry an arbitrary leading batch shape, so a
 single ``Jet`` can hold the expansion at many sample points at once and all
 arithmetic is vectorized over the batch.
 
+A jet tensor is a ``Jet`` whose batch shape ends in the tensor axes: the
+metric on N points has coefficients ``(N, m, m, ncoeff)``, so ``.value`` is
+``(N, m, m)`` and ``.gradient()`` appends the derivative axis last.
+``jet_einsum`` contracts two jet tensors and ``jet_partial`` gathers all
+first partials at once.
+
 Conventions:
 
 * coefficients are Taylor coefficients ``c_a = D_a f / a!`` indexed by
@@ -17,6 +23,7 @@ Conventions:
 Products use a precomputed dense scatter table per (dim, order); compositions with
 elementary functions use a Horner evaluation of the truncated series, which is
 exact in the truncated algebra because the non-constant part is nilpotent.
+Background: Griewank, Utke & Walther, Math. Comp. 69 (2000).
 """
 
 from __future__ import annotations
@@ -391,102 +398,68 @@ def coordinate_jets(points, order):
     return [Jet.variable(space, v, points[..., v]) for v in range(m)]
 
 
-# -- jet-valued tensors (numpy object arrays of Jet components) ------------
+# -- jet tensors: a Jet whose batch shape ends in the tensor axes ------------
 
 
-def jet_tensor(shape):
-    return np.empty(shape, dtype=object)
+def jet_partial(jet):
+    """All first partial derivatives; appends the derivative axis last, drops one order."""
+    space = jet.space
+    src, fac = map(np.array, zip(*(space.derivative_table(d) for d in range(space.dim))))
+    partials = jet.coeff[..., src]
+    partials *= fac
+    return Jet(jet_space(space.dim, space.order - 1), partials)
 
 
-def jet_coefficients(tensor, order):
-    """Dense coefficients up to ``order``: shape ``batch + tensor.shape + (ncoeff,)``."""
-    if isinstance(tensor, Jet):
-        return tensor.truncated(order).coeff
-    parts = [jet.truncated(order).coeff for jet in tensor.flat]
-    batch = np.broadcast_shapes(*(p.shape[:-1] for p in parts))
-    out = np.empty(batch + (len(parts), parts[0].shape[-1]))
-    for k, part in enumerate(parts):
-        out[..., k, :] = part
-    return out.reshape(batch + tensor.shape + (-1,))
+def jet_product_einsum(space, subscripts, a, b):
+    """Two-operand einsum of dense coefficient arrays, truncated to ``space``.
 
-
-def jet_components(space, coeff, rank):
-    """Jet tensor over the ``rank`` axes of ``coeff`` before its coefficient axis."""
-    shape = coeff.shape[coeff.ndim - 1 - rank : -1]
-    out = jet_tensor(shape)
-    for idx in np.ndindex(shape):
-        out[idx] = Jet(space, coeff[(...,) + idx + (slice(None),)])
-    return out
-
-
-def jet_product_einsum(space, subscripts, a, b, out):
-    """Add the two-operand einsum of dense coefficient arrays into ``out``.
-
-    The coefficient axes are last and left out of ``subscripts``.  The product
-    is truncated to ``space``: one plain einsum per coefficient pair (i, j) -> k
-    of its product table, so no temporary is larger than one coefficient of
-    the result.
+    Each term of ``subscripts`` starts with ``...`` for the batch axes; the
+    coefficient axes are last and left out.  An index is either summed (in
+    both operands, not in the output) or free in exactly one operand.  Both
+    operands are copied once into coefficient-first stacks of batched
+    (free, summed) and (summed, free) matrices; each coefficient pair
+    (i, j) -> k of the product table is then one ``@`` added into
+    coefficient k of a coefficient-first accumulator.  The result is a
+    coefficient-last view of that accumulator.
     """
+    lhs, rhs = subscripts.replace("...", "").split("->")
+    sa, sb = lhs.split(",")
+    summed = [c for c in sa if c in sb]
+    free_a = [c for c in sa if c not in sb]
+    free_b = [c for c in sb if c not in sa]
+    if sorted(rhs) != sorted(free_a + free_b):
+        raise ValueError(f"unsupported jet product {subscripts!r}")
+    extent = {}
+
+    def matrices(x, term, rows, cols):
+        nbatch = x.ndim - 1 - len(term)
+        if nbatch < 0:
+            raise ValueError(f"subscripts {subscripts!r} do not match the operand ranks")
+        extent.update(zip(term, x.shape[nbatch:-1]))
+        axes = [nbatch + term.index(c) for c in rows + cols]
+        x = x[..., : space.ncoeff].transpose(x.ndim - 1, *range(nbatch), *axes)
+        size = [math.prod(extent[c] for c in letters) for letters in (rows, cols)]
+        return x.reshape(x.shape[: nbatch + 1] + tuple(size))
+
+    a = matrices(a, sa, free_a, summed)
+    b = matrices(b, sb, summed, free_b)
+    batch = np.broadcast_shapes(a.shape[1:-2], b.shape[1:-2])
+    acc = np.zeros((space.ncoeff, *batch, *(extent[c] for c in free_a + free_b)))
     ti, tj, scatter = space.product_table()
     for i, j, k in zip(ti, tj, np.nonzero(scatter)[1]):
-        out[..., k] += np.einsum(subscripts, a[..., i], b[..., j])
-    return out
+        acc[k] += (a[i] @ b[j]).reshape(acc.shape[1:])
+    out_axes = [1 + len(batch) + (free_a + free_b).index(c) for c in rhs]
+    return acc.transpose(*range(1, len(batch) + 1), *out_axes, 0)
 
 
-def jet_values(tensor):
-    """Component values, batch axis first: shape ``batch + tensor.shape``."""
-    return jet_coefficients(tensor, 0)[..., 0]
+def jet_einsum(subscripts, a, b):
+    """Two-operand einsum of jet tensors (explicit ``->`` form).
 
-
-def jet_gradients(tensor):
-    """Component gradients, batch first, derivative axis last."""
-    return jet_coefficients(tensor, 1)[..., 1:]
-
-
-def jet_partial(tensor):
-    """Componentwise partial derivatives; appends the derivative axis last."""
-    m = tensor[next(np.ndindex(tensor.shape))].dim
-    out = jet_tensor(tensor.shape + (m,))
-    for idx in np.ndindex(tensor.shape):
-        for v in range(m):
-            out[idx + (v,)] = tensor[idx].derivative(v)
-    return out
-
-
-def jet_einsum(subscripts, *operands):
-    """einsum over jet-valued tensors (explicit ``->`` form, no broadcasting).
-
-    Index extents are read from operand shapes; contracted indices are summed
-    with jet arithmetic.  A rank-0 result is returned as a plain ``Jet``.
+    The subscripts name the tensor axes at the end of each operand's batch
+    shape; leading batch axes are shared.  The result has the lower of the
+    two orders.
     """
     lhs, rhs = subscripts.replace(" ", "").split("->")
-    terms = lhs.split(",")
-    if len(terms) != len(operands):
-        raise ValueError("operand count does not match subscripts")
-    extent = {}
-    for term, op in zip(terms, operands):
-        shape = op.shape if isinstance(op, np.ndarray) else ()
-        if len(term) != len(shape):
-            raise ValueError(f"subscript {term!r} does not match operand rank {len(shape)}")
-        for letter, n in zip(term, shape):
-            extent.setdefault(letter, n)
-    summed = sorted(set("".join(terms)) - set(rhs))
-    out_shape = tuple(extent[letter] for letter in rhs)
-    out = jet_tensor(out_shape) if out_shape else None
-
-    def component(assign):
-        acc = None
-        for sidx in np.ndindex(tuple(extent[s] for s in summed)):
-            assign.update(zip(summed, sidx))
-            term_val = None
-            for term, op in zip(terms, operands):
-                factor = op[tuple(assign[c] for c in term)] if term else op
-                term_val = factor if term_val is None else term_val * factor
-            acc = term_val if acc is None else acc + term_val
-        return acc
-
-    if out is None:
-        return component({})
-    for oidx in np.ndindex(out_shape):
-        out[oidx] = component(dict(zip(rhs, oidx)))
-    return out
+    sa, sb = lhs.split(",")
+    space = jet_space(a.dim, min(a.order, b.order))
+    return Jet(space, jet_product_einsum(space, f"...{sa},...{sb}->...{rhs}", a.coeff, b.coeff))

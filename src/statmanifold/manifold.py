@@ -31,13 +31,12 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .expr import EvalDomainError, ExprError, eval_jet, parse_expression
-from .jets import MAX_DIM, Jet, jet_space, jet_tensor
+from .expr import FUNCTIONS, EvalDomainError, ExprError, eval_jet, parse_expression
+from .jets import MAX_DIM, Jet, jet_space
 
 SCHEMA_VERSION = 1
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
-_RESERVED = {"pow", "exp", "log", "sin", "cos", "sqrt"}
 
 
 class SpecValidationError(ValueError):
@@ -138,13 +137,13 @@ class ManifoldSpec:
             problems.append("coordinates list must have length dim")
         seen = set()
         for name in self.coordinates:
-            if not _IDENT.match(str(name)) or name in _RESERVED:
+            if not _IDENT.match(str(name)) or name in FUNCTIONS:
                 problems.append(f"invalid coordinate name {name!r}")
             if name in seen:
                 problems.append(f"duplicate coordinate name {name!r}")
             seen.add(name)
         for name in self.parameters:
-            if not _IDENT.match(str(name)) or name in _RESERVED or name in seen:
+            if not _IDENT.match(str(name)) or name in FUNCTIONS or name in seen:
                 problems.append(f"invalid parameter name {name!r}")
         if problems:
             raise SpecValidationError(problems)
@@ -204,7 +203,7 @@ class ManifoldSpec:
         for (label, key), ast in asts.items():
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    jet = eval_jet(ast, points, 2, self.parameters)
+                    jet = eval_jet(ast, points, 2)
             except EvalDomainError as err:
                 problems.append(f"{label}[{key}] leaves its domain inside the box: {err}")
                 continue
@@ -288,33 +287,28 @@ class CompiledManifold:
         return self.spec.dim
 
     def metric_jets(self, points, order=3):
-        m = self.dim
-        out = jet_tensor((m, m))
-        for i in range(1, m + 1):
-            for j in range(i, m + 1):
-                jet = eval_jet(self.metric_asts[f"{i}{j}"], points, order, self.spec.parameters)
-                out[i - 1, j - 1] = out[j - 1, i - 1] = jet
-        return out
-
-    def cubic_jets(self, points, order=3):
+        """The metric as one jet tensor: coefficients (*batch, m, m, ncoeff)."""
         points = np.asarray(points, dtype=float)
         m = self.dim
-        batch = points.shape[:-1]
-        zero = Jet.constant(jet_space(m, order), 0.0, batch)
-        out = jet_tensor((m, m, m))
+        space = jet_space(m, order)
+        out = np.empty(points.shape[:-1] + (m, m, space.ncoeff))
         for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    out[i, j, k] = zero
+            for j in range(i, m):
+                ast = self.metric_asts[f"{i + 1}{j + 1}"]
+                out[..., i, j, :] = out[..., j, i, :] = eval_jet(ast, points, order).coeff
+        return Jet(space, out)
+
+    def cubic_jets(self, points, order=3):
+        """The cubic form as one jet tensor: coefficients (*batch, m, m, m, ncoeff)."""
+        points = np.asarray(points, dtype=float)
+        m = self.dim
+        space = jet_space(m, order)
+        out = np.zeros(points.shape[:-1] + (m, m, m, space.ncoeff))
         for key, ast in self.cubic_asts.items():
-            jet = eval_jet(ast, points, order, self.spec.parameters)
-            indices = [int(c) - 1 for c in key]
-            seen = set()
-            for perm in _permutations3(indices):
-                if perm not in seen:
-                    out[perm] = jet
-                    seen.add(perm)
-        return out
+            coeff = eval_jet(ast, points, order).coeff
+            for perm in set(_permutations3([int(c) - 1 for c in key])):
+                out[(..., *perm, slice(None))] = coeff
+        return Jet(space, out)
 
     def sample_points(self, count=None, seed=None):
         return self.spec.sample_points(count, seed)

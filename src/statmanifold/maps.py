@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import jet_einsum, jet_values
+from .jets import jet_einsum
 from .statistical import StatisticalFrame
 
 TRUE, FALSE, INCONCLUSIVE = "true", "false", "inconclusive"
@@ -50,12 +50,11 @@ class IdentityMapReport:
 
         self.tau_jets = jet_einsum("ij,kij->k", geom.ginv_jets, geom.gamma_jets - stat.nabla_jets)
         self.taubar_jets = jet_einsum("ij,kij->k", geom.ginv_jets, geom.gamma_jets - stat.bar_jets)
-        self.tau = jet_values(self.tau_jets)
-        self.taubar = jet_values(self.taubar_jets)
-        # hat tension of id:(M,g,nabla^g)->(M,g,nabla^g), from the same definition
-        self.tauhat = jet_values(
-            jet_einsum("ij,kij->k", geom.ginv_jets, geom.gamma_jets - geom.gamma_jets)
-        )
+        self.tau = self.tau_jets.value
+        self.taubar = self.taubar_jets.value
+        # hat tension of id:(M,g,nabla^g)->(M,g,nabla^g), from the same definition;
+        # only its values are used, so it is evaluated at order 0
+        self.tauhat = np.einsum("pij,pkij->pk", geom.ginv, geom.gamma - geom.gamma)
 
         # general route: bi-tension from the connection-Laplacian formula
         trace_k_jets = jet_einsum("ij,kij->k", geom.ginv_jets, stat.K_jets)

@@ -32,7 +32,7 @@ from .geometry import (
     curvature_components,
 )
 from .jets import coordinate_jets
-from .manifold import ManifoldSpec, _permutations3
+from .manifold import ManifoldSpec, SpecValidationError, _permutations3
 from .maps import INCONCLUSIVE, IdentityMapReport, band, band_agreement
 from .statistical import StatisticalFrame, fit_constant_curvature, scalar_relation_gap
 
@@ -109,10 +109,40 @@ def _frames(compiled, points):
 
     d Gamma needs the metric to order 3 (GeometryFrame keeps g^{-1} one order
     lower); C and everything built from it (K, T, the tension fields, g(K, K))
-    is differentiated at most twice downstream, so order 2 suffices.
+    is differentiated at most twice downstream, so order 2 suffices.  Input
+    jets and frame values that are not finite end as a spec error.
     """
-    geometry = GeometryFrame(points, compiled.metric_jets(points, 3))
-    return geometry, StatisticalFrame(geometry, compiled.cubic_jets(points, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        metric, cubic = compiled.metric_jets(points, 3), compiled.cubic_jets(points, 2)
+    for label, jets in (("metric", metric), ("cubic", cubic)):
+        bad = np.argwhere(~np.isfinite(jets.coeff))
+        if len(bad):
+            point, *component = bad[0][:-1]  # first point, then first component there
+            key = "".join(str(i + 1) for i in sorted(component))
+            at = points[point].tolist()
+            raise SpecValidationError(
+                [f"{label}[{key}] is not finite to order {jets.order} at sample point {at}"]
+            )
+    geometry = GeometryFrame(points, metric)
+    _require_finite(
+        points, "geometry", ginv=geometry.ginv, gamma=geometry.gamma,
+        dgamma=geometry.dgamma, riemann=geometry.riemann, ricci=geometry.ricci,
+    )
+    stat = StatisticalFrame(geometry, cubic)
+    _require_finite(
+        points, "statistical", K=stat.K, T=stat.T, R=stat.R, Rbar=stat.Rbar,
+        tch=stat.tch, dK=stat.dK,
+    )
+    return geometry, stat
+
+
+def _require_finite(points, stage, **arrays):
+    """Raise a spec error at the first sample point where a value array is not finite."""
+    for name, values in arrays.items():
+        bad = ~np.isfinite(values.reshape(len(points), -1)).all(axis=1)
+        if bad.any():
+            at = points[int(np.argmax(bad))].tolist()
+            raise SpecValidationError([f"{stage} frame: {name} is not finite at sample point {at}"])
 
 
 def evaluate_spec(spec: ManifoldSpec, points=None, count=None, seed=None):
@@ -160,6 +190,11 @@ def _block_residuals(compiled, points):
     """Per-point residuals of one block of points, before any reduction."""
     geometry, stat = _frames(compiled, points)
     identity = IdentityMapReport(stat)
+    _require_finite(
+        points, "identity map", tau2=identity.tau2, taubar2=identity.taubar2,
+        tau2_proof=identity.tau2_proof, taubar2_proof=identity.taubar2_proof,
+        t1=identity.t1, t2=identity.t2,
+    )
     res_a, res_b = identity.main1_residuals()
     r_minus_l, r_minus_rbar, alt_dk = stat.conjugate_symmetry_residuals()
     flag_t, flag_b = identity.flag_residuals()
@@ -191,7 +226,8 @@ def _block_residuals(compiled, points):
     return {
         "identities": identities,
         # inputs of the pooled constant-curvature fit and the scalar relation
-        "fit": {"riemann": stat.R, "g": geometry.g, "scalar_sum": stat.scalar_sum()},
+        # g is a view into the metric jets: copy it so they are freed with the block
+        "fit": {"riemann": stat.R, "g": geometry.g.copy(), "scalar_sum": stat.scalar_sum()},
         # residuals behind the condition flags and the conditional checks
         "r_minus_l": r_minus_l,
         "r_minus_rbar": r_minus_rbar,
@@ -373,7 +409,7 @@ def _crosscheck_block(compiled, points, h):
     d2g_fd = np.zeros((n, m, m, m, m))
     for i in range(1, m + 1):
         for j in range(i, m + 1):
-            jet = fd_jet(compiled.metric_asts[f"{i}{j}"], points, 2, h, compiled.spec.parameters)
+            jet = fd_jet(compiled.metric_asts[f"{i}{j}"], points, 2, h)
             grad, hess = jet.gradient(), jet.hessian()
             dg_fd[:, i - 1, j - 1] = dg_fd[:, j - 1, i - 1] = grad
             d2g_fd[:, i - 1, j - 1] = d2g_fd[:, j - 1, i - 1] = hess
@@ -461,11 +497,11 @@ def _tchebychev_values(compiled, points):
     g = np.zeros((n, m, m))
     for i in range(1, m + 1):
         for j in range(i, m + 1):
-            v = eval_jet(compiled.metric_asts[f"{i}{j}"], points, 0, compiled.spec.parameters).value
+            v = eval_jet(compiled.metric_asts[f"{i}{j}"], points, 0).value
             g[:, i - 1, j - 1] = g[:, j - 1, i - 1] = v
     c = np.zeros((n, m, m, m))
     for key, ast in compiled.cubic_asts.items():
-        v = eval_jet(ast, points, 0, compiled.spec.parameters).value
+        v = eval_jet(ast, points, 0).value
         idx = [int(ch) - 1 for ch in key]
         for perm in set(_permutations3(idx)):
             c[(slice(None),) + perm] = v

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import GeometryFrame, curvature_components, ricci_components
-from .jets import jet_einsum, jet_gradients, jet_values
+from .jets import jet_einsum
 from .tensor import DOWN, UP
 
 _PERMUTATIONS = ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
@@ -113,26 +113,26 @@ class StatisticalFrame:
     def __init__(self, geometry: GeometryFrame, cubic_jets, symmetry_tol=1e-9):
         self.geometry = geometry
         m = geometry.dim
-        if cubic_jets.shape != (m, m, m):
-            raise ValueError("cubic jets must form an (m, m, m) array")
+        if cubic_jets.batch_shape != (geometry.num_points, m, m, m):
+            raise ValueError("cubic jets must have batch shape (N, m, m, m)")
         self.C_jets = cubic_jets
-        self.C = jet_values(cubic_jets)
+        self.C = cubic_jets.value
         asym = _cubic_asymmetry(self.C)
         if asym > symmetry_tol * (1.0 + float(np.max(np.abs(self.C)))):
             raise CubicFormAsymmetry(asym)
 
         self.K_jets = -0.5 * jet_einsum("kl,ijl->kij", geometry.ginv_jets, cubic_jets)
-        self.K = jet_values(self.K_jets)
+        self.K = self.K_jets.value
         self.T_jets = jet_einsum("ij,kij->k", geometry.ginv_jets, self.K_jets)
-        self.T = jet_values(self.T_jets)
+        self.T = self.T_jets.value
         self.eta = np.einsum("pkl,pl->pk", geometry.g, self.T)
 
         self.nabla_jets = geometry.gamma_jets + self.K_jets
         self.bar_jets = geometry.gamma_jets - self.K_jets
-        self.nabla = jet_values(self.nabla_jets)
-        self.bar = jet_values(self.bar_jets)
-        self.dnabla = jet_gradients(self.nabla_jets)
-        self.dbar = jet_gradients(self.bar_jets)
+        self.nabla = self.nabla_jets.value
+        self.bar = self.bar_jets.value
+        self.dnabla = self.nabla_jets.gradient()
+        self.dbar = self.bar_jets.gradient()
 
         self.R = curvature_components(self.nabla, self.dnabla)
         self.Rbar = curvature_components(self.bar, self.dbar)
@@ -141,9 +141,9 @@ class StatisticalFrame:
         self.Lbar = interchange_tensor(self.Rbar, geometry.g, geometry.ginv)
 
         self.tch_jets = geometry.nabla(self.T_jets, (UP,))
-        self.tch = jet_values(self.tch_jets)  # (N, k, direction)
+        self.tch = self.tch_jets.value  # (N, k, direction)
         self.dK_jets = geometry.nabla(self.K_jets, (UP, DOWN, DOWN))
-        self.dK = jet_values(self.dK_jets)  # (N, k, i, j, direction)
+        self.dK = self.dK_jets.value  # (N, k, i, j, direction)
 
     # -- structure identities ------------------------------------------------
 

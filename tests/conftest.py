@@ -1,0 +1,21 @@
+"""Shared fixtures."""
+
+import numpy as np
+import pytest
+
+from statmanifold import ManifoldSpec, get_builtin
+
+
+@pytest.fixture
+def spiked_centroaffine():
+    """centroaffine with C_111 = exp(1/((x1-c)^2 + 0.001)), which overflows only at
+    x1 = c: a sample x1 at seed 1 at least 0.1 from every probe x1, so the spec
+    validates.  Returns (spec, c)."""
+    spec = get_builtin("centroaffine").spec
+    x1 = spec.sample_points(seed=1)[:, 0]
+    gap = np.min(np.abs(x1[:, None] - spec._probe_points()[None, :, 0]), axis=1)
+    c = float(x1[np.argmax(gap)])
+    assert gap.max() >= 0.1
+    spiked = ManifoldSpec.from_dict(spec.to_dict())
+    spiked.cubic["111"] = f"exp(1/((x1-{c!r})*(x1-{c!r}) + 0.001))"
+    return spiked.validate(), c

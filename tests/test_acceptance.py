@@ -157,7 +157,7 @@ def test_criterion_6_sphere_spectrum():
         ast = parse_expression(
             inst.oracle["eigenfunction"], inst.spec.coordinates, inst.spec.parameters
         )
-        f = eval_jet(ast, geom.points, 3, inst.spec.parameters)
+        f = eval_jet(ast, geom.points, 3)
         lap = geom.laplacian_scalar(f)
         target = inst.oracle["eigenvalue"] * f.value
         rel = float(np.max(np.abs(lap - target) / np.abs(target)))

@@ -121,3 +121,13 @@ def test_crosscheck_passes_and_coarse_step_fails(centroaffine_spec, capsys):
 
 def test_export_unknown_builtin(capsys):
     assert main(["export", "nope", "/tmp/x.json"]) == 3
+
+
+def test_run_rejects_overflow_between_probe_points(spiked_centroaffine, tmp_path, capsys):
+    spec, _ = spiked_centroaffine
+    path = tmp_path / "spiked.json"
+    spec.save(path)
+    assert main(["run", str(path), "--seed", "1"]) == 3
+    captured = capsys.readouterr()
+    assert "cubic[111] is not finite to order 2 at sample point" in captured.err
+    assert captured.out == ""

@@ -18,16 +18,13 @@ from statmanifold import (
     sphere_stereographic,
 )
 from statmanifold.geometry import jet_matrix_inverse
-from statmanifold.jets import (
-    Jet,
-    coordinate_jets,
-    jet_coefficients,
-    jet_einsum,
-    jet_space,
-    jet_tensor,
-    jet_values,
-)
+from statmanifold.jets import Jet, coordinate_jets, jet_einsum, jet_space
 from statmanifold.pipeline import crosscheck
+
+
+def stack(jets):
+    """Vector field whose components are the given scalar jets (one tensor axis last)."""
+    return Jet(jets[0].space, np.stack([jet.coeff for jet in jets], axis=-2))
 
 
 def build_geometry(instance, points):
@@ -97,20 +94,15 @@ def test_covariant_derivative_of_constant_field_flat():
     inst = flat_constant_cubic(2, {})
     geom, _, _ = evaluate_spec(inst.spec, count=5)
     space = jet_space(2, 3)
-    v = jet_tensor((2,))
-    v[0] = Jet.constant(space, 1.0, (geom.num_points,))
-    v[1] = Jet.constant(space, -2.0, (geom.num_points,))
+    v = Jet.constant(space, [1.0, -2.0], (geom.num_points, 2))
     nabla_v = geom.nabla(v, ("up",))
-    assert np.max(np.abs(jet_values(nabla_v))) == 0.0
+    assert np.max(np.abs(nabla_v.value)) == 0.0
 
 
 def test_divergence_of_radial_field():
     inst = flat_constant_cubic(3, {})
     geom, _, _ = evaluate_spec(inst.spec, count=10)
-    coords = coordinate_jets(geom.points, 3)
-    v = jet_tensor((3,))
-    for k in range(3):
-        v[k] = coords[k]
+    v = stack(coordinate_jets(geom.points, 3))
     np.testing.assert_allclose(geom.divergence(v), 3.0, atol=1e-13)
 
 
@@ -129,7 +121,7 @@ def test_sphere_first_eigenfunction(dim, c):
     ast = parse_expression(
         inst.oracle["eigenfunction"], inst.spec.coordinates, inst.spec.parameters
     )
-    f = eval_jet(ast, geom.points, 3, inst.spec.parameters)
+    f = eval_jet(ast, geom.points, 3)
     lap = geom.laplacian_scalar(f)
     target = inst.oracle["eigenvalue"] * f.value
     assert np.max(np.abs(lap - target) / np.abs(target)) < 1e-6
@@ -148,35 +140,26 @@ def test_divergence_identity_for_gradient_fields():
 
 def test_numeric_covariant_derivative_matches_jet_route():
     from statmanifold.geometry import covariant_derivative_components
-    from statmanifold.jets import jet_gradients
 
     inst = sphere_stereographic(2, 1.0)
     geom, _, _ = evaluate_spec(inst.spec, count=20)
     coords = coordinate_jets(geom.points, 3)
-    v = jet_tensor((2,))
-    v[0] = coords[0] * coords[1]
-    v[1] = (coords[0] + coords[1]).sin()
-    jet_route = jet_values(geom.nabla(v, ("up",)))
-    numeric = covariant_derivative_components(
-        jet_values(v), jet_gradients(v), geom.gamma, ("up",)
-    )
+    v = stack([coords[0] * coords[1], (coords[0] + coords[1]).sin()])
+    jet_route = geom.nabla(v, ("up",)).value
+    numeric = covariant_derivative_components(v.value, v.gradient(), geom.gamma, ("up",))
     np.testing.assert_allclose(numeric, jet_route, atol=1e-12)
     # covector route as well
-    w = jet_tensor((2,))
-    w[0] = coords[1] * 2.0
-    w[1] = coords[0] * coords[0]
-    jet_route = jet_values(geom.nabla(w, ("down",)))
-    numeric = covariant_derivative_components(
-        jet_values(w), jet_gradients(w), geom.gamma, ("down",)
-    )
+    w = stack([coords[1] * 2.0, coords[0] * coords[0]])
+    jet_route = geom.nabla(w, ("down",)).value
+    numeric = covariant_derivative_components(w.value, w.gradient(), geom.gamma, ("down",))
     np.testing.assert_allclose(numeric, jet_route, atol=1e-12)
     # mixed rank-3 route: K of a non-parallel polynomial cubic form on a curved chart
     curved = get_builtin("sphere-m3").spec.to_dict()
     curved["cubic"] = random_polynomial_cubic(3, 2, seed=1).spec.to_dict()["cubic"]
     geom, stat, _ = evaluate_spec(ManifoldSpec.from_dict(curved), count=20)
     variance = ("up", "down", "down")
-    k_values, k_partials = jet_values(stat.K_jets), jet_gradients(stat.K_jets)
-    jet_route = jet_values(geom.nabla(stat.K_jets, variance))
+    k_values, k_partials = stat.K_jets.value, stat.K_jets.gradient()
+    jet_route = geom.nabla(stat.K_jets, variance).value
     numeric = covariant_derivative_components(k_values, k_partials, geom.gamma, variance)
     assert np.max(np.abs(numeric - k_partials)) > 0.1  # the connection terms matter
     np.testing.assert_allclose(numeric, jet_route, atol=1e-12)
@@ -201,24 +184,24 @@ def test_metric_is_levi_civita_parallel_at_jet_level(spec):
     geom, _, _ = evaluate_spec(spec, count=20)
     nabla_g = geom.nabla(geom.g_jets, ("down", "down"))
     assert np.max(np.abs(geom.gamma)) > 0.1
-    assert nabla_g[0, 0, 0].order == 2
-    assert np.max(np.abs(jet_coefficients(nabla_g, 1))) < 1e-12
-    assert np.max(np.abs(jet_coefficients(nabla_g, 2))) < 1e-12
+    assert nabla_g.order == 2
+    assert np.max(np.abs(nabla_g.truncated(1).coeff)) < 1e-12
+    assert np.max(np.abs(nabla_g.coeff)) < 1e-12
 
 
 def test_jet_order_budget():
     inst = centroaffine_power_surface(2.0, 3.0)
     geom, stat, _ = evaluate_spec(inst.spec, count=20)
-    assert {jet.order for jet in geom.g_jets.flat} == {3}
+    assert geom.g_jets.order == 3
     for name in ("ginv_jets", "gamma_jets"):
-        assert {jet.order for jet in getattr(geom, name).flat} == {2}, name
+        assert getattr(geom, name).order == 2, name
     for name in ("C_jets", "K_jets", "T_jets"):
-        assert {jet.order for jet in getattr(stat, name).flat} == {2}, name
+        assert getattr(stat, name).order == 2, name
     # the order-2 inverse is the order-<=2 part of the order-3 inverse
     full = jet_matrix_inverse(geom.g_jets)
-    assert full[0, 0].order == 3
+    assert full.order == 3
     np.testing.assert_allclose(
-        jet_coefficients(geom.ginv_jets, 2), jet_coefficients(full, 2), rtol=0, atol=1e-12
+        geom.ginv_jets.coeff, full.truncated(2).coeff, rtol=0, atol=1e-12
     )
 
 
@@ -228,16 +211,13 @@ def test_jet_matrix_inverse_consistency():
     points = compiled.sample_points(count=20)
     g_jets = compiled.metric_jets(points, 3)
     product = jet_einsum("il,lj->ij", jet_matrix_inverse(g_jets), g_jets)
-    assert product[0, 0].order == 3
-    values = jet_values(product)
+    assert product.order == 3
+    values = product.value
     np.testing.assert_allclose(values, np.broadcast_to(np.eye(2), values.shape), atol=1e-12)
     # every derivative coefficient of g^{-1} g - I vanishes as well
-    for i in range(2):
-        for j in range(2):
-            target = 1.0 if i == j else 0.0
-            coeff = product[i, j].coeff.copy()
-            coeff[..., 0] -= target
-            assert np.max(np.abs(coeff)) < 1e-12
+    coeff = product.coeff.copy()
+    coeff[..., 0] -= np.eye(2)
+    assert np.max(np.abs(coeff)) < 1e-12
 
 
 def test_fd_crosscheck_christoffel_curvature_laplacian():

@@ -11,7 +11,7 @@ import pytest
 
 import statmanifold
 from statmanifold import Jet, JetDomainError, coordinate_jets, jet_space
-from statmanifold.jets import jet_einsum, jet_tensor, jet_values
+from statmanifold.jets import jet_einsum
 
 
 def test_square_at_three():
@@ -162,20 +162,45 @@ def test_coordinate_jets_batched():
 def test_jet_einsum_matches_numeric_einsum():
     rng = np.random.default_rng(9)
     space = jet_space(2, 2)
-    a = jet_tensor((2, 2))
-    b = jet_tensor((2, 2))
-    for i in range(2):
-        for j in range(2):
-            a[i, j] = Jet(space, rng.standard_normal((3, space.ncoeff)))
-            b[i, j] = Jet(space, rng.standard_normal((3, space.ncoeff)))
+    a = Jet(space, rng.standard_normal((3, 2, 2, space.ncoeff)))
+    b = Jet(space, rng.standard_normal((3, 2, 2, space.ncoeff)))
     out = jet_einsum("ik,kj->ij", a, b)
     np.testing.assert_allclose(
-        jet_values(out), np.einsum("pik,pkj->pij", jet_values(a), jet_values(b)), atol=1e-13
+        out.value, np.einsum("pik,pkj->pij", a.value, b.value), atol=1e-13
     )
     scalar = jet_einsum("ij,ij->", a, b)
     np.testing.assert_allclose(
-        scalar.value, np.einsum("pij,pij->p", jet_values(a), jet_values(b)), atol=1e-13
+        scalar.value, np.einsum("pij,pij->p", a.value, b.value), atol=1e-13
     )
+
+
+@pytest.mark.parametrize(
+    "subscripts",
+    ["kl,jli->kij", "ij,kij->k", "kij,kij->", "kl,kij->lij", "ia,kaj->kij", "jb,kib->kij", "ki,i->k"],
+)
+def test_jet_einsum_matches_component_products(subscripts):
+    # oracle: the same contraction as a loop of scalar Jet products over components
+    rng = np.random.default_rng(5)
+    m, batch = 3, (4,)
+    space = jet_space(m, 3)
+    lhs, rhs = subscripts.split("->")
+    terms = lhs.split(",")
+    a, b = (Jet(space, rng.standard_normal(batch + (m,) * len(t) + (space.ncoeff,))) for t in terms)
+    out = jet_einsum(subscripts, a, b)
+    assert out.order == 3 and out.batch_shape == batch + (m,) * len(rhs)
+    summed = sorted(set(lhs) - set(rhs) - {","})
+    for out_index in np.ndindex((m,) * len(rhs)):
+        expected = Jet.constant(space, 0.0, batch)
+        for summed_index in np.ndindex((m,) * len(summed)):
+            at = dict(zip(rhs, out_index)) | dict(zip(summed, summed_index))
+            a_part, b_part = (
+                Jet(space, op.coeff[(slice(None), *(at[c] for c in term))])
+                for op, term in zip((a, b), terms)
+            )
+            expected = expected + a_part * b_part
+        np.testing.assert_allclose(
+            out.coeff[(slice(None), *out_index)], expected.coeff, rtol=0, atol=1e-12
+        )
 
 
 def test_compose_chain_rule_against_reference():

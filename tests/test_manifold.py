@@ -141,12 +141,12 @@ def test_compiled_cubic_is_totally_symmetric():
     compiled = spec.compile()
     pts = spec.sample_points(count=5)
     jets = compiled.cubic_jets(pts, 2)
-    v = np.stack([[jets[i, j, k].value for k in range(2)] for i in range(2) for j in range(2)])
-    c112 = jets[0, 0, 1].value
-    assert np.allclose(jets[0, 1, 0].value, c112)
-    assert np.allclose(jets[1, 0, 0].value, c112)
-    assert np.allclose(jets[1, 1, 1].value, 0.0)
-    assert v.shape == (4, 2, pts.shape[0])
+    v = jets.value
+    c112 = v[:, 0, 0, 1]
+    assert np.allclose(v[:, 0, 1, 0], c112)
+    assert np.allclose(v[:, 1, 0, 0], c112)
+    assert np.allclose(v[:, 1, 1, 1], 0.0)
+    assert v.shape == (pts.shape[0], 2, 2, 2)
 
 
 def test_malformed_document_rejected():

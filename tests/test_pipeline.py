@@ -1,11 +1,20 @@
-"""Blocked evaluation: reports do not depend on the block size, and memory
-is bounded by the block, not the sample."""
+"""Blocked evaluation: reports do not depend on the block size, memory is
+bounded by the block, not the sample, and non-finite values between the probe
+points end as spec errors."""
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from statmanifold import crosscheck, get_builtin, pipeline, run_diagnostics
+from statmanifold import (
+    ManifoldSpec,
+    SpecValidationError,
+    crosscheck,
+    get_builtin,
+    pipeline,
+    run_diagnostics,
+)
 
 
 def _residuals_and_rest(report):
@@ -53,3 +62,21 @@ def test_peak_memory_is_bounded_by_the_block():
     one_block = _peak_bytes(spec, pipeline.BLOCK_POINTS - corners)
     three_blocks = _peak_bytes(spec, 3 * pipeline.BLOCK_POINTS - corners)
     assert three_blocks <= 1.25 * one_block, (one_block, three_blocks)
+
+
+def test_non_finite_input_between_probe_points_is_a_spec_error(spiked_centroaffine):
+    spec, c = spiked_centroaffine
+    with pytest.raises(SpecValidationError) as err:
+        run_diagnostics(spec, seed=1)
+    (problem,) = err.value.problems
+    assert problem.startswith("cubic[111] is not finite to order 2 at sample point [")
+    assert float(problem.split("[")[2].split(",")[0]) == c
+
+
+def test_non_finite_frame_values_name_the_stage():
+    # C ~ 1e200 is finite, but R of nabla = nabla^g + K carries K*K ~ 1e400
+    spec = ManifoldSpec.from_dict(get_builtin("centroaffine").spec.to_dict())
+    spec.cubic["111"] = "1e200*x1"
+    with pytest.raises(SpecValidationError, match=r"statistical frame: R is not finite at sample point \["):
+        with np.errstate(over="ignore", invalid="ignore"):
+            run_diagnostics(spec.validate(), seed=1)

@@ -1,19 +1,9 @@
-"""Point-tensor algebra: contraction, musical isomorphisms, frames."""
+"""Orthonormal frames."""
 
 import numpy as np
 import pytest
 
-from statmanifold import (
-    DOWN,
-    UP,
-    MetricNotPositiveDefinite,
-    PointTensor,
-    contract,
-    inner,
-    lower_index,
-    orthonormal_frame,
-    raise_index,
-)
+from statmanifold import MetricNotPositiveDefinite, orthonormal_frame
 
 
 def centroaffine_metric(point, a1, a2):
@@ -25,101 +15,6 @@ def centroaffine_metric(point, a1, a2):
             [a1 * a2 / (s * x1 * x2), a2 * (a2 + 1) / (s * x2 * x2)],
         ]
     )
-
-
-def test_contract_identity_gives_dimension():
-    for m in (2, 3, 5):
-        t = PointTensor(np.eye(m), (UP, DOWN))
-        out = contract(t, 0, 1)
-        assert out.rank == 0
-        assert float(out.components) == pytest.approx(m)
-
-
-def test_contract_delta_tensor_recovers_vector():
-    v = np.array([1.0, -2.0, 3.0])
-    t = PointTensor(np.einsum("ij,k->ijk", np.eye(3), v), (UP, DOWN, UP))
-    out = contract(t, 1, 2)
-    np.testing.assert_allclose(out.components, v)
-    assert out.variance == (UP,)
-
-
-def test_contract_rejects_same_variance():
-    t = PointTensor(np.eye(2), (DOWN, DOWN))
-    with pytest.raises(ValueError):
-        contract(t, 0, 1)
-
-
-def test_metric_inverse_contraction_gives_delta():
-    g = centroaffine_metric((1.0, 1.0), 1.0, 2.0)
-    g_inv = np.linalg.inv(g)  # oracle: matrix inverse
-    t = PointTensor(np.einsum("ij,ab->ijab", g_inv, g), (UP, UP, DOWN, DOWN))
-    out = contract(t, 1, 2)
-    np.testing.assert_allclose(out.components, np.eye(2), atol=1e-14)
-    assert out.variance == (UP, DOWN)
-
-
-def test_raise_with_identity_metric_is_noop():
-    t = PointTensor(np.arange(4.0).reshape(2, 2), (DOWN, DOWN))
-    out = raise_index(t, 0, np.eye(2))
-    np.testing.assert_allclose(out.components, t.components)
-    assert out.variance == (UP, DOWN)
-
-
-def test_lower_then_raise_is_identity():
-    rng = np.random.default_rng(1)
-    g = centroaffine_metric((2.0, 0.7), 1.0, 2.0)
-    g_inv = np.linalg.inv(g)
-    t = PointTensor(rng.standard_normal((2, 2, 2)), (UP, DOWN, UP))
-    back = raise_index(lower_index(t, 0, g), 0, g_inv)
-    np.testing.assert_allclose(back.components, t.components, atol=1e-12)
-
-
-def test_raise_centroaffine_covector_gives_tchebychev():
-    # eta = (0, -1/x2) at (1,1) for a1=1, a2=2; the oracle inverts g directly
-    g = centroaffine_metric((1.0, 1.0), 1.0, 2.0)
-    eta = PointTensor(np.array([0.0, -1.0]), (DOWN,))
-    t = raise_index(eta, 0, np.linalg.inv(g))
-    np.testing.assert_allclose(t.components, np.linalg.inv(g) @ np.array([0.0, -1.0]))
-    np.testing.assert_allclose(t.components, [1.0, -1.0], atol=1e-14)
-
-
-def test_inner_zero_and_metric_identities():
-    g = centroaffine_metric((1.3, 2.4), 2.0, 3.0)
-    zero = PointTensor(np.zeros((2, 2)), (DOWN, DOWN))
-    assert inner(g, zero, zero) == pytest.approx(0.0)
-    metric_tensor = PointTensor(g, (DOWN, DOWN))
-    assert inner(g, metric_tensor, metric_tensor) == pytest.approx(2.0)
-
-
-def test_inner_constant_difference_tensor_by_hand():
-    # flat metric, constant K: g0(T, T) with T^k = sum_i K^k_ii by plain algebra
-    k = np.zeros((2, 2, 2))
-    k[0, 0, 0] = -1.0
-    k[1, 0, 1] = k[1, 1, 0] = 0.5
-    t_vec = np.einsum("kii->k", k)
-    expected = float(t_vec @ t_vec)
-    g = np.eye(2)
-    t = PointTensor(t_vec, (UP,))
-    assert inner(g, t, t) == pytest.approx(expected)
-
-
-def test_inner_requires_matching_signature():
-    g = np.eye(2)
-    a = PointTensor(np.ones((2, 2)), (UP, DOWN))
-    b = PointTensor(np.ones((2, 2)), (UP, UP))
-    with pytest.raises(ValueError):
-        inner(g, a, b)
-
-
-def test_inner_invariant_under_shared_raise_lower():
-    rng = np.random.default_rng(8)
-    g = centroaffine_metric((1.7, 0.9), 1.0, 2.0)
-    g_inv = np.linalg.inv(g)
-    a = PointTensor(rng.standard_normal((2, 2)), (UP, DOWN))
-    b = PointTensor(rng.standard_normal((2, 2)), (UP, DOWN))
-    before = inner(g, a, b)
-    after = inner(g, lower_index(a, 0, g), lower_index(b, 0, g))
-    assert after == pytest.approx(before, rel=1e-12)
 
 
 def test_orthonormal_frame_examples():
@@ -161,8 +56,3 @@ def test_frame_trace_equals_metric_trace():
         frame_trace = np.einsum("ai,bi,ab->", e, e, t)
         metric_trace = np.einsum("ij,ij->", np.linalg.inv(g), t)
         assert frame_trace == pytest.approx(metric_trace, rel=1e-12, abs=1e-12)
-
-
-def test_dimension_cap():
-    with pytest.raises(ValueError):
-        PointTensor(np.zeros((9, 9)), (UP, DOWN))
