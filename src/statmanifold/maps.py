@@ -48,8 +48,11 @@ class IdentityMapReport:
         self.stat = stat
         geom = stat.geometry
 
-        self.tau_jets = jet_einsum("ij,kij->k", geom.ginv_jets, geom.gamma_jets - stat.nabla_jets)
-        self.taubar_jets = jet_einsum("ij,kij->k", geom.ginv_jets, geom.gamma_jets - stat.bar_jets)
+        # the frame keeps the dual connections at order 1; tau and tau-bar are
+        # differentiated twice, so their order-2 connections live only here
+        gamma, k = geom.gamma_jets, stat.K_jets
+        self.tau_jets = jet_einsum("ij,kij->k", geom.ginv_jets, gamma - (gamma + k))
+        self.taubar_jets = jet_einsum("ij,kij->k", geom.ginv_jets, gamma - (gamma - k))
         self.tau = self.tau_jets.value
         self.taubar = self.taubar_jets.value
         # hat tension of id:(M,g,nabla^g)->(M,g,nabla^g), from the same definition;

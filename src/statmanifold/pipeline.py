@@ -173,17 +173,18 @@ def _check(points, residual, tolerance, status=None):
     return CheckResult(value, list(points[idx]), status or (PASS if value <= tolerance else FAIL))
 
 
+def _concatenate(parts):
+    """Concatenate per-block arrays, recursing into nested dicts of them."""
+    if isinstance(parts[0], dict):
+        return {key: _concatenate([part[key] for part in parts]) for key in parts[0]}
+    return np.concatenate(parts)
+
+
 def _per_point(points, block_fn):
     """Run ``block_fn`` on consecutive blocks of BLOCK_POINTS points and
     concatenate the (nested dicts of) per-point arrays it returns."""
-
-    def concatenate(parts):
-        if isinstance(parts[0], dict):
-            return {key: concatenate([part[key] for part in parts]) for key in parts[0]}
-        return np.concatenate(parts)
-
     starts = range(0, len(points), BLOCK_POINTS)
-    return concatenate([block_fn(points[i : i + BLOCK_POINTS]) for i in starts])
+    return _concatenate([block_fn(points[i : i + BLOCK_POINTS]) for i in starts])
 
 
 def _block_residuals(compiled, points):

@@ -127,12 +127,11 @@ class StatisticalFrame:
         self.T = self.T_jets.value
         self.eta = np.einsum("pkl,pl->pk", geometry.g, self.T)
 
-        self.nabla_jets = geometry.gamma_jets + self.K_jets
-        self.bar_jets = geometry.gamma_jets - self.K_jets
-        self.nabla = self.nabla_jets.value
-        self.bar = self.bar_jets.value
-        self.dnabla = self.nabla_jets.gradient()
-        self.dbar = self.bar_jets.gradient()
+        # the dual connections are read only as values and first derivatives
+        gamma_1, k_1 = geometry.gamma_jets.truncated(1), self.K_jets.truncated(1)
+        nabla_jets, bar_jets = gamma_1 + k_1, gamma_1 - k_1
+        self.nabla, self.dnabla = nabla_jets.value, nabla_jets.gradient()
+        self.bar, self.dbar = bar_jets.value, bar_jets.gradient()
 
         self.R = curvature_components(self.nabla, self.dnabla)
         self.Rbar = curvature_components(self.bar, self.dbar)
@@ -142,8 +141,8 @@ class StatisticalFrame:
 
         self.tch_jets = geometry.nabla(self.T_jets, (UP,))
         self.tch = self.tch_jets.value  # (N, k, direction)
-        self.dK_jets = geometry.nabla(self.K_jets, (UP, DOWN, DOWN))
-        self.dK = self.dK_jets.value  # (N, k, i, j, direction)
+        # nabla^g K is read only as values, so K enters at order 1
+        self.dK = geometry.nabla(k_1, (UP, DOWN, DOWN)).value  # (N, k, i, j, direction)
 
     # -- structure identities ------------------------------------------------
 
@@ -292,9 +291,11 @@ class StatisticalFrame:
         geom = self.geometry
         g, ginv, riem = geom.g, geom.ginv, geom.riemann
 
+        # K with both lower indices raised; the intermediate lives only inside this product
+        k_up = jet_einsum(
+            "jb,kib->kij", geom.ginv_jets, jet_einsum("ia,kaj->kij", geom.ginv_jets, self.K_jets)
+        )
         k_low = jet_einsum("kl,kij->lij", geom.g_jets, self.K_jets)
-        k_mid = jet_einsum("ia,kaj->kij", geom.ginv_jets, self.K_jets)
-        k_up = jet_einsum("jb,kib->kij", geom.ginv_jets, k_mid)
         phi = jet_einsum("kij,kij->", k_low, k_up)
         laplacian = geom.laplacian_scalar(phi)
 

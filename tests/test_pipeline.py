@@ -11,8 +11,11 @@ from statmanifold import (
     ManifoldSpec,
     SpecValidationError,
     crosscheck,
+    evaluate_spec,
+    flat_constant_cubic,
     get_builtin,
     pipeline,
+    random_symmetric_constants,
     run_diagnostics,
 )
 
@@ -62,6 +65,38 @@ def test_peak_memory_is_bounded_by_the_block():
     one_block = _peak_bytes(spec, pipeline.BLOCK_POINTS - corners)
     three_blocks = _peak_bytes(spec, 3 * pipeline.BLOCK_POINTS - corners)
     assert three_blocks <= 1.25 * one_block, (one_block, three_blocks)
+
+
+def test_peak_memory_per_point_is_a_few_difference_tensors():
+    # what the frames keep per point, measured in units of the order-2 jets of K
+    spec = flat_constant_cubic(6, random_symmetric_constants(6, 3)).spec
+    run_diagnostics(spec, count=20, seed=2)  # warm the jet tables out of the measurement
+    k_bytes = evaluate_spec(spec, count=20, seed=2)[1].K_jets.coeff.nbytes
+    tracemalloc.start()
+    try:
+        report = run_diagnostics(spec, count=20, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.num_points == 84
+    assert peak <= 10 * k_bytes, peak / k_bytes
+
+
+def test_runs_leave_no_cyclic_garbage():
+    # the per-block results must be freed by reference counting alone
+    import gc
+
+    spec = get_builtin("flat-cubic").spec
+    run_diagnostics(spec, seed=1)  # first-call caches out of the measurement
+    crosscheck(spec, seed=1)
+    gc.collect()
+    gc.disable()
+    try:
+        run_diagnostics(spec, seed=1)
+        crosscheck(spec, seed=1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_non_finite_input_between_probe_points_is_a_spec_error(spiked_centroaffine):

@@ -6,14 +6,17 @@ import pytest
 
 from statmanifold import (
     CubicFormAsymmetry,
+    ManifoldSpec,
     centroaffine_power_surface,
     cubic_from_difference,
     difference_tensor,
     evaluate_spec,
     flat_constant_cubic,
+    get_builtin,
     random_polynomial_cubic,
     tchebychev,
 )
+from statmanifold.jets import jet_einsum
 
 
 def frames(instance, count=None, seed=None):
@@ -322,3 +325,27 @@ def test_t1_t2_and_geodesic_potential():
     assert np.max(stat.tchebychev_operator_norm()) < 1e-8
     assert np.max(np.abs(stat.t1_vector())) < 1e-8
     assert np.max(np.abs(stat.t2_vector())) < 1e-8
+
+
+def test_frame_arrays_at_reduced_order_equal_the_full_order_ones():
+    # the frame keeps nabla^g K and the dual connections only to the order its
+    # readers use; the kept values and gradients are the full-order ones, bit for bit
+    curved = get_builtin("sphere-m3").spec.to_dict()
+    curved["cubic"] = random_polynomial_cubic(3, 2, seed=1).spec.to_dict()["cubic"]
+    geom, stat, ident = evaluate_spec(ManifoldSpec.from_dict(curved), count=20)
+    assert np.max(np.abs(stat.K_jets.gradient())) > 0.1  # C is not constant
+
+    dk = geom.nabla(stat.K_jets, ("up", "down", "down"))
+    assert dk.order == 1
+    assert np.array_equal(stat.dK, dk.value)
+    gamma, k = geom.gamma_jets, stat.K_jets
+    for name, full in (("nabla", gamma + k), ("bar", gamma - k)):
+        assert full.order == 2
+        assert np.array_equal(getattr(stat, name), full.value), name
+        assert np.array_equal(getattr(stat, "d" + name), full.gradient()), name
+
+    tau = jet_einsum("ij,kij->k", geom.ginv_jets, gamma - (gamma + k))
+    taubar = jet_einsum("ij,kij->k", geom.ginv_jets, gamma - (gamma - k))
+    assert ident.tau_jets.order == ident.taubar_jets.order == 2
+    assert np.array_equal(ident.tau_jets.coeff, tau.coeff)
+    assert np.array_equal(ident.taubar_jets.coeff, taubar.coeff)
