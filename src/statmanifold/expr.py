@@ -381,6 +381,40 @@ def eval_value(node, point):
     return eval_jet(node, point, 0).value
 
 
+def central_differences(fn, point, h, order=2):
+    """(value, gradient, Hessian) of ``fn`` at ``point`` by central differences.
+
+    ``fn`` maps points (..., m) to values of any trailing shape; derivative
+    axes come last.  The Hessian is None at ``order`` 1.  Each stencil point
+    is evaluated once.
+    """
+    point = np.asarray(point, dtype=float)
+    m = point.shape[-1]
+
+    def at(*steps):
+        q = point.copy()
+        for i, sign in steps:
+            q[..., i] = q[..., i] + sign * h
+        return fn(q)
+
+    value = fn(point)
+    axis = [(at((i, +1)), at((i, -1))) for i in range(m)]
+    gradient = np.stack([(fp - fm) / (2.0 * h) for fp, fm in axis], axis=-1)
+    if order == 1:
+        return value, gradient, None
+    hessian = np.zeros(np.shape(value) + (m, m))
+    for i, (fp, fm) in enumerate(axis):
+        hessian[..., i, i] = (fp - 2.0 * value + fm) / h**2
+        for j in range(i + 1, m):
+            hessian[..., i, j] = hessian[..., j, i] = (
+                at((i, +1), (j, +1))
+                - at((i, +1), (j, -1))
+                - at((i, -1), (j, +1))
+                + at((i, -1), (j, -1))
+            ) / (4.0 * h**2)
+    return value, gradient, hessian
+
+
 def fd_jet(node, point, order, h):
     """Central-difference estimate of the jet, for cross-checking only.
 
@@ -392,35 +426,5 @@ def fd_jet(node, point, order, h):
         raise ValueError("fd_jet supports orders 1 and 2")
     if h <= 0:
         raise ValueError("fd step must be positive")
-    point = np.asarray(point, dtype=float)
-    m = point.shape[-1]
-
-    def f(q):
-        return eval_value(node, q)
-
-    def shifted(i, si, j=None, sj=None):
-        q = point.copy()
-        q[..., i] = q[..., i] + si * h
-        if j is not None:
-            q[..., j] = q[..., j] + sj * h
-        return f(q)
-
-    value = f(point)
-    gradient = np.stack(
-        [(shifted(i, +1) - shifted(i, -1)) / (2.0 * h) for i in range(m)], axis=-1
-    )
-    if order == 1:
-        return Jet.from_derivatives(m, 1, value, gradient)
-    hessian = np.zeros(np.shape(value) + (m, m))
-    for i in range(m):
-        hessian[..., i, i] = (shifted(i, +1) - 2.0 * value + shifted(i, -1)) / h**2
-        for j in range(i + 1, m):
-            mixed = (
-                shifted(i, +1, j, +1)
-                - shifted(i, +1, j, -1)
-                - shifted(i, -1, j, +1)
-                + shifted(i, -1, j, -1)
-            ) / (4.0 * h**2)
-            hessian[..., i, j] = mixed
-            hessian[..., j, i] = mixed
-    return Jet.from_derivatives(m, 2, value, gradient, hessian)
+    value, gradient, hessian = central_differences(lambda q: eval_value(node, q), point, h, order)
+    return Jet.from_derivatives(np.shape(point)[-1], order, value, gradient, hessian)

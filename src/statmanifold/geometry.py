@@ -178,6 +178,7 @@ class GeometryFrame:
         self.frame = orthonormal_frame(self.g)
         self.ricci = ricci_components(self.riemann, self.g, self.frame)
         self.scalar = scalar_curvature(self.ricci, self.ginv)
+        self._nabla = {}  # (id(field), variance) -> (field, its read-only nabla)
 
     @property
     def num_points(self):
@@ -186,8 +187,18 @@ class GeometryFrame:
     # -- differential operators --------------------------------------------
 
     def nabla(self, field, variance):
-        """Levi-Civita covariant derivative of a jet field (direction last)."""
-        return covariant_derivative_jets(field, self.gamma_jets, variance)
+        """Levi-Civita covariant derivative of a jet field (direction last).
+
+        Computed once per field for the frame's lifetime: the entry keeps the
+        field alive, so its id cannot be reused, and the shared result is
+        read-only.
+        """
+        key = (id(field), tuple(variance))
+        if key not in self._nabla:
+            result = covariant_derivative_jets(field, self.gamma_jets, variance)
+            result.coeff.flags.writeable = False
+            self._nabla[key] = (field, result)
+        return self._nabla[key][1]
 
     def divergence(self, vector_jets):
         """div V = tr(nabla V)."""

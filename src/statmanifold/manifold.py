@@ -269,18 +269,38 @@ def _shrunk_corners(lo, hi):
 
 
 class CompiledManifold:
-    """Parsed expressions of a validated spec, ready for jet evaluation."""
+    """Parsed expressions of a validated spec, ready for jet evaluation.
+
+    ``metric_slots`` and ``cubic_slots`` pair each distinct component source
+    with the tensor entries it fills, so an expression shared by several
+    components (a conformal factor on the diagonal, a zero) is parsed and
+    evaluated once.  Equal sources parse to equal ASTs; grouping by source
+    rather than by AST equality keeps ``0`` and a parameter equal to ``-0.0``
+    apart.
+    """
 
     def __init__(self, spec: ManifoldSpec):
         self.spec = spec
-        self.metric_asts = {
-            key: parse_expression(src, spec.coordinates, spec.parameters)
-            for key, src in spec.metric.items()
-        }
-        self.cubic_asts = {
-            key: parse_expression(src, spec.coordinates, spec.parameters)
-            for key, src in spec.cubic.items()
-        }
+        m = spec.dim
+        self.metric_slots = self._group(
+            (spec.metric[f"{i + 1}{j + 1}"], [(i, j), (j, i)])
+            for i in range(m)
+            for j in range(i, m)
+        )
+        self.cubic_slots = self._group(
+            (src, _permutations3([int(c) - 1 for c in key])) for key, src in spec.cubic.items()
+        )
+
+    def _group(self, components):
+        """[(ast, entries)], one item per distinct source, in first-seen order."""
+        groups = {}
+        for src, entries in components:
+            groups.setdefault(src, set()).update(entries)
+        spec = self.spec
+        return [
+            (parse_expression(src, spec.coordinates, spec.parameters), sorted(entries))
+            for src, entries in groups.items()
+        ]
 
     @property
     def dim(self):
@@ -288,26 +308,22 @@ class CompiledManifold:
 
     def metric_jets(self, points, order=3):
         """The metric as one jet tensor: coefficients (*batch, m, m, ncoeff)."""
-        points = np.asarray(points, dtype=float)
-        m = self.dim
-        space = jet_space(m, order)
-        out = np.empty(points.shape[:-1] + (m, m, space.ncoeff))
-        for i in range(m):
-            for j in range(i, m):
-                ast = self.metric_asts[f"{i + 1}{j + 1}"]
-                out[..., i, j, :] = out[..., j, i, :] = eval_jet(ast, points, order).coeff
-        return Jet(space, out)
+        return self._tensor_jets(self.metric_slots, points, order, 2)
 
     def cubic_jets(self, points, order=3):
         """The cubic form as one jet tensor: coefficients (*batch, m, m, m, ncoeff)."""
+        return self._tensor_jets(self.cubic_slots, points, order, 3)
+
+    def _tensor_jets(self, slots, points, order, rank):
+        """Evaluate each distinct expression once and write it into all its entries;
+        entries no expression fills stay zero."""
         points = np.asarray(points, dtype=float)
-        m = self.dim
-        space = jet_space(m, order)
-        out = np.zeros(points.shape[:-1] + (m, m, m, space.ncoeff))
-        for key, ast in self.cubic_asts.items():
+        space = jet_space(self.dim, order)
+        out = np.zeros(points.shape[:-1] + (self.dim,) * rank + (space.ncoeff,))
+        for ast, entries in slots:
             coeff = eval_jet(ast, points, order).coeff
-            for perm in set(_permutations3([int(c) - 1 for c in key])):
-                out[(..., *perm, slice(None))] = coeff
+            for entry in entries:
+                out[(..., *entry, slice(None))] = coeff
         return Jet(space, out)
 
     def sample_points(self, count=None, seed=None):

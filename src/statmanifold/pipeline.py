@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import eval_jet, fd_jet
+from .expr import central_differences, fd_jet
 from .geometry import (
     GeometryFrame,
     christoffel_components,
@@ -32,7 +32,7 @@ from .geometry import (
     curvature_components,
 )
 from .jets import coordinate_jets
-from .manifold import ManifoldSpec, SpecValidationError, _permutations3
+from .manifold import ManifoldSpec, SpecValidationError
 from .maps import INCONCLUSIVE, IdentityMapReport, band, band_agreement
 from .statistical import StatisticalFrame, fit_constant_curvature, scalar_relation_gap
 
@@ -174,9 +174,12 @@ def _check(points, residual, tolerance, status=None):
 
 
 def _concatenate(parts):
-    """Concatenate per-block arrays, recursing into nested dicts of them."""
+    """Concatenate per-block arrays, recursing into nested dicts of them;
+    tuples stay per block, as a list."""
     if isinstance(parts[0], dict):
         return {key: _concatenate([part[key] for part in parts]) for key in parts[0]}
+    if isinstance(parts[0], tuple):
+        return parts
     return np.concatenate(parts)
 
 
@@ -226,9 +229,9 @@ def _block_residuals(compiled, points):
     }
     return {
         "identities": identities,
-        # inputs of the pooled constant-curvature fit and the scalar relation
-        # g is a view into the metric jets: copy it so they are freed with the block
-        "fit": {"riemann": stat.R, "g": geometry.g.copy(), "scalar_sum": stat.scalar_sum()},
+        # inputs of the pooled constant-curvature fit, kept per block, and the scalar
+        # relation; g is a view into the metric jets: copy it so they are freed with the block
+        "fit": {"blocks": (stat.R, geometry.g.copy()), "scalar_sum": stat.scalar_sum()},
         # residuals behind the condition flags and the conditional checks
         "r_minus_l": r_minus_l,
         "r_minus_rbar": r_minus_rbar,
@@ -253,8 +256,9 @@ def run_diagnostics(spec: ManifoldSpec, tolerance=DEFAULT_TOLERANCE, count=None,
     """Run the full diagnostic battery on a spec; deterministic given (spec, seed).
 
     Frames are built block by block (BLOCK_POINTS points each); every max,
-    argmax, flag and fit reduces the concatenated per-point residuals, so
-    the report does not depend on the block size.
+    argmax and flag reduces the concatenated per-point residuals, so they do
+    not depend on the block size.  The constant-curvature fit adds per-block
+    sums, so lambda can differ in its last bits between block sizes.
     """
     start = time.perf_counter()
     compiled = spec.compile()
@@ -269,7 +273,7 @@ def run_diagnostics(spec: ManifoldSpec, tolerance=DEFAULT_TOLERANCE, count=None,
     fit = res.pop("fit")
     peak = {name: float(np.max(residual)) for name, residual in res.items()}
     conj = np.maximum(np.maximum(res["r_minus_l"], res["r_minus_rbar"]), res["alt_dk"])
-    lam, cc_residual = fit_constant_curvature(fit["riemann"], fit["g"])
+    lam, cc_residual = fit_constant_curvature(fit["blocks"])
     cc_max = float(np.max(cc_residual))
     cc_flag = cc_max <= CONSTANT_CURVATURE_SCALE * (1.0 + abs(lam))
     ric_asym, eq5, t_norm = peak["ric_asym"], peak["eq5"], peak["t_norm"]
@@ -404,16 +408,15 @@ def _crosscheck_block(compiled, points, h):
     m = compiled.dim
     geometry, stat = _frames(compiled, points)
 
-    # finite-difference metric derivatives
+    # finite-difference metric derivatives, once per distinct expression
     n = points.shape[0]
     dg_fd = np.zeros((n, m, m, m))
     d2g_fd = np.zeros((n, m, m, m, m))
-    for i in range(1, m + 1):
-        for j in range(i, m + 1):
-            jet = fd_jet(compiled.metric_asts[f"{i}{j}"], points, 2, h)
-            grad, hess = jet.gradient(), jet.hessian()
-            dg_fd[:, i - 1, j - 1] = dg_fd[:, j - 1, i - 1] = grad
-            d2g_fd[:, i - 1, j - 1] = d2g_fd[:, j - 1, i - 1] = hess
+    for ast, entries in compiled.metric_slots:
+        jet = fd_jet(ast, points, 2, h)
+        grad, hess = jet.gradient(), jet.hessian()
+        for i, j in entries:
+            dg_fd[:, i, j], d2g_fd[:, i, j] = grad, hess
 
     ginv = geometry.ginv
     gamma_fd = christoffel_components(ginv, dg_fd)
@@ -423,14 +426,15 @@ def _crosscheck_block(compiled, points, h):
     # scalar Laplacian of the probe: fd Hessian/gradient against the jet route
     probe = _probe_scalar(points)
     lap_jet = geometry.laplacian_scalar(probe)
-    grad_fd, hess_fd = _fd_scalar(lambda q: _probe_scalar(q, order=0).value, points, h)
+    _, grad_fd, hess_fd = central_differences(lambda q: _probe_scalar(q, order=0).value, points, h)
     lap_fd = np.einsum("pij,pij->p", ginv, hess_fd) - np.einsum(
         "pij,paij,pa->p", ginv, gamma_fd, grad_fd, optimize="greedy"
     )
 
     # Tchebychev operator: fd derivatives of the T field (order-0 evaluations)
-    t_jacobian_fd = _fd_vector(lambda q: _tchebychev_values(compiled, q), points, h)
-    t_values = _tchebychev_values(compiled, points)
+    t_values, t_jacobian_fd, _ = central_differences(
+        lambda q: _tchebychev_values(compiled, q), points, h, order=1
+    )
     tch_fd = t_jacobian_fd + np.einsum("pkda,pa->pkd", gamma_fd, t_values)
 
     return {
@@ -454,58 +458,8 @@ def _shrink_box(spec, margin):
     return clone
 
 
-def _fd_scalar(fn, points, h):
-    n, m = points.shape
-    value = fn(points)
-    grad = np.zeros((n, m))
-    hess = np.zeros((n, m, m))
-
-    def at(i, si, j=None, sj=None):
-        q = points.copy()
-        q[:, i] += si * h
-        if j is not None:
-            q[:, j] += sj * h
-        return fn(q)
-
-    for i in range(m):
-        fp, fm = at(i, +1), at(i, -1)
-        grad[:, i] = (fp - fm) / (2 * h)
-        hess[:, i, i] = (fp - 2 * value + fm) / h**2
-        for j in range(i + 1, m):
-            mixed = (at(i, +1, j, +1) - at(i, +1, j, -1) - at(i, -1, j, +1) + at(i, -1, j, -1)) / (
-                4 * h**2
-            )
-            hess[:, i, j] = hess[:, j, i] = mixed
-    return grad, hess
-
-
-def _fd_vector(fn, points, h):
-    """Central-difference Jacobian of a vector field, derivative axis last."""
-    n, m = points.shape
-    out = np.zeros((n, m, m))
-    for d in range(m):
-        qp, qm = points.copy(), points.copy()
-        qp[:, d] += h
-        qm[:, d] -= h
-        out[:, :, d] = (fn(qp) - fn(qm)) / (2 * h)
-    return out
-
-
 def _tchebychev_values(compiled, points):
     """Pointwise T through the order-0 route: values of g, C -> K -> trace."""
-    m = compiled.dim
-    n = np.asarray(points).shape[0]
-    g = np.zeros((n, m, m))
-    for i in range(1, m + 1):
-        for j in range(i, m + 1):
-            v = eval_jet(compiled.metric_asts[f"{i}{j}"], points, 0).value
-            g[:, i - 1, j - 1] = g[:, j - 1, i - 1] = v
-    c = np.zeros((n, m, m, m))
-    for key, ast in compiled.cubic_asts.items():
-        v = eval_jet(ast, points, 0).value
-        idx = [int(ch) - 1 for ch in key]
-        for perm in set(_permutations3(idx)):
-            c[(slice(None),) + perm] = v
-    ginv = np.linalg.inv(g)
-    k = -0.5 * np.einsum("pkl,pijl->pkij", ginv, c)
+    ginv = np.linalg.inv(compiled.metric_jets(points, 0).value)
+    k = -0.5 * np.einsum("pkl,pijl->pkij", ginv, compiled.cubic_jets(points, 0).value)
     return np.einsum("pij,pkij->pk", ginv, k)

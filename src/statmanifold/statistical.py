@@ -79,21 +79,32 @@ def interchange_tensor(riemann, g, ginv):
     return np.einsum("pln,paj,pakni->plijk", ginv, g, riemann, optimize="greedy")
 
 
-def fit_constant_curvature(riemann, g):
+def fit_constant_curvature(blocks):
     """Least-squares fit of R against lambda (g(Y,Z)X - g(X,Z)Y).
 
-    Returns (lambda, per-point max residual); the fit pools every component
-    at every point of the batch.
+    ``blocks`` lists (riemann, g) pairs of consecutive point batches.  Returns
+    (lambda, per-point max residual over all blocks); the fit pools every
+    component at every point.  Sums and residuals are taken block by block,
+    so no temporary spans more than one block.
     """
-    m = g.shape[-1]
+    m = blocks[0][1].shape[-1]
     if m < 2:
         raise ValueError("constant curvature requires dimension >= 2")
     eye = np.eye(m)
-    model = np.einsum("pjk,li->plijk", g, eye) - np.einsum("pik,lj->plijk", g, eye)
-    denom = float(np.sum(model * model))
-    lam = float(np.sum(riemann * model) / denom)
-    residual = np.max(np.abs(riemann - lam * model), axis=(1, 2, 3, 4))
-    return lam, residual
+
+    def model(g):
+        return np.einsum("pjk,li->plijk", g, eye) - np.einsum("pik,lj->plijk", g, eye)
+
+    numerator = denom = 0.0
+    for riemann, g in blocks:
+        block_model = model(g)
+        numerator += float(np.sum(riemann * block_model))
+        denom += float(np.sum(block_model * block_model))
+    lam = numerator / denom
+    residuals = [
+        np.max(np.abs(riemann - lam * model(g)), axis=(1, 2, 3, 4)) for riemann, g in blocks
+    ]
+    return lam, np.concatenate(residuals)
 
 
 def scalar_relation_gap(lam, dim, scalar_sum):
@@ -236,7 +247,7 @@ class StatisticalFrame:
 
     def constant_curvature_fit(self):
         """(lambda, per-point max residual) of :func:`fit_constant_curvature` on this frame."""
-        return fit_constant_curvature(self.R, self.geometry.g)
+        return fit_constant_curvature([(self.R, self.geometry.g)])
 
     def tchebychev_norm(self):
         return np.max(np.abs(self.T), axis=1)

@@ -14,7 +14,7 @@ from statmanifold import (
     parse_expression,
     to_source,
 )
-from statmanifold.expr import offset_to_line_col
+from statmanifold.expr import central_differences, offset_to_line_col
 
 # the fd-versus-jet corpus: every operator and call at least once
 CORPUS = [
@@ -132,6 +132,37 @@ def test_fd_exact_on_quadratics():
     jet = eval_jet(ast, pts, 1)
     fd = fd_jet(ast, pts, 1, 1e-2)
     np.testing.assert_allclose(fd.gradient(), jet.gradient(), atol=1e-11)
+
+
+def test_central_differences_evaluate_each_stencil_point_once():
+    # value, 2m axis points and 4 points per off-diagonal pair: 2m^2 + 1 in all
+    m, h = 3, 1e-3
+    point = np.array([[0.3, -0.2, 0.5], [0.1, 0.4, -0.6]])
+    seen = []
+
+    def f(q):
+        seen.append(q.copy())
+        return np.sin(q[:, 0]) * q[:, 1] + q[:, 1] * q[:, 2] * q[:, 2]
+
+    value, gradient, hessian = central_differences(f, point, h)
+    assert len(seen) == 2 * m * m + 1
+    assert len({q.tobytes() for q in seen}) == len(seen)
+    # the textbook stencil, one formula per entry
+    e = np.eye(m) * h
+    assert np.array_equal(value, f(point))
+    for i in range(m):
+        assert np.array_equal(gradient[:, i], (f(point + e[i]) - f(point - e[i])) / (2.0 * h))
+        for j in range(m):
+            if i == j:
+                want = (f(point + e[i]) - 2.0 * value + f(point - e[i])) / h**2
+            else:
+                lo, hi = min(i, j), max(i, j)
+                want = (
+                    f(point + e[lo] + e[hi]) - f(point + e[lo] - e[hi])
+                    - f(point - e[lo] + e[hi]) + f(point - e[lo] - e[hi])
+                ) / (4.0 * h**2)
+            assert np.array_equal(hessian[:, i, j], want)
+    assert central_differences(f, point, h, order=1)[2] is None
 
 
 def test_domain_error_names_subexpression():

@@ -1,5 +1,8 @@
 """Riemannian kernel: Christoffel symbols, curvature, Laplacians, oracles."""
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -15,9 +18,11 @@ from statmanifold import (
     hyperbolic_ball,
     parse_expression,
     random_polynomial_cubic,
+    run_diagnostics,
     sphere_stereographic,
 )
-from statmanifold.geometry import jet_matrix_inverse
+from statmanifold import geometry
+from statmanifold.geometry import covariant_derivative_jets, jet_matrix_inverse
 from statmanifold.jets import Jet, coordinate_jets, jet_einsum, jet_space
 from statmanifold.pipeline import crosscheck
 
@@ -231,3 +236,28 @@ def test_fd_crosscheck_christoffel_curvature_laplacian():
 def test_fd_crosscheck_detects_coarse_step():
     report = crosscheck(centroaffine_power_surface(1.0, 2.0).spec, h=0.3)
     assert not report.passed
+
+
+def test_each_covariant_derivative_is_computed_once_per_frame(monkeypatch):
+    callers = Counter()
+
+    def counted(*args):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return covariant_derivative_jets(*args)
+
+    monkeypatch.setattr(geometry, "covariant_derivative_jets", counted)
+    run_diagnostics(get_builtin("flat-cubic").spec, count=10)  # one block
+    # 14 nabla calls on T, K, tr K, tau, tau-bar and grad f: one computation each,
+    # plus the differential of the probe in gradient_field
+    assert callers == {"nabla": 6, "gradient_field": 1}
+
+
+def test_repeated_nabla_returns_the_same_read_only_jet():
+    geom, stat, _ = evaluate_spec(get_builtin("sphere-m3").spec, count=10)
+    first = geom.nabla(stat.T_jets, ["up"])
+    assert first is stat.tch_jets
+    assert geom.nabla(stat.T_jets, ("up",)) is first
+    fresh = covariant_derivative_jets(stat.T_jets, geom.gamma_jets, ("up",))
+    assert np.array_equal(first.coeff, fresh.coeff)
+    with pytest.raises(ValueError):
+        first.coeff[..., 0] = 0.0

@@ -1,9 +1,21 @@
 """Spec files: validation, sampling determinism, compilation."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
-from statmanifold import ManifoldSpec, SampleSpec, SpecValidationError
+from statmanifold import (
+    ManifoldSpec,
+    SampleSpec,
+    SpecValidationError,
+    eval_jet,
+    flat_constant_cubic,
+    get_builtin,
+    parse_expression,
+    random_symmetric_constants,
+)
+from statmanifold import manifold
 
 
 def minimal_spec(**overrides):
@@ -159,3 +171,52 @@ def test_sample_spec_roundtrip():
     again = ManifoldSpec.from_dict(spec.to_dict())
     assert again.to_json() == spec.to_json()
     assert isinstance(again.sample, SampleSpec)
+
+
+def test_metric_jets_evaluate_each_distinct_expression_once(monkeypatch):
+    spec = get_builtin("sphere-m3").spec
+    compiled = spec.compile()
+    evaluated = []
+
+    def counted(ast, *args):
+        evaluated.append(ast)
+        return eval_jet(ast, *args)
+
+    monkeypatch.setattr(manifold, "eval_jet", counted)
+    compiled.metric_jets(spec.sample_points(count=5), 3)
+    # one conformal factor on the diagonal, one zero off it
+    parse = lambda src: parse_expression(src, spec.coordinates, spec.parameters)
+    assert evaluated == [parse(spec.metric["11"]), parse("0")]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        get_builtin("sphere-m3").spec,
+        get_builtin("centroaffine").spec,
+        flat_constant_cubic(6, random_symmetric_constants(6, 1)).spec,
+    ],
+    ids=["sphere-m3", "centroaffine", "constant-cubic-m6"],
+)
+def test_component_tables_equal_a_per_component_loop(spec):
+    compiled = spec.compile()
+    points = spec.sample_points(count=7)
+    m = spec.dim
+
+    def component(table, indices, order):
+        src = table.get("".join(str(i + 1) for i in sorted(indices)))
+        if src is None:  # a missing cubic component is zero
+            return 0.0
+        ast = parse_expression(src, spec.coordinates, spec.parameters)
+        return eval_jet(ast, points, order).coeff
+
+    for order in (0, 2, 3):
+        metric = compiled.metric_jets(points, order).coeff
+        cubic = compiled.cubic_jets(points, order).coeff
+        oracle_metric, oracle_cubic = np.zeros_like(metric), np.zeros_like(cubic)
+        for entry in product(range(m), repeat=2):
+            oracle_metric[(slice(None), *entry)] = component(spec.metric, entry, order)
+        for entry in product(range(m), repeat=3):
+            oracle_cubic[(slice(None), *entry)] = component(spec.cubic, entry, order)
+        assert np.array_equal(metric, oracle_metric)
+        assert np.array_equal(cubic, oracle_cubic)

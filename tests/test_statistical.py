@@ -17,6 +17,7 @@ from statmanifold import (
     tchebychev,
 )
 from statmanifold.jets import jet_einsum
+from statmanifold.statistical import fit_constant_curvature
 
 
 def frames(instance, count=None, seed=None):
@@ -178,6 +179,23 @@ def test_constant_curvature_riemannian_spaces():
     lam, residual = stat.constant_curvature_fit()
     assert lam == pytest.approx(0.0, abs=1e-12)
     assert np.max(residual) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [get_builtin("sphere-m3"), random_polynomial_cubic(3, 2, 1)],
+    ids=["sphere-m3", "negative-control-m3"],
+)
+def test_constant_curvature_fit_over_blocks_matches_one_block(instance):
+    _, stat, _ = frames(instance, count=40)
+    riemann, g = stat.R, stat.geometry.g
+    lam, residual = fit_constant_curvature([(riemann, g)])
+    blocks = [(riemann[i : i + 7], g[i : i + 7]) for i in range(0, len(g), 7)]
+    assert len(blocks) == 7
+    block_lam, block_residual = fit_constant_curvature(blocks)
+    assert block_lam == pytest.approx(lam, rel=1e-15)
+    assert block_residual.shape == residual.shape
+    np.testing.assert_allclose(block_residual, residual, rtol=1e-12, atol=1e-14)
 
 
 def test_ricci_symmetry_equivalence_on_instances():
