@@ -86,7 +86,7 @@ class JetSpace:
         self._third_slots = None
 
     def product_table(self):
-        """(ti, tj, scatter) with out = (a[ti] * b[tj]) @ scatter.
+        """(ti, tj, tk, scatter): out[tk] += a[ti] * b[tj], or (a[ti] * b[tj]) @ scatter.
 
         The scatter matrix is dense with one 1.0 per row; its largest
         instance (dim 8, order 3) is 969 x 165.
@@ -103,7 +103,7 @@ class JetSpace:
                     tk.append(self.position[ec])
             scatter = np.zeros((len(ti), self.ncoeff))
             scatter[np.arange(len(ti)), tk] = 1.0
-            self._product = (np.array(ti), np.array(tj), scatter)
+            self._product = (np.array(ti), np.array(tj), np.array(tk), scatter)
         return self._product
 
     def derivative_table(self, var):
@@ -291,7 +291,7 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             a, b = self._aligned(other)
-            ti, tj, scatter = a.space.product_table()
+            ti, tj, _, scatter = a.space.product_table()
             return Jet(a.space, (a.coeff[..., ti] * b.coeff[..., tj]) @ scatter)
         other = np.asarray(other, dtype=float)
         return Jet(self.space, self.coeff * other[..., None])
@@ -445,8 +445,8 @@ def jet_product_einsum(space, subscripts, a, b):
     b = matrices(b, sb, summed, free_b)
     batch = np.broadcast_shapes(a.shape[1:-2], b.shape[1:-2])
     acc = np.zeros((space.ncoeff, *batch, *(extent[c] for c in free_a + free_b)))
-    ti, tj, scatter = space.product_table()
-    for i, j, k in zip(ti, tj, np.nonzero(scatter)[1]):
+    ti, tj, tk, _ = space.product_table()
+    for i, j, k in zip(ti, tj, tk):
         acc[k] += (a[i] @ b[j]).reshape(acc.shape[1:])
     out_axes = [1 + len(batch) + (free_a + free_b).index(c) for c in rhs]
     return acc.transpose(*range(1, len(batch) + 1), *out_axes, 0)

@@ -130,6 +130,11 @@ class ManifoldSpec:
 
     def validate(self, probe=True):
         """Raise :class:`SpecValidationError` collecting every problem found."""
+        self._parsed_sources(probe)
+        return self
+
+    def _parsed_sources(self, probe=True):
+        """The work of :meth:`validate`; returns {source: AST} of each distinct source."""
         problems = []
         if not 2 <= self.dim <= MAX_DIM:
             problems.append(f"dim must be in 2..{MAX_DIM}, got {self.dim}")
@@ -161,13 +166,16 @@ class ManifoldSpec:
                     f"cubic key {key!r} is not a sorted index triple within 1..{self.dim}"
                 )
 
-        asts = {}
+        asts = {}  # source -> its AST, or the ExprError it raised
         for label, table in (("metric", self.metric), ("cubic", self.cubic)):
             for key, src in table.items():
-                try:
-                    asts[(label, key)] = parse_expression(src, self.coordinates, self.parameters)
-                except ExprError as err:
-                    problems.append(f"{label}[{key}]: {err}")
+                if src not in asts:
+                    try:
+                        asts[src] = parse_expression(src, self.coordinates, self.parameters)
+                    except ExprError as err:
+                        asts[src] = err
+                if isinstance(asts[src], ExprError):
+                    problems.append(f"{label}[{key}]: {asts[src]}")
 
         if self.sample is None:
             problems.append("sample section is required")
@@ -190,34 +198,37 @@ class ManifoldSpec:
             self._probe(asts, problems)
         if problems:
             raise SpecValidationError(problems)
-        return self
+        return asts
 
     def _key(self, indices):
         return "".join(str(i) for i in indices)
 
     def _probe(self, asts, problems):
-        """Evaluate every expression to order 2 at probe points; each jet must be
-        finite there, and g positive definite."""
+        """Evaluate every distinct expression to order 2 at probe points; each
+        component's jet must be finite there, and g positive definite."""
         points = self._probe_points()
-        values = {}
-        for (label, key), ast in asts.items():
+        jets = {}  # source -> its jet, or the EvalDomainError it raised
+        for src, ast in asts.items():
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    jet = eval_jet(ast, points, 2)
+                    jets[src] = eval_jet(ast, points, 2)
             except EvalDomainError as err:
-                problems.append(f"{label}[{key}] leaves its domain inside the box: {err}")
-                continue
-            bad = ~np.all(np.isfinite(jet.coeff), axis=-1)
-            if bad.any():
-                at = points[int(np.argmax(bad))].tolist()
-                problems.append(f"{label}[{key}] is not finite to order 2 at probe point {at}")
-            values[(label, key)] = jet.value
+                jets[src] = err
+        for label, table in (("metric", self.metric), ("cubic", self.cubic)):
+            for key, src in table.items():
+                if isinstance(jets[src], EvalDomainError):
+                    problems.append(f"{label}[{key}] leaves its domain inside the box: {jets[src]}")
+                    continue
+                bad = ~np.all(np.isfinite(jets[src].coeff), axis=-1)
+                if bad.any():
+                    at = points[int(np.argmax(bad))].tolist()
+                    problems.append(f"{label}[{key}] is not finite to order 2 at probe point {at}")
         if problems:
             return
         g = np.zeros((points.shape[0], self.dim, self.dim))
         for i in range(1, self.dim + 1):
             for j in range(i, self.dim + 1):
-                g[:, i - 1, j - 1] = g[:, j - 1, i - 1] = values[("metric", self._key((i, j)))]
+                g[:, i - 1, j - 1] = g[:, j - 1, i - 1] = jets[self.metric[self._key((i, j))]].value
         try:
             np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
@@ -258,8 +269,7 @@ class ManifoldSpec:
     # -- compilation ----------------------------------------------------------------
 
     def compile(self):
-        self.validate()
-        return CompiledManifold(self)
+        return CompiledManifold(self, self._parsed_sources())
 
 
 def _shrunk_corners(lo, hi):
@@ -271,36 +281,25 @@ def _shrunk_corners(lo, hi):
 class CompiledManifold:
     """Parsed expressions of a validated spec, ready for jet evaluation.
 
-    ``metric_slots`` and ``cubic_slots`` pair each distinct component source
-    with the tensor entries it fills, so an expression shared by several
+    ``asts`` maps each component source to the AST that validation parsed.
+    ``metric_slots`` and ``cubic_slots`` pair each distinct source's AST with
+    the tensor entries it fills, so an expression shared by several
     components (a conformal factor on the diagonal, a zero) is parsed and
-    evaluated once.  Equal sources parse to equal ASTs; grouping by source
-    rather than by AST equality keeps ``0`` and a parameter equal to ``-0.0``
-    apart.
+    evaluated once.  Grouping by source rather than by AST equality keeps
+    ``0`` and a parameter equal to ``-0.0`` apart.
     """
 
-    def __init__(self, spec: ManifoldSpec):
+    def __init__(self, spec: ManifoldSpec, asts):
         self.spec = spec
         m = spec.dim
-        self.metric_slots = self._group(
-            (spec.metric[f"{i + 1}{j + 1}"], [(i, j), (j, i)])
-            for i in range(m)
-            for j in range(i, m)
+        self.metric_slots = _group(
+            asts,
+            ((spec.metric[f"{i + 1}{j + 1}"], [(i, j), (j, i)]) for i in range(m) for j in range(i, m)),
         )
-        self.cubic_slots = self._group(
-            (src, _permutations3([int(c) - 1 for c in key])) for key, src in spec.cubic.items()
+        self.cubic_slots = _group(
+            asts,
+            ((src, _permutations3([int(c) - 1 for c in key])) for key, src in spec.cubic.items()),
         )
-
-    def _group(self, components):
-        """[(ast, entries)], one item per distinct source, in first-seen order."""
-        groups = {}
-        for src, entries in components:
-            groups.setdefault(src, set()).update(entries)
-        spec = self.spec
-        return [
-            (parse_expression(src, spec.coordinates, spec.parameters), sorted(entries))
-            for src, entries in groups.items()
-        ]
 
     @property
     def dim(self):
@@ -328,6 +327,14 @@ class CompiledManifold:
 
     def sample_points(self, count=None, seed=None):
         return self.spec.sample_points(count, seed)
+
+
+def _group(asts, components):
+    """[(ast, entries)], one item per distinct source, in first-seen order."""
+    groups = {}
+    for src, entries in components:
+        groups.setdefault(src, set()).update(entries)
+    return [(asts[src], sorted(entries)) for src, entries in groups.items()]
 
 
 def _permutations3(indices):

@@ -104,16 +104,21 @@ class DiagnosticsReport:
         return 0
 
 
-def _frames(compiled, points):
-    """Geometry and statistical frames at the jet order budget.
+def _frames(
+    compiled, points, metric_order, cubic_order, reads=("R", "Rbar", "ric", "L", "Lbar", "tch", "dK")
+):
+    """Geometry and statistical frames at the caller's jet orders.
 
-    d Gamma needs the metric to order 3 (GeometryFrame keeps g^{-1} one order
-    lower); C and everything built from it (K, T, the tension fields, g(K, K))
-    is differentiated at most twice downstream, so order 2 suffices.  Input
-    jets and frame values that are not finite end as a spec error.
+    The diagnostics take d Gamma, so they need the metric to order 3
+    (GeometryFrame keeps g^{-1} one order lower), and differentiate C and
+    everything built from it (K, T, the tension fields, g(K, K)) at most
+    twice, so C to order 2.  The statistical fields named in ``reads`` are
+    computed in that order.  Input jets, geometry values, K, T and the fields
+    read that are not finite end as a spec error.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        metric, cubic = compiled.metric_jets(points, 3), compiled.cubic_jets(points, 2)
+        metric = compiled.metric_jets(points, metric_order)
+        cubic = compiled.cubic_jets(points, cubic_order)
     for label, jets in (("metric", metric), ("cubic", cubic)):
         bad = np.argwhere(~np.isfinite(jets.coeff))
         if len(bad):
@@ -130,8 +135,7 @@ def _frames(compiled, points):
     )
     stat = StatisticalFrame(geometry, cubic)
     _require_finite(
-        points, "statistical", K=stat.K, T=stat.T, R=stat.R, Rbar=stat.Rbar,
-        tch=stat.tch, dK=stat.dK,
+        points, "statistical", **{name: getattr(stat, name) for name in ("K", "T", *reads)}
     )
     return geometry, stat
 
@@ -150,7 +154,7 @@ def evaluate_spec(spec: ManifoldSpec, points=None, count=None, seed=None):
     compiled = spec.compile()
     if points is None:
         points = compiled.sample_points(count, seed)
-    geometry, statistical = _frames(compiled, np.asarray(points, dtype=float))
+    geometry, statistical = _frames(compiled, np.asarray(points, dtype=float), 3, 2)
     return geometry, statistical, IdentityMapReport(statistical)
 
 
@@ -192,7 +196,7 @@ def _per_point(points, block_fn):
 
 def _block_residuals(compiled, points):
     """Per-point residuals of one block of points, before any reduction."""
-    geometry, stat = _frames(compiled, points)
+    geometry, stat = _frames(compiled, points, 3, 2)
     identity = IdentityMapReport(stat)
     _require_finite(
         points, "identity map", tau2=identity.tau2, taubar2=identity.taubar2,
@@ -406,7 +410,9 @@ def crosscheck(spec: ManifoldSpec, h=1e-3, threshold=FD_TOLERANCE, count=None, s
 def _crosscheck_block(compiled, points, h):
     """Per-point relative deviations of the jet route from the fd route on one block."""
     m = compiled.dim
-    geometry, stat = _frames(compiled, points)
+    # Gamma and R read the order-1 Gamma to first derivatives, the Laplacian
+    # reads values and nabla^g T is read as values: metric 2, cubic 1, probe 2
+    geometry, stat = _frames(compiled, points, 2, 1, reads=("tch",))
 
     # finite-difference metric derivatives, once per distinct expression
     n = points.shape[0]
@@ -424,7 +430,7 @@ def _crosscheck_block(compiled, points, h):
     riemann_fd = curvature_components(gamma_fd, dgamma_fd)
 
     # scalar Laplacian of the probe: fd Hessian/gradient against the jet route
-    probe = _probe_scalar(points)
+    probe = _probe_scalar(points, order=2)
     lap_jet = geometry.laplacian_scalar(probe)
     _, grad_fd, hess_fd = central_differences(lambda q: _probe_scalar(q, order=0).value, points, h)
     lap_fd = np.einsum("pij,pij->p", ginv, hess_fd) - np.einsum(

@@ -116,9 +116,10 @@ class StatisticalFrame:
     """Statistical data for a batch of chart points, layered over a GeometryFrame.
 
     Holds the cubic form C, difference tensor K, Tchebychev field T and its
-    dual eta, the Tchebychev operator nabla^g T, the coefficients and
-    curvatures of the dual pair (nabla, nabla-bar), the Ricci tensor of
-    nabla, and the interchange tensors L, L-bar.
+    dual eta.  The Tchebychev operator nabla^g T, nabla^g K, the coefficients
+    and curvatures of the dual pair (nabla, nabla-bar), the Ricci tensor of
+    nabla and the interchange tensors L, L-bar are computed on first read and
+    then kept, so a caller pays only for what it reads.
     """
 
     def __init__(self, geometry: GeometryFrame, cubic_jets, symmetry_tol=1e-9):
@@ -138,22 +139,33 @@ class StatisticalFrame:
         self.T = self.T_jets.value
         self.eta = np.einsum("pkl,pl->pk", geometry.g, self.T)
 
-        # the dual connections are read only as values and first derivatives
-        gamma_1, k_1 = geometry.gamma_jets.truncated(1), self.K_jets.truncated(1)
+    # -- fields computed on first read, then kept -----------------------------
+
+    @cached_property
+    def _dual_connections(self):
+        """(nabla, d nabla, nabla-bar, d nabla-bar): the dual connections are
+        read only as values and first derivatives."""
+        gamma_1, k_1 = self.geometry.gamma_jets.truncated(1), self.K_jets.truncated(1)
         nabla_jets, bar_jets = gamma_1 + k_1, gamma_1 - k_1
-        self.nabla, self.dnabla = nabla_jets.value, nabla_jets.gradient()
-        self.bar, self.dbar = bar_jets.value, bar_jets.gradient()
+        return nabla_jets.value, nabla_jets.gradient(), bar_jets.value, bar_jets.gradient()
 
-        self.R = curvature_components(self.nabla, self.dnabla)
-        self.Rbar = curvature_components(self.bar, self.dbar)
-        self.ric = ricci_components(self.R, geometry.g, geometry.frame)
-        self.L = interchange_tensor(self.R, geometry.g, geometry.ginv)
-        self.Lbar = interchange_tensor(self.Rbar, geometry.g, geometry.ginv)
-
-        self.tch_jets = geometry.nabla(self.T_jets, (UP,))
-        self.tch = self.tch_jets.value  # (N, k, direction)
-        # nabla^g K is read only as values, so K enters at order 1
-        self.dK = geometry.nabla(k_1, (UP, DOWN, DOWN)).value  # (N, k, i, j, direction)
+    nabla = property(lambda self: self._dual_connections[0])
+    dnabla = property(lambda self: self._dual_connections[1])
+    bar = property(lambda self: self._dual_connections[2])
+    dbar = property(lambda self: self._dual_connections[3])
+    R = cached_property(lambda self: curvature_components(self.nabla, self.dnabla))
+    Rbar = cached_property(lambda self: curvature_components(self.bar, self.dbar))
+    ric = cached_property(lambda self: ricci_components(self.R, self.geometry.g, self.geometry.frame))
+    L = cached_property(lambda self: interchange_tensor(self.R, self.geometry.g, self.geometry.ginv))
+    Lbar = cached_property(
+        lambda self: interchange_tensor(self.Rbar, self.geometry.g, self.geometry.ginv)
+    )
+    tch_jets = cached_property(lambda self: self.geometry.nabla(self.T_jets, (UP,)))
+    tch = property(lambda self: self.tch_jets.value)  # (N, k, direction)
+    # nabla^g K is read only as values, so K enters at order 1
+    dK = cached_property(
+        lambda self: self.geometry.nabla(self.K_jets.truncated(1), (UP, DOWN, DOWN)).value
+    )
 
     # -- structure identities ------------------------------------------------
 

@@ -77,6 +77,18 @@ def test_expression_errors_are_collected():
     assert "metric[11]" in text and "metric[22]" in text
 
 
+def test_shared_sources_report_one_problem_per_component():
+    # each distinct source is parsed and probed once; each component still gets its line
+    bad_parse = minimal_spec(metric={"11": "1 +", "12": "0", "22": "1 +"})
+    with pytest.raises(SpecValidationError) as err:
+        bad_parse.validate()
+    assert [p.split(":")[0] for p in err.value.problems] == ["metric[11]", "metric[22]"]
+    bad_domain = minimal_spec(cubic={"111": "log(x1)", "112": "x1", "122": "log(x1)"})
+    with pytest.raises(SpecValidationError) as err:
+        bad_domain.validate()
+    assert [p.split(" leaves its domain")[0] for p in err.value.problems] == ["cubic[111]", "cubic[122]"]
+
+
 def test_box_must_be_ordered_and_complete():
     with pytest.raises(SpecValidationError, match="lo < hi"):
         minimal_spec(sample={"box": {"x1": [1.0, -1.0], "x2": [0.0, 1.0]},
@@ -187,6 +199,27 @@ def test_metric_jets_evaluate_each_distinct_expression_once(monkeypatch):
     # one conformal factor on the diagonal, one zero off it
     parse = lambda src: parse_expression(src, spec.coordinates, spec.parameters)
     assert evaluated == [parse(spec.metric["11"]), parse("0")]
+
+
+def test_compile_parses_and_probes_each_distinct_source_once(monkeypatch):
+    spec = get_builtin("sphere-m3").spec
+    parsed, evaluated = [], []
+
+    def counted_parse(src, *args):
+        parsed.append(src)
+        return parse_expression(src, *args)
+
+    def counted_eval(ast, *args):
+        evaluated.append(ast)
+        return eval_jet(ast, *args)
+
+    monkeypatch.setattr(manifold, "parse_expression", counted_parse)
+    monkeypatch.setattr(manifold, "eval_jet", counted_eval)
+    compiled = spec.compile()
+    assert parsed == [spec.metric["11"], "0"]
+    assert len(evaluated) == 2  # the probe
+    # the compiled slots hold the ASTs validation parsed
+    assert [ast for ast, _ in compiled.metric_slots] == evaluated
 
 
 @pytest.mark.parametrize(

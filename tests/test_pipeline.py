@@ -17,6 +17,7 @@ from statmanifold import (
     pipeline,
     random_symmetric_constants,
     run_diagnostics,
+    statistical,
 )
 
 
@@ -106,6 +107,11 @@ def test_non_finite_input_between_probe_points_is_a_spec_error(spiked_centroaffi
     (problem,) = err.value.problems
     assert problem.startswith("cubic[111] is not finite to order 2 at sample point [")
     assert float(problem.split("[")[2].split(",")[0]) == c
+    # the crosscheck reads C to order 1 only, and says so
+    with pytest.raises(SpecValidationError) as err:
+        crosscheck(spec, seed=1)
+    (problem,) = err.value.problems
+    assert problem.startswith("cubic[111] is not finite to order 1 at sample point [")
 
 
 def test_non_finite_frame_values_name_the_stage():
@@ -115,3 +121,44 @@ def test_non_finite_frame_values_name_the_stage():
     with pytest.raises(SpecValidationError, match=r"statistical frame: R is not finite at sample point \["):
         with np.errstate(over="ignore", invalid="ignore"):
             run_diagnostics(spec.validate(), seed=1)
+    # the crosscheck never builds R: it compares the finite nabla^g T, and fails there
+    report = crosscheck(spec, seed=1)
+    assert not report.passed
+    assert [name for name, dev in report.deviations.items() if dev > report.threshold] == [
+        "tchebychev_operator"
+    ]
+
+
+def test_crosscheck_builds_only_what_it_compares(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("the crosscheck compares no curvature of the dual connections")
+
+    monkeypatch.setattr(statistical, "interchange_tensor", unexpected)
+    monkeypatch.setattr(statistical.StatisticalFrame, "R", property(unexpected))
+    spec = get_builtin("flat-cubic").spec
+    assert crosscheck(spec, seed=1).passed
+    with pytest.raises(AssertionError, match="dual connections"):
+        run_diagnostics(spec, seed=1)
+
+
+def _sphere_with_polynomial_cubic():
+    spec = ManifoldSpec.from_dict(get_builtin("sphere-m3").spec.to_dict())
+    spec.cubic = {"111": "x1*x2 + 1", "123": "x3*x3 - x1", "223": "2*x2", "333": "x1*x2*x3"}
+    return spec
+
+
+@pytest.mark.parametrize(
+    "spec", [_sphere_with_polynomial_cubic(), get_builtin("centroaffine").spec], ids=lambda s: s.name
+)
+def test_crosscheck_orders_give_the_compared_quantities(spec):
+    # metric 2 and cubic 1 against the diagnostics' 3 and 2, in the crosscheck's own measure
+    compiled = spec.compile()
+    points = compiled.sample_points(seed=1)
+    low_geometry, low_stat = pipeline._frames(compiled, points, 2, 1, reads=("tch",))
+    geometry, stat = pipeline._frames(compiled, points, 3, 2)
+    for low, full in (
+        (low_geometry.gamma, geometry.gamma),
+        (low_geometry.riemann, geometry.riemann),
+        (low_stat.tch, stat.tch),
+    ):
+        assert np.max(pipeline._relative(full, low)) <= 1e-13

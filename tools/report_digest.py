@@ -9,8 +9,9 @@ Each case prints one line: its label, the sha256 of its report JSON without
 every builtin, the two random negative controls (m = 2, 3), the m = 6
 constant cubic at 100 sample points and sphere-m3 at 10000, all at seed 1.
 SRC is a directory holding the ``statmanifold`` package.  Given two, each is
-run in its own process; the script lists the cases that differ and exits 1
-if there are any, 0 if every digest agrees.
+run in its own process; the script lists the cases that differ, each with
+every JSON leaf that differs (both values and, for numbers, their absolute
+difference), and exits 1 if there are any, 0 if every digest agrees.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import sys
 from pathlib import Path
 
 SEED = 1
-DEFAULT_SRC = Path(__file__).resolve().parents[1] / "src"
+HERE = Path(__file__).resolve().parent
+DEFAULT_SRC = HERE.parent / "src"
 
 
 def cases(sm):
@@ -40,40 +42,67 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def digest_lines(src):
-    """One ``label report-digest crosscheck-digest`` line per case, run from ``src``."""
+def report_texts(src):
+    """{label: (report JSON without ``runtime_seconds``, crosscheck JSON)}, run from ``src``."""
     sys.path.insert(0, str(src))
     import statmanifold as sm
 
-    lines = []
+    texts = {}
     for label, spec, count in cases(sm):
         report = json.loads(sm.run_diagnostics(spec, count=count, seed=SEED).to_json())
         del report["runtime_seconds"]
         check = sm.crosscheck(spec, count=count, seed=SEED).to_json()
-        lines.append(f"{label} {sha256(json.dumps(report, sort_keys=True))} {sha256(check)}")
-    return lines
+        texts[label] = (json.dumps(report, sort_keys=True), check)
+    return texts
 
 
-def digests_in_process(src):
-    """{label: (report digest, crosscheck digest)} from a fresh process on ``src``."""
+def texts_in_process(src):
+    """:func:`report_texts` of ``src`` from a fresh process."""
+    code = f"import json, report_digest; print(json.dumps(report_digest.report_texts({str(src)!r})))"
     out = subprocess.run(
-        [sys.executable, __file__, str(src)], check=True, capture_output=True, text=True
+        [sys.executable, "-c", code], cwd=HERE, check=True, capture_output=True, text=True
     ).stdout
-    return {label: tuple(rest) for label, *rest in (line.split() for line in out.splitlines())}
+    return json.loads(out)
+
+
+def leaf_diffs(a, b, path=""):
+    """(path, a, b) for each JSON leaf where ``a`` and ``b`` differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            yield from leaf_diffs(a.get(key), b.get(key), f"{path}.{key}" if path else key)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from leaf_diffs(x, y, f"{path}[{i}]")
+    elif json.dumps(a) != json.dumps(b):
+        yield path, a, b
+
+
+def describe(a, b):
+    """Both values of a differing leaf and, for two numbers, their absolute difference."""
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+    return f"{a!r} -> {b!r}" + (f" (abs diff {abs(a - b):.3e})" if numbers else "")
 
 
 def main(argv):
     if len(argv) <= 1:
-        print("\n".join(digest_lines(argv[0] if argv else DEFAULT_SRC)))
+        texts = report_texts(argv[0] if argv else DEFAULT_SRC)
+        for label, (report, check) in texts.items():
+            print(f"{label} {sha256(report)} {sha256(check)}")
         return 0
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    first, second = (digests_in_process(Path(src).resolve()) for src in argv)
+    first, second = (texts_in_process(Path(src).resolve()) for src in argv)
     labels = first.keys() | second.keys()
     differ = sorted(label for label in labels if first.get(label) != second.get(label))
     for label in differ:
         print(f"differs: {label}")
+        if label not in first or label not in second:
+            print("  only in one src")
+            continue
+        for kind, a, b in zip(("report", "crosscheck"), first[label], second[label]):
+            for path, x, y in leaf_diffs(json.loads(a), json.loads(b)):
+                print(f"  {kind} {path}: {describe(x, y)}")
     print(f"{len(labels) - len(differ)} cases identical, {len(differ)} differ")
     return 1 if differ else 0
 
