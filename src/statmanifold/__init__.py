@@ -31,7 +31,7 @@ from .expr import (
     parse_expression,
     to_source,
 )
-from .geometry import GeometryFrame
+from .geometry import DOWN, UP, GeometryFrame, MetricNotPositiveDefinite
 from .jets import Jet, JetDomainError, coordinate_jets, jet_space
 from .manifold import CompiledManifold, ManifoldSpec, SampleSpec, SpecValidationError
 from .maps import IdentityMapReport
@@ -49,7 +49,6 @@ from .statistical import (
     difference_tensor,
     tchebychev,
 )
-from .tensor import DOWN, UP, MetricNotPositiveDefinite, orthonormal_frame
 
 __version__ = "0.1.0"
 
@@ -89,7 +88,6 @@ __all__ = [
     "get_builtin",
     "hyperbolic_ball",
     "jet_space",
-    "orthonormal_frame",
     "parse_expression",
     "random_polynomial_cubic",
     "random_symmetric_constants",

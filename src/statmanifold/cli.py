@@ -76,7 +76,6 @@ def _load_spec(path):
         if isinstance(err, SpecValidationError):
             raise
         raise SpecValidationError([f"spec file is not valid JSON: {err}"]) from None
-    spec.validate()
     return spec
 
 

@@ -57,13 +57,6 @@ class EvalDomainError(ExprError):
         self.point = point
 
 
-def offset_to_line_col(source, offset):
-    """1-based (line, column) of a byte offset, for error reporting."""
-    line = source.count("\n", 0, offset) + 1
-    col = offset - (source.rfind("\n", 0, offset) + 1) + 1
-    return line, col
-
-
 # -- AST --------------------------------------------------------------------
 
 

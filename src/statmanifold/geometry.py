@@ -8,7 +8,8 @@ All numeric arrays are batched with the point axis first.  Index conventions:
   curvature convention R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
   - nabla_{[X,Y]} Z;
 * covariant derivatives append the direction slot LAST, matching the
-  (Y, Z; X) ordering used throughout.
+  (Y, Z; X) ordering used throughout, and take one variance flag per tensor
+  axis of the field: contravariant (``UP``) or covariant (``DOWN``).
 
 Connection coefficients are stored as ``coeff[k, i, j]`` with i the direction:
 nabla_{e_i} e_j = coeff[k, i, j] e_k.
@@ -19,7 +20,13 @@ from __future__ import annotations
 import numpy as np
 
 from .jets import Jet, jet_einsum, jet_partial, jet_product_einsum, jet_space
-from .tensor import DOWN, UP, MetricNotPositiveDefinite, orthonormal_frame
+
+UP = "up"
+DOWN = "down"
+
+
+class MetricNotPositiveDefinite(ValueError):
+    """The metric is not positive definite at a sample point."""
 
 
 def jet_matrix_inverse(g_jets, order=None):
@@ -82,9 +89,9 @@ def curvature_components(coeff, dcoeff):
     )
 
 
-def ricci_components(riemann, g, frame):
-    """Ric(X, Y) = sum_i g(R(e_i, X)Y, e_i) via the orthonormal frame."""
-    return np.einsum("pai,pci,plc,plaxy->pxy", frame, frame, g, riemann, optimize="greedy")
+def ricci_components(riemann):
+    """Ric(X, Y) = tr(Z -> R(Z, X)Y)."""
+    return np.einsum("paaxy->pxy", riemann)
 
 
 def scalar_curvature(ricci, ginv):
@@ -136,8 +143,8 @@ class GeometryFrame:
 
     Built from metric jets of order r >= 2 (order 3 in the pipeline); exposes
     both the numeric tensors (Christoffel symbols, curvature, Ricci, scalar
-    curvature, orthonormal frame) and the jet-level metric, inverse and
-    Christoffel fields needed to differentiate derived fields downstream.
+    curvature) and the jet-level metric, inverse and Christoffel fields
+    needed to differentiate derived fields downstream.
     The inverse and the Christoffel jets have order r - 1: Gamma = g^{-1} dg
     needs no more of the inverse than dg carries.
     """
@@ -175,8 +182,7 @@ class GeometryFrame:
         self.gamma = self.gamma_jets.value
         self.dgamma = self.gamma_jets.gradient()
         self.riemann = curvature_components(self.gamma, self.dgamma)
-        self.frame = orthonormal_frame(self.g)
-        self.ricci = ricci_components(self.riemann, self.g, self.frame)
+        self.ricci = ricci_components(self.riemann)
         self.scalar = scalar_curvature(self.ricci, self.ginv)
         self._nabla = {}  # (id(field), variance) -> (field, its read-only nabla)
 

@@ -83,7 +83,6 @@ class JetSpace:
         self._product = None
         self._derivative = {}
         self._hessian_slots = None
-        self._third_slots = None
 
     def product_table(self):
         """(ti, tj, tk, scatter): out[tk] += a[ti] * b[tj], or (a[ti] * b[tj]) @ scatter.
@@ -134,23 +133,6 @@ class JetSpace:
             self._hessian_slots = (pos, fac)
         return self._hessian_slots
 
-    def third_slots(self):
-        if self._third_slots is None:
-            m = self.dim
-            pos = np.empty((m, m, m), dtype=int)
-            fac = np.empty((m, m, m))
-            for i in range(m):
-                for j in range(m):
-                    for k in range(m):
-                        e = [0] * m
-                        e[i] += 1
-                        e[j] += 1
-                        e[k] += 1
-                        pos[i, j, k] = self.position[tuple(e)]
-                        fac[i, j, k] = float(math.prod(math.factorial(x) for x in e))
-            self._third_slots = (pos, fac)
-        return self._third_slots
-
 
 @lru_cache(maxsize=None)
 def jet_space(dim, order):
@@ -187,7 +169,7 @@ class Jet:
         return cls(space, coeff)
 
     @classmethod
-    def from_derivatives(cls, dim, order, value, gradient=None, hessian=None, third=None):
+    def from_derivatives(cls, dim, order, value, gradient=None, hessian=None):
         """Build a jet from derivative values (not Taylor coefficients)."""
         space = jet_space(dim, order)
         value = np.asarray(value, dtype=float)
@@ -201,13 +183,6 @@ class Jet:
             for i in range(dim):
                 for j in range(i, dim):
                     coeff[..., pos[i, j]] = hessian[..., i, j] / fac[i, j]
-        if order >= 3 and third is not None:
-            third = np.asarray(third, dtype=float)
-            pos, fac = space.third_slots()
-            for i in range(dim):
-                for j in range(i, dim):
-                    for k in range(j, dim):
-                        coeff[..., pos[i, j, k]] = third[..., i, j, k] / fac[i, j, k]
         return cls(space, coeff)
 
     # -- accessors ---------------------------------------------------------
@@ -238,19 +213,6 @@ class Jet:
             raise ValueError("hessian requires a jet of order >= 2")
         pos, fac = self.space.hessian_slots()
         return self.coeff[..., pos] * fac
-
-    def third(self):
-        if self.order < 3:
-            raise ValueError("third derivatives require a jet of order >= 3")
-        pos, fac = self.space.third_slots()
-        return self.coeff[..., pos] * fac
-
-    def derivative(self, var):
-        """Partial derivative with respect to coordinate ``var``; drops one order."""
-        if self.order < 1:
-            raise ValueError("cannot differentiate a jet of order 0")
-        src, fac = self.space.derivative_table(var)
-        return Jet(jet_space(self.dim, self.order - 1), self.coeff[..., src] * fac)
 
     def truncated(self, order):
         if order > self.order:

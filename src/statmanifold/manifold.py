@@ -128,12 +128,12 @@ class ManifoldSpec:
 
     # -- validation ------------------------------------------------------------
 
-    def validate(self, probe=True):
+    def validate(self):
         """Raise :class:`SpecValidationError` collecting every problem found."""
-        self._parsed_sources(probe)
+        self._parsed_sources()
         return self
 
-    def _parsed_sources(self, probe=True):
+    def _parsed_sources(self):
         """The work of :meth:`validate`; returns {source: AST} of each distinct source."""
         problems = []
         if not 2 <= self.dim <= MAX_DIM:
@@ -194,8 +194,7 @@ class ManifoldSpec:
         if problems:
             raise SpecValidationError(problems)
 
-        if probe:
-            self._probe(asts, problems)
+        self._probe(asts, problems)
         if problems:
             raise SpecValidationError(problems)
         return asts

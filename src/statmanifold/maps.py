@@ -41,6 +41,11 @@ def band_agreement(a, b, tolerance):
     return "consistent" if a_state == b_state else "inconsistent"
 
 
+def _tension(geom, source_jets):
+    """Tension of id:(M,g,D)->(M,g,nabla^g), tr_g(nabla^g - D), at the order of D's jets."""
+    return jet_einsum("ij,kij->k", geom.ginv_jets, geom.gamma_jets - source_jets)
+
+
 class IdentityMapReport:
     """Identity-map fields and the residuals of their defining identities."""
 
@@ -51,13 +56,12 @@ class IdentityMapReport:
         # the frame keeps the dual connections at order 1; tau and tau-bar are
         # differentiated twice, so their order-2 connections live only here
         gamma, k = geom.gamma_jets, stat.K_jets
-        self.tau_jets = jet_einsum("ij,kij->k", geom.ginv_jets, gamma - (gamma + k))
-        self.taubar_jets = jet_einsum("ij,kij->k", geom.ginv_jets, gamma - (gamma - k))
+        self.tau_jets = _tension(geom, gamma + k)
+        self.taubar_jets = _tension(geom, gamma - k)
         self.tau = self.tau_jets.value
         self.taubar = self.taubar_jets.value
-        # hat tension of id:(M,g,nabla^g)->(M,g,nabla^g), from the same definition;
-        # only its values are used, so it is evaluated at order 0
-        self.tauhat = np.einsum("pij,pkij->pk", geom.ginv, geom.gamma - geom.gamma)
+        # hat tension of id:(M,g,nabla^g)->(M,g,nabla^g); only its values are used
+        self.tauhat = _tension(geom, gamma.truncated(0)).value
 
         # general route: bi-tension from the connection-Laplacian formula
         trace_k_jets = jet_einsum("ij,kij->k", geom.ginv_jets, stat.K_jets)

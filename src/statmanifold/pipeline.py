@@ -34,7 +34,13 @@ from .geometry import (
 from .jets import coordinate_jets
 from .manifold import ManifoldSpec, SpecValidationError
 from .maps import INCONCLUSIVE, IdentityMapReport, band, band_agreement
-from .statistical import StatisticalFrame, fit_constant_curvature, scalar_relation_gap
+from .statistical import (
+    StatisticalFrame,
+    difference_tensor,
+    fit_constant_curvature,
+    scalar_relation_gap,
+    tchebychev,
+)
 
 PASS, FAIL, NOT_APPLICABLE = "pass", "fail", "not-applicable"
 
@@ -466,6 +472,8 @@ def _shrink_box(spec, margin):
 
 def _tchebychev_values(compiled, points):
     """Pointwise T through the order-0 route: values of g, C -> K -> trace."""
-    ginv = np.linalg.inv(compiled.metric_jets(points, 0).value)
-    k = -0.5 * np.einsum("pkl,pijl->pkij", ginv, compiled.cubic_jets(points, 0).value)
-    return np.einsum("pij,pkij->pk", ginv, k)
+    g = compiled.metric_jets(points, 0).value
+    ginv = np.linalg.inv(g)
+    # the compiled C fills all six permutations from one source, so it is symmetric
+    k = difference_tensor(ginv, compiled.cubic_jets(points, 0).value, require_symmetric=False)
+    return tchebychev(ginv, k, g)[0]

@@ -15,11 +15,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import GeometryFrame, curvature_components, ricci_components
+from .geometry import DOWN, UP, GeometryFrame, curvature_components, ricci_components
 from .jets import jet_einsum
-from .tensor import DOWN, UP
 
 _PERMUTATIONS = ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+SYMMETRY_TOLERANCE = 1e-9
 
 
 class CubicFormAsymmetry(ValueError):
@@ -30,35 +30,28 @@ class CubicFormAsymmetry(ValueError):
         self.max_asymmetry = max_asymmetry
 
 
-def _cubic_asymmetry(cubic):
+def _require_symmetric(cubic):
+    """Raise :class:`CubicFormAsymmetry` unless C is symmetric to SYMMETRY_TOLERANCE (relative)."""
     batch_perm = lambda p: tuple(range(cubic.ndim - 3)) + tuple(cubic.ndim - 3 + i for i in p)
-    return max(float(np.max(np.abs(cubic - np.transpose(cubic, batch_perm(p))))) for p in _PERMUTATIONS)
+    asym = max(float(np.max(np.abs(cubic - np.transpose(cubic, batch_perm(p))))) for p in _PERMUTATIONS)
+    if asym > SYMMETRY_TOLERANCE * (1.0 + float(np.max(np.abs(cubic)))):
+        raise CubicFormAsymmetry(asym)
 
 
-def difference_tensor(g_inv, cubic, require_symmetric=True, symmetry_tol=1e-9):
-    """K^k_ij = -1/2 g^{kl} C_{ijl}; accepts single-point or batched arrays."""
+def difference_tensor(g_inv, cubic, require_symmetric=True):
+    """K^k_ij = -1/2 g^{kl} C_{ijl}, at one point or on a batch."""
     g_inv = np.asarray(g_inv, dtype=float)
     cubic = np.asarray(cubic, dtype=float)
-    single = cubic.ndim == 3
-    if single:
-        g_inv, cubic = g_inv[None], cubic[None]
     if require_symmetric:
-        asym = _cubic_asymmetry(cubic)
-        if asym > symmetry_tol * (1.0 + float(np.max(np.abs(cubic)))):
-            raise CubicFormAsymmetry(asym)
-    k = -0.5 * np.einsum("pkl,pijl->pkij", g_inv, cubic)
-    return k[0] if single else k
+        _require_symmetric(cubic)
+    return -0.5 * np.einsum("...kl,...ijl->...kij", g_inv, cubic)
 
 
 def cubic_from_difference(g, difference):
-    """Reconstruct C(X,Y,Z) = -2 g(K_X Y, Z)."""
+    """Reconstruct C(X,Y,Z) = -2 g(K_X Y, Z), at one point or on a batch."""
     g = np.asarray(g, dtype=float)
     difference = np.asarray(difference, dtype=float)
-    single = difference.ndim == 3
-    if single:
-        g, difference = g[None], difference[None]
-    c = -2.0 * np.einsum("plij,plk->pijk", difference, g)
-    return c[0] if single else c
+    return -2.0 * np.einsum("...lij,...lk->...ijk", difference, g)
 
 
 def tchebychev(g_inv, difference, g):
@@ -66,12 +59,8 @@ def tchebychev(g_inv, difference, g):
     g_inv = np.asarray(g_inv, dtype=float)
     difference = np.asarray(difference, dtype=float)
     g = np.asarray(g, dtype=float)
-    single = difference.ndim == 3
-    if single:
-        g_inv, difference, g = g_inv[None], difference[None], g[None]
-    t = np.einsum("pij,pkij->pk", g_inv, difference)
-    eta = np.einsum("pkl,pl->pk", g, t)
-    return (t[0], eta[0]) if single else (t, eta)
+    t = np.einsum("...ij,...kij->...k", g_inv, difference)
+    return t, np.einsum("...kl,...l->...k", g, t)
 
 
 def interchange_tensor(riemann, g, ginv):
@@ -122,16 +111,14 @@ class StatisticalFrame:
     then kept, so a caller pays only for what it reads.
     """
 
-    def __init__(self, geometry: GeometryFrame, cubic_jets, symmetry_tol=1e-9):
+    def __init__(self, geometry: GeometryFrame, cubic_jets):
         self.geometry = geometry
         m = geometry.dim
         if cubic_jets.batch_shape != (geometry.num_points, m, m, m):
             raise ValueError("cubic jets must have batch shape (N, m, m, m)")
         self.C_jets = cubic_jets
         self.C = cubic_jets.value
-        asym = _cubic_asymmetry(self.C)
-        if asym > symmetry_tol * (1.0 + float(np.max(np.abs(self.C)))):
-            raise CubicFormAsymmetry(asym)
+        _require_symmetric(self.C)
 
         self.K_jets = -0.5 * jet_einsum("kl,ijl->kij", geometry.ginv_jets, cubic_jets)
         self.K = self.K_jets.value
@@ -155,7 +142,7 @@ class StatisticalFrame:
     dbar = property(lambda self: self._dual_connections[3])
     R = cached_property(lambda self: curvature_components(self.nabla, self.dnabla))
     Rbar = cached_property(lambda self: curvature_components(self.bar, self.dbar))
-    ric = cached_property(lambda self: ricci_components(self.R, self.geometry.g, self.geometry.frame))
+    ric = cached_property(lambda self: ricci_components(self.R))
     L = cached_property(lambda self: interchange_tensor(self.R, self.geometry.g, self.geometry.ginv))
     Lbar = cached_property(
         lambda self: interchange_tensor(self.Rbar, self.geometry.g, self.geometry.ginv)
@@ -341,7 +328,3 @@ class StatisticalFrame:
             "gradient_term": g_dk_dk,
             "residual": residual,
         }
-
-    def conjugate(self):
-        """The statistical frame of (g, -C); its nabla is this frame's nabla-bar."""
-        return StatisticalFrame(self.geometry, -1.0 * self.C_jets)

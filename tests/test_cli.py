@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from statmanifold import ManifoldSpec
 from statmanifold.cli import main
 
 
@@ -85,7 +86,24 @@ def test_run_rejects_invalid_spec(tmp_path, capsys):
     }
     path.write_text(json.dumps(payload))
     assert main(["run", str(path)]) == 3
-    assert "sorted index triple" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "sorted index triple" in err
+    assert main(["crosscheck", str(path)]) == 3
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("command", ["run", "crosscheck"])
+def test_each_command_validates_the_spec_once(centroaffine_spec, monkeypatch, command):
+    calls = []
+    parsed_sources = ManifoldSpec._parsed_sources
+
+    def counted(self):
+        calls.append(self.name)
+        return parsed_sources(self)
+
+    monkeypatch.setattr(ManifoldSpec, "_parsed_sources", counted)
+    assert main([command, str(centroaffine_spec)]) == 0
+    assert len(calls) == 1
 
 
 def test_run_rejects_non_finite_expression(centroaffine_spec, capsys):

@@ -14,7 +14,7 @@ from statmanifold import (
     parse_expression,
     to_source,
 )
-from statmanifold.expr import central_differences, offset_to_line_col
+from statmanifold.expr import central_differences
 
 # the fd-versus-jet corpus: every operator and call at least once
 CORPUS = [
@@ -64,11 +64,6 @@ def test_syntax_errors_carry_offsets():
         parse_expression("sin", ["x1"])
     with pytest.raises(ExprSyntaxError):
         parse_expression("", ["x1"])
-
-
-def test_offset_to_line_col():
-    src = "x1 +\n x3*2"
-    assert offset_to_line_col(src, 6) == (2, 2)
 
 
 def test_roundtrip_pretty_print():

@@ -9,6 +9,7 @@ import pytest
 from statmanifold import (
     GeometryFrame,
     ManifoldSpec,
+    MetricNotPositiveDefinite,
     SampleSpec,
     centroaffine_power_surface,
     eval_jet,
@@ -88,11 +89,43 @@ def test_first_bianchi_and_metricity():
         assert np.max(np.abs(geom.gamma - np.einsum("pkij->pkji", geom.gamma))) == 0.0
 
 
-def test_ricci_frame_trace_equals_plain_trace():
-    inst = sphere_stereographic(3, 1.5)
-    geom, _, _ = evaluate_spec(inst.spec, count=20)
-    plain = np.einsum("paaxy->pxy", geom.riemann)
-    np.testing.assert_allclose(geom.ricci, plain, atol=1e-12)
+def test_ricci_is_the_orthonormal_frame_trace():
+    # oracle: Ric(X, Y) = sum_i g(R(e_i, X)Y, e_i) over a g-orthonormal frame,
+    # on a chart whose metric is not Einstein and whose statistical Ric is
+    # not symmetric, so a transposed trace shows
+    spec = ManifoldSpec(
+        name="non-einstein-m3",
+        dim=3,
+        coordinates=["x1", "x2", "x3"],
+        metric={
+            "11": "1 + 0.3*x2*x2", "22": "1 + 0.2*x3*x3", "33": "1 + 0.1*x1*x1",
+            "12": "0.1*x3", "13": "0", "23": "0",
+        },
+        cubic=random_polynomial_cubic(3, 2, seed=1).spec.cubic,
+        sample=SampleSpec(box={f"x{i}": (-1.0, 1.0) for i in (1, 2, 3)}, count=20),
+    )
+    geom, stat, _ = evaluate_spec(spec)
+    # columns of the inverse transpose of the Cholesky factor: E^T g E = I
+    frame = np.swapaxes(np.linalg.inv(np.linalg.cholesky(geom.g)), -1, -2)
+    identity = np.einsum("pai,pab,pbj->pij", frame, geom.g, frame)
+    np.testing.assert_allclose(identity, np.broadcast_to(np.eye(3), identity.shape), atol=1e-14)
+
+    def frame_trace(riemann):
+        return np.einsum("pai,pci,plc,plaxy->pxy", frame, frame, geom.g, riemann)
+
+    traceless = geom.ricci - geom.scalar[:, None, None] / 3.0 * geom.g
+    assert np.max(np.abs(traceless)) > 1e-2
+    assert np.max(np.abs(stat.ric - np.swapaxes(stat.ric, 1, 2))) > 1e-2
+    np.testing.assert_allclose(geom.ricci, frame_trace(geom.riemann), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(stat.ric, frame_trace(stat.R), rtol=0, atol=1e-13)
+
+
+def test_geometry_frame_rejects_indefinite_metric():
+    space = jet_space(2, 2)
+    coeff = np.zeros((1, 2, 2, space.ncoeff))
+    coeff[0, :, :, 0] = np.diag([1.0, -1.0])
+    with pytest.raises(MetricNotPositiveDefinite):
+        GeometryFrame([[0.0, 0.0]], Jet(space, coeff))
 
 
 def test_covariant_derivative_of_constant_field_flat():

@@ -7,6 +7,7 @@ import pytest
 from statmanifold import (
     CubicFormAsymmetry,
     ManifoldSpec,
+    StatisticalFrame,
     centroaffine_power_surface,
     cubic_from_difference,
     difference_tensor,
@@ -143,7 +144,7 @@ def test_duality_and_remark_formulae():
 
 def test_conjugation_involution():
     _, stat, _ = frames(centroaffine_power_surface(1.0, 2.0), count=20)
-    conj = stat.conjugate()
+    conj = StatisticalFrame(stat.geometry, -1.0 * stat.C_jets)
     np.testing.assert_allclose(conj.nabla, stat.bar, atol=0.0)
     np.testing.assert_allclose(conj.bar, stat.nabla, atol=0.0)
     np.testing.assert_allclose(conj.T, -stat.T, atol=0.0)
