@@ -9,11 +9,12 @@ from the (g, C) data and prints the residuals.
 
 import numpy as np
 
-from statmanifold import IdentityMapReport, centroaffine_power_surface, evaluate_spec
+from statmanifold import centroaffine_power_surface, evaluate_spec, run_diagnostics
 
 a1, a2 = 1.0, 2.0
 instance = centroaffine_power_surface(a1, a2)
 geom, stat, ident = evaluate_spec(instance.spec)
+report = run_diagnostics(instance.spec)  # the same sample, reduced into the report
 pts = geom.points
 print(f"instance: {instance.name}, {pts.shape[0]} sample points")
 
@@ -27,10 +28,10 @@ print("|nabla^g T| (vanishes) :", np.max(np.abs(stat.tch)))
 
 print()
 print("== curvature condition ==")
-lam, residual = stat.constant_curvature_fit()
-print(f"fitted lambda = {lam:+.12f}, max residual {np.max(residual):.2e}")
+fit = report.constant_curvature
+print(f"fitted lambda = {fit['lambda']:+.12f}, max residual {fit['max_residual']:.2e}")
 print("scalar relation |lambda m(m-1) - (rho + g(T,T) - g(K,K))|:",
-      np.max(stat.scalar_relation_residual(lam)))
+      report.checks["scalar_curvature_relation"].max_residual)
 
 print()
 print("== identity map fields ==")
@@ -38,7 +39,7 @@ print("tau(id) + T = 0        :", np.max(ident.tension_residual()))
 print("taubar(id) - T = 0     :", np.max(ident.conjugate_tension_residual()))
 print("bi-tension tau2        :", np.max(np.abs(ident.tau2)))
 print("bi-tension taubar2     :", np.max(np.abs(ident.taubar2)))
-print("semi-equiaffine flag   :", ident.semi_equiaffine_flag(1e-8))
+print("semi-equiaffine flag   :", report.flags["semi_equiaffine"])
 
 print()
 print("== equiaffine exponents ==")

@@ -13,26 +13,28 @@ control.  The two identities behind the equivalence hold either way.
 
 import numpy as np
 
-from statmanifold import evaluate_spec, flat_constant_cubic, random_polynomial_cubic
+from statmanifold import evaluate_spec, flat_constant_cubic, random_polynomial_cubic, run_diagnostics
 
 print("== flat chart, parallel cubic form (torus instance) ==")
 inst = flat_constant_cubic(2, {"111": 2.0, "122": -0.5})
 _, stat, ident = evaluate_spec(inst.spec)
+report = run_diagnostics(inst.spec)
 print("T (constant)          :", stat.T[0])
 print("max |nabla^g T|       :", np.max(np.abs(stat.tch)))
 print("max |(T1)|, |(T2)|    :", np.max(np.abs(ident.t1)), np.max(np.abs(ident.t2)))
 print("max |tau2|, |taubar2| :", np.max(np.abs(ident.tau2)), np.max(np.abs(ident.taubar2)))
-print("semi-equiaffine       :", ident.semi_equiaffine_flag(1e-8))
+print("semi-equiaffine       :", report.flags["semi_equiaffine"])
 
 print()
 print("== random polynomial cubic form (negative control) ==")
 inst = random_polynomial_cubic(2, degree=2, seed=9)
 _, stat, ident = evaluate_spec(inst.spec)
+report = run_diagnostics(inst.spec)
 res_a, res_b = ident.main1_residuals()
 print("max |(T1)|, |(T2)|    :", np.max(np.abs(ident.t1)), np.max(np.abs(ident.t2)))
 print("max |tau2|, |taubar2| :", np.max(np.abs(ident.tau2)), np.max(np.abs(ident.taubar2)))
-print("semi-equiaffine       :", ident.semi_equiaffine_flag(1e-8))
-print("flag equivalence      :", ident.flag_equivalence(1e-8))
+print("semi-equiaffine       :", report.flags["semi_equiaffine"])
+print("flag equivalence      :", report.main1_flag_equivalence)
 print("identity residual A   :", np.max(res_a), " (tau2 - taubar2 vs harmonic difference formula)")
 print("identity residual B   :", np.max(res_b), " (tau2 + taubar2 vs -2 (T2))")
 

@@ -26,7 +26,6 @@ from .expr import (
     NonConstantExponentError,
     UnknownIdentifierError,
     eval_jet,
-    eval_value,
     fd_jet,
     parse_expression,
     to_source,
@@ -81,7 +80,6 @@ __all__ = [
     "cubic_from_difference",
     "difference_tensor",
     "eval_jet",
-    "eval_value",
     "evaluate_spec",
     "fd_jet",
     "flat_constant_cubic",

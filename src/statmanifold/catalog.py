@@ -9,11 +9,15 @@ reproduce.  The catalog is the regression backbone of the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
+from .jets import MAX_DIM
 from .manifold import ManifoldSpec, SampleSpec
+
+# the random cubic coefficients are uniform in [-AMPLITUDE, AMPLITUDE]
+AMPLITUDE = 0.5
 
 
 @dataclass
@@ -115,11 +119,11 @@ def centroaffine_power_surface(a1=1.0, a2=2.0):
     )
 
 
-def random_symmetric_constants(dim, seed, amplitude=0.5):
+def random_symmetric_constants(dim, seed):
     """Totally symmetric constant cubic components, keyed by sorted index strings."""
     rng = np.random.default_rng(seed)
     return {
-        "".join(str(i + 1) for i in combo): round(float(amplitude * (2.0 * rng.random() - 1.0)), 6)
+        "".join(str(i + 1) for i in combo): round(float(AMPLITUDE * (2.0 * rng.random() - 1.0)), 6)
         for combo in combinations_with_replacement(range(dim), 3)
     }
 
@@ -130,30 +134,24 @@ def flat_constant_cubic(dim=2, cubic=None):
     The Tchebychev field T^k = -1/2 sum_i C_iik is constant, nabla^g T = 0,
     and the structure is semi-equiaffine; it descends to the standard torus.
     """
-    if not 2 <= dim <= 8:
-        raise ValueError("dim must be in 2..8")
+    if not 2 <= dim <= MAX_DIM:
+        raise ValueError(f"dim must be in 2..{MAX_DIM}")
     if cubic is None:
         cubic = {"111": 2.0}
     cubic = {key: float(value) for key, value in cubic.items()}
-    metric = {}
-    for i in range(1, dim + 1):
-        for j in range(i, dim + 1):
-            metric[f"{i}{j}"] = "1" if i == j else "0"
     coords = [f"x{i}" for i in range(1, dim + 1)]
     spec = ManifoldSpec(
         name=f"flat-constant-cubic-m{dim}",
         dim=dim,
         coordinates=coords,
-        metric=metric,
+        metric=_diagonal_metric(dim, "1"),
         cubic={key: repr(value) for key, value in cubic.items()},
         sample=SampleSpec(box={name: (-1.0, 1.0) for name in coords}),
     )
 
     full = np.zeros((dim, dim, dim))
     for key, value in cubic.items():
-        idx = [int(ch) - 1 for ch in key]
-        for perm in {(idx[0], idx[1], idx[2]), (idx[0], idx[2], idx[1]), (idx[1], idx[0], idx[2]),
-                     (idx[1], idx[2], idx[0]), (idx[2], idx[0], idx[1]), (idx[2], idx[1], idx[0])}:
+        for perm in permutations(int(ch) - 1 for ch in key):
             full[perm] = value
     t_const = -0.5 * np.einsum("iik->k", full)
 
@@ -179,21 +177,22 @@ def flat_constant_cubic(dim=2, cubic=None):
     )
 
 
+def _diagonal_metric(dim, entry):
+    """Metric components with ``entry`` on the diagonal and 0 off it."""
+    pairs = combinations_with_replacement(range(1, dim + 1), 2)
+    return {f"{i}{j}": entry if i == j else "0" for i, j in pairs}
+
+
 def _conformal_spec(dim, curvature, kind):
     coords = [f"x{i}" for i in range(1, dim + 1)]
     norm = " + ".join(f"{x}*{x}" for x in coords)
-    expr = f"4/pow(1 + c*({norm}), 2)"
-    metric = {}
-    for i in range(1, dim + 1):
-        for j in range(i, dim + 1):
-            metric[f"{i}{j}"] = expr if i == j else "0"
     half_width = 0.5 / np.sqrt(abs(curvature) * dim)
     return ManifoldSpec(
         name=f"{kind}-m{dim}-c{curvature:g}",
         dim=dim,
         coordinates=coords,
         parameters={"c": float(curvature)},
-        metric=metric,
+        metric=_diagonal_metric(dim, f"4/pow(1 + c*({norm}), 2)"),
         sample=SampleSpec(box={name: (-half_width, half_width) for name in coords}),
     )
 
@@ -270,7 +269,7 @@ def _conformal_metric(points, curvature):
     return np.einsum("p,ij->pij", factor, np.eye(m))
 
 
-def random_polynomial_cubic(dim=2, degree=2, seed=0, amplitude=0.5):
+def random_polynomial_cubic(dim=2, degree=2, seed=0):
     """Flat chart with a random polynomial cubic form (seeded, generically
     neither equiaffine nor semi-equiaffine); the negative control family."""
     if degree < 0 or degree > 2:
@@ -284,19 +283,15 @@ def random_polynomial_cubic(dim=2, degree=2, seed=0, amplitude=0.5):
     rng = np.random.default_rng(seed)
     cubic = {}
     for combo in combinations_with_replacement(range(1, dim + 1), 3):
-        coeffs = amplitude * (2.0 * rng.random(len(monomials)) - 1.0)
+        coeffs = AMPLITUDE * (2.0 * rng.random(len(monomials)) - 1.0)
         terms = [f"{round(float(c), 6)!r}*{mono}" if mono != "1" else f"{round(float(c), 6)!r}"
                  for c, mono in zip(coeffs, monomials)]
         cubic["".join(str(i) for i in combo)] = " + ".join(terms)
-    metric = {}
-    for i in range(1, dim + 1):
-        for j in range(i, dim + 1):
-            metric[f"{i}{j}"] = "1" if i == j else "0"
     spec = ManifoldSpec(
         name=f"flat-random-cubic-m{dim}-seed{seed}",
         dim=dim,
         coordinates=coords,
-        metric=metric,
+        metric=_diagonal_metric(dim, "1"),
         cubic=cubic,
         sample=SampleSpec(box={name: (-1.0, 1.0) for name in coords}),
     )

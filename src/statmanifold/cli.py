@@ -17,7 +17,7 @@ import sys
 
 from .catalog import builtin_names, get_builtin
 from .manifold import ManifoldSpec, SpecValidationError
-from .pipeline import DEFAULT_TOLERANCE, FD_TOLERANCE, crosscheck, run_diagnostics
+from .pipeline import DEFAULT_TOLERANCE, FD_STEP, FD_TOLERANCE, crosscheck, run_diagnostics
 
 
 def _build_parser():
@@ -42,7 +42,7 @@ def _build_parser():
 
     cross = sub.add_parser("crosscheck", help="compare jet derivatives against finite differences")
     cross.add_argument("spec", help="path to a manifold spec (JSON)")
-    cross.add_argument("--h", type=float, default=1e-3, help="central-difference step")
+    cross.add_argument("--h", type=float, default=FD_STEP, help="central-difference step")
     cross.add_argument("--threshold", type=float, default=FD_TOLERANCE)
     cross.add_argument("--samples", type=int, default=None)
     cross.add_argument("--seed", type=int, default=None)

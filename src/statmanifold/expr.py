@@ -17,6 +17,7 @@ immutable and safe to share; evaluation is pure.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ import numpy as np
 from .jets import Jet, JetDomainError, coordinate_jets, jet_space
 
 FUNCTIONS = {"pow": 2, "exp": 1, "log": 1, "sin": 1, "cos": 1, "sqrt": 1}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 class ExprError(ValueError):
@@ -242,13 +244,7 @@ def _fold_constant(node):
         right = _fold_constant(node.right)
         if left is None or right is None:
             return None
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        return left / right
+        return _BINARY[node.op](left, right)
     return None
 
 
@@ -330,13 +326,7 @@ def eval_jet(node, point, order):
             left = ev(n.left)
             right = ev(n.right)
             try:
-                if n.op == "+":
-                    return left + right
-                if n.op == "-":
-                    return left - right
-                if n.op == "*":
-                    return left * right
-                return left / right
+                return _BINARY[n.op](left, right)
             except JetDomainError as err:
                 raise _domain_error(err, n, point) from None
         if isinstance(n, Call):
@@ -367,11 +357,6 @@ def _domain_error(err, node, point):
         node,
         np.asarray(at),
     )
-
-
-def eval_value(node, point):
-    """Plain evaluation (order-0 jet value)."""
-    return eval_jet(node, point, 0).value
 
 
 def central_differences(fn, point, h, order=2):
@@ -417,7 +402,9 @@ def fd_jet(node, point, order, h):
     """
     if order not in (1, 2):
         raise ValueError("fd_jet supports orders 1 and 2")
-    if h <= 0:
-        raise ValueError("fd step must be positive")
-    value, gradient, hessian = central_differences(lambda q: eval_value(node, q), point, h, order)
+    if not 0 < h < np.inf:
+        raise ValueError("fd step must be finite and positive")
+    value, gradient, hessian = central_differences(
+        lambda q: eval_jet(node, q, 0).value, point, h, order
+    )
     return Jet.from_derivatives(np.shape(point)[-1], order, value, gradient, hessian)

@@ -29,15 +29,15 @@ class MetricNotPositiveDefinite(ValueError):
     """The metric is not positive definite at a sample point."""
 
 
-def jet_matrix_inverse(g_jets, order=None):
-    """Inverse of a jet-valued matrix via the truncated Neumann series.
+def jet_matrix_inverse(g_jets, order):
+    """Inverse of a jet-valued matrix at ``order`` via the Neumann series.
 
-    Writing G = G0 (I + X) with X = G0^{-1}(G - G0), the non-constant part X
-    is nilpotent in the truncated algebra, so I - X + X^2 - X^3 terminates.
-    The result has ``order`` (default: the order of ``g_jets``).
+    Writing G = G0 (I + X) with X = G0^{-1} G - I, the sum I - X + X^2 - ...
+    is cut after X^order.  X's constant coefficient is G0^{-1} G0 - I,
+    rounding noise rather than 0, so X is nilpotent only up to that noise:
+    the low coefficients of the result move in their last bits with ``order``.
     """
     m = g_jets.dim
-    order = g_jets.order if order is None else order
     space = jet_space(m, order)
     g = g_jets.truncated(order).coeff
     g0_inv = np.linalg.inv(g[..., 0])
@@ -121,23 +121,6 @@ def covariant_derivative_jets(field, coeff_jets, variance):
     return out
 
 
-def covariant_derivative_components(values, jacobian, coeff, variance):
-    """Numeric covariant derivative from component values and partials.
-
-    ``values``: (N, m^r), ``jacobian``: (N, m^r, m) with the partial axis
-    last, ``coeff``: (N, m, m, m).  Returns (N, m^r, m), direction last.
-    """
-    out = jacobian.copy()
-    for s, flag in enumerate(variance):
-        src = np.moveaxis(values, 1 + s, 1)  # slot s first among tensor axes
-        if flag == UP:
-            corr = np.einsum("pkda,pa...->pk...d", coeff, src)
-        else:
-            corr = -np.einsum("padi,pa...->pi...d", coeff, src)
-        out += np.moveaxis(corr, 1, 1 + s)
-    return out
-
-
 class GeometryFrame:
     """Levi-Civita data for a batch of chart points.
 
@@ -207,11 +190,7 @@ class GeometryFrame:
         return self._nabla[key][1]
 
     def divergence(self, vector_jets):
-        """div V = tr(nabla V)."""
-        return np.einsum("pkk->p", self.nabla(vector_jets, (UP,)).value)
-
-    def divergence_jet(self, vector_jets):
-        """div V as a scalar jet (order drops by one)."""
+        """div V = tr(nabla V) as a scalar jet (order drops by one)."""
         grad = self.nabla(vector_jets, (UP,))
         return Jet(grad.space, np.trace(grad.coeff, axis1=-3, axis2=-2))
 
@@ -278,7 +257,7 @@ class GeometryFrame:
         """Residual of X div(V) = g(Delta_g V, X) - Ric(V, X) for V = grad f."""
         v_jets = self.gradient_field(f_jet)
         v = v_jets.value
-        lhs = self.divergence_jet(v_jets).gradient()  # (N, x)
+        lhs = self.divergence(v_jets).gradient()  # (N, x)
         delta_v = self.rough_laplacian(v_jets)
         rhs = np.einsum("pxa,pa->px", self.g, delta_v) - np.einsum(
             "pax,pa->px", self.ricci, v

@@ -75,11 +75,6 @@ class JetSpace:
         self.ncoeff = len(self.exponents)
         self.position = {e: i for i, e in enumerate(self.exponents)}
         self.degrees = np.array([sum(e) for e in self.exponents])
-        # number of coefficients of degree <= d, usable as a truncation slice
-        self.ncoeff_at = [int(np.sum(self.degrees <= d)) for d in range(order + 1)]
-        self.factorials = np.array(
-            [math.prod(math.factorial(k) for k in e) for e in self.exponents], dtype=float
-        )
         self._product = None
         self._derivative = {}
         self._hessian_slots = None

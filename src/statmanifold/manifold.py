@@ -27,7 +27,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 
@@ -89,9 +89,9 @@ class ManifoldSpec:
                 parameters={k: float(v) for k, v in (data.get("parameters") or {}).items()},
                 sample=SampleSpec(
                     box=box,
-                    count=int(sample.get("count", 100)),
-                    seed=int(sample.get("seed", 42)),
-                    strategy=str(sample.get("strategy", "uniform")),
+                    count=int(sample.get("count", SampleSpec.count)),
+                    seed=int(sample.get("seed", SampleSpec.seed)),
+                    strategy=str(sample.get("strategy", SampleSpec.strategy)),
                 ),
             )
         except (KeyError, TypeError, ValueError) as err:
@@ -129,12 +129,8 @@ class ManifoldSpec:
     # -- validation ------------------------------------------------------------
 
     def validate(self):
-        """Raise :class:`SpecValidationError` collecting every problem found."""
-        self._parsed_sources()
-        return self
-
-    def _parsed_sources(self):
-        """The work of :meth:`validate`; returns {source: AST} of each distinct source."""
+        """Raise :class:`SpecValidationError` collecting every problem found;
+        return {source: AST} of each distinct source."""
         problems = []
         if not 2 <= self.dim <= MAX_DIM:
             problems.append(f"dim must be in 2..{MAX_DIM}, got {self.dim}")
@@ -189,8 +185,9 @@ class ManifoldSpec:
                         problems.append(f"sample box for {name!r} must satisfy lo < hi")
             if self.sample.strategy not in ("uniform", "grid"):
                 problems.append(f"unknown sampling strategy {self.sample.strategy!r}")
-            if self.sample.count < 0:
-                problems.append("sample count must be nonnegative")
+            for name in ("count", "seed"):
+                if getattr(self.sample, name) < 0:
+                    problems.append(f"sample {name} must be nonnegative")
         if problems:
             raise SpecValidationError(problems)
 
@@ -250,6 +247,7 @@ class ManifoldSpec:
 
     def sample_points(self, count=None, seed=None):
         """Deterministic sample: strategy points plus the corners pulled 10% inward."""
+        require_sample_options(count, seed)
         lo, hi = self._box_arrays()
         count = self.sample.count if count is None else int(count)
         seed = self.sample.seed if seed is None else int(seed)
@@ -268,7 +266,14 @@ class ManifoldSpec:
     # -- compilation ----------------------------------------------------------------
 
     def compile(self):
-        return CompiledManifold(self, self._parsed_sources())
+        return CompiledManifold(self, self.validate())
+
+
+def require_sample_options(count, seed):
+    """Raise ValueError naming ``count`` or ``seed`` if it is negative."""
+    for name, value in (("count", count), ("seed", seed)):
+        if value is not None and int(value) < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 def _shrunk_corners(lo, hi):
@@ -297,7 +302,7 @@ class CompiledManifold:
         )
         self.cubic_slots = _group(
             asts,
-            ((src, _permutations3([int(c) - 1 for c in key])) for key, src in spec.cubic.items()),
+            ((src, permutations([int(c) - 1 for c in key])) for key, src in spec.cubic.items()),
         )
 
     @property
@@ -324,9 +329,6 @@ class CompiledManifold:
                 out[(..., *entry, slice(None))] = coeff
         return Jet(space, out)
 
-    def sample_points(self, count=None, seed=None):
-        return self.spec.sample_points(count, seed)
-
 
 def _group(asts, components):
     """[(ast, entries)], one item per distinct source, in first-seen order."""
@@ -335,7 +337,3 @@ def _group(asts, components):
         groups.setdefault(src, set()).update(entries)
     return [(asts[src], sorted(entries)) for src, entries in groups.items()]
 
-
-def _permutations3(indices):
-    i, j, k = indices
-    return [(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)]

@@ -65,7 +65,7 @@ class IdentityMapReport:
 
         # general route: bi-tension from the connection-Laplacian formula
         trace_k_jets = jet_einsum("ij,kij->k", geom.ginv_jets, stat.K_jets)
-        div_trace_k = geom.divergence(trace_k_jets)
+        div_trace_k = geom.divergence(trace_k_jets).value
         self.tau2 = (
             geom.connection_laplacian(self.tau_jets, stat.bar)
             + div_trace_k[:, None] * self.tau
@@ -136,16 +136,3 @@ class IdentityMapReport:
         t_res = np.max(np.abs(np.concatenate([self.t1, self.t2], axis=1)), axis=1)
         b_res = np.max(np.abs(np.concatenate([self.tau2, self.taubar2], axis=1)), axis=1)
         return t_res, b_res
-
-    def semi_equiaffine_flag(self, tolerance=1e-8):
-        """True iff the (T1) and (T2) residuals stay within tolerance."""
-        return float(np.max(self.flag_residuals()[0])) <= tolerance
-
-    def flag_equivalence(self, tolerance=1e-8):
-        """Compare the (T1) and (T2) flag with the tau2 = taubar2 = 0 flag.
-
-        The two must coincide; a 10x hysteresis band around the tolerance is
-        reported as inconclusive instead of flapping.
-        """
-        t_res, b_res = self.flag_residuals()
-        return band_agreement(float(np.max(t_res)), float(np.max(b_res)), tolerance)

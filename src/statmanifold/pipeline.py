@@ -32,8 +32,8 @@ from .geometry import (
     curvature_components,
 )
 from .jets import coordinate_jets
-from .manifold import ManifoldSpec, SpecValidationError
-from .maps import INCONCLUSIVE, IdentityMapReport, band, band_agreement
+from .manifold import ManifoldSpec, SpecValidationError, require_sample_options
+from .maps import FALSE, INCONCLUSIVE, IdentityMapReport, band, band_agreement
 from .statistical import (
     StatisticalFrame,
     difference_tensor,
@@ -46,7 +46,10 @@ PASS, FAIL, NOT_APPLICABLE = "pass", "fail", "not-applicable"
 
 DEFAULT_TOLERANCE = 1e-8
 FD_TOLERANCE = 1e-4
+FD_STEP = 1e-3
 CONSTANT_CURVATURE_SCALE = 1e-6
+# tolerance of the conditional relations between curvature scalars
+RELATION_TOLERANCE = 1e-6
 # points per frame in run_diagnostics and crosscheck: large enough that numpy
 # dispatch is amortised, small enough that a block's arrays stay in cache
 BLOCK_POINTS = 1024
@@ -155,12 +158,10 @@ def _require_finite(points, stage, **arrays):
             raise SpecValidationError([f"{stage} frame: {name} is not finite at sample point {at}"])
 
 
-def evaluate_spec(spec: ManifoldSpec, points=None, count=None, seed=None):
+def evaluate_spec(spec: ManifoldSpec, count=None, seed=None):
     """Build the geometry, statistical and identity-map frames on a sample."""
     compiled = spec.compile()
-    if points is None:
-        points = compiled.sample_points(count, seed)
-    geometry, statistical = _frames(compiled, np.asarray(points, dtype=float), 3, 2)
+    geometry, statistical = _frames(compiled, spec.sample_points(count, seed), 3, 2)
     return geometry, statistical, IdentityMapReport(statistical)
 
 
@@ -174,6 +175,15 @@ def _probe_scalar(points, order=3):
     for c in coords:
         f = f + 0.5 * (c * c)
     return f
+
+
+def _require_real(name, value, positive=False):
+    """``value`` as a float; ValueError naming it unless finite and >= 0 (> 0 if ``positive``)."""
+    value = float(value)
+    if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
+        bound = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be finite and {bound}, got {value}")
+    return value
 
 
 def _check(points, residual, tolerance, status=None):
@@ -271,10 +281,11 @@ def run_diagnostics(spec: ManifoldSpec, tolerance=DEFAULT_TOLERANCE, count=None,
     sums, so lambda can differ in its last bits between block sizes.
     """
     start = time.perf_counter()
+    tol = _require_real("tolerance", tolerance)
+    require_sample_options(count, seed)
     compiled = spec.compile()
-    points = compiled.sample_points(count, seed)
+    points = spec.sample_points(count, seed)
     res = _per_point(points, lambda block: _block_residuals(compiled, block))
-    tol = float(tolerance)
 
     checks = {
         name: _check(points, residual, max(tol, 1e-12) if name == "difftension" else tol)
@@ -327,10 +338,12 @@ def run_diagnostics(spec: ManifoldSpec, tolerance=DEFAULT_TOLERANCE, count=None,
         flags["semi_equiaffine"] and flags["ric_symmetric"] and peak["ricci_tt"] <= tol,
     )
     checks["scalar_curvature_relation"] = conditional(
-        scalar_relation_gap(lam, spec.dim, fit["scalar_sum"]), 1e-6, cc_flag
+        scalar_relation_gap(lam, spec.dim, fit["scalar_sum"]), RELATION_TOLERANCE, cc_flag
     )
     checks["laplacian_cubic_form"] = conditional(
-        res["laplacian_cubic"], 1e-6, flags["conjugate_symmetric"] and peak["tch_op"] <= 10.0 * tol
+        res["laplacian_cubic"],
+        RELATION_TOLERANCE,
+        flags["conjugate_symmetric"] and band(peak["tch_op"], tol) != FALSE,
     )
     checks["geodesic_potential"] = conditional(
         res["geodesic_potential"], tol, t_norm > tol and peak["geodesic_potential"] <= tol
@@ -394,7 +407,7 @@ def _relative(a, b):
     return np.max((np.abs(a - b) / (1.0 + np.abs(a))).reshape(len(a), -1), axis=1)
 
 
-def crosscheck(spec: ManifoldSpec, h=1e-3, threshold=FD_TOLERANCE, count=None, seed=None):
+def crosscheck(spec: ManifoldSpec, h=FD_STEP, threshold=FD_TOLERANCE, count=None, seed=None):
     """Check every jet-differentiated quantity against central differences.
 
     The sample box is shrunk by 2h on each side so the stencil stays inside
@@ -403,12 +416,13 @@ def crosscheck(spec: ManifoldSpec, h=1e-3, threshold=FD_TOLERANCE, count=None, s
     recomputed from finite-difference derivative estimates and compared,
     block by block as in :func:`run_diagnostics`.
     """
-    if h <= 0:
-        raise ValueError("fd step must be positive")
+    h = _require_real("h", h, positive=True)
+    threshold = _require_real("threshold", threshold)
+    require_sample_options(count, seed)
     compiled = spec.compile()
     points = _shrink_box(spec, 2.0 * h).sample_points(count, seed)
     deviations = _per_point(points, lambda block: _crosscheck_block(compiled, block, h))
-    report = CrosscheckReport(name=spec.name, h=float(h), threshold=float(threshold))
+    report = CrosscheckReport(name=spec.name, h=h, threshold=threshold)
     report.deviations = {name: float(np.max(dev)) for name, dev in deviations.items()}
     return report
 

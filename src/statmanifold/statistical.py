@@ -12,13 +12,13 @@ nabla-bar = nabla^g - K.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import permutations
 
 import numpy as np
 
 from .geometry import DOWN, UP, GeometryFrame, curvature_components, ricci_components
 from .jets import jet_einsum
 
-_PERMUTATIONS = ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 SYMMETRY_TOLERANCE = 1e-9
 
 
@@ -33,7 +33,10 @@ class CubicFormAsymmetry(ValueError):
 def _require_symmetric(cubic):
     """Raise :class:`CubicFormAsymmetry` unless C is symmetric to SYMMETRY_TOLERANCE (relative)."""
     batch_perm = lambda p: tuple(range(cubic.ndim - 3)) + tuple(cubic.ndim - 3 + i for i in p)
-    asym = max(float(np.max(np.abs(cubic - np.transpose(cubic, batch_perm(p))))) for p in _PERMUTATIONS)
+    asym = max(
+        float(np.max(np.abs(cubic - np.transpose(cubic, batch_perm(p)))))
+        for p in permutations(range(3)) if p != (0, 1, 2)
+    )
     if asym > SYMMETRY_TOLERANCE * (1.0 + float(np.max(np.abs(cubic)))):
         raise CubicFormAsymmetry(asym)
 
@@ -244,10 +247,6 @@ class StatisticalFrame:
         """Ric^g(T, T) per point (sign hypothesis of the parallel-T criterion)."""
         return np.einsum("pab,pa,pb->p", self.geometry.ricci, self.T, self.T, optimize="greedy")
 
-    def constant_curvature_fit(self):
-        """(lambda, per-point max residual) of :func:`fit_constant_curvature` on this frame."""
-        return fit_constant_curvature([(self.R, self.geometry.g)])
-
     def tchebychev_norm(self):
         return np.max(np.abs(self.T), axis=1)
 
@@ -263,12 +262,12 @@ class StatisticalFrame:
 
     def t2_vector(self):
         """div^g(T) T + nabla^g_T T, componentwise."""
-        div = self.geometry.divergence(self.T_jets)
+        div = self.geometry.divergence(self.T_jets).value
         return div[:, None] * self.T + np.einsum("pkd,pd->pk", self.tch, self.T)
 
     def geodesic_potential_check(self):
         """(residual, potential): |nabla^g_T T + div(T) T| and rho = -div^g(T)."""
-        div = self.geometry.divergence(self.T_jets)
+        div = self.geometry.divergence(self.T_jets).value
         residual = np.max(np.abs(self.t2_vector()), axis=1)
         return residual, -div
 
@@ -286,10 +285,6 @@ class StatisticalFrame:
     def scalar_sum(self):
         """rho-hat + g(T,T) - g(K,K) per point; lambda m(m-1) under constant curvature."""
         return self.geometry.scalar + self.metric_inner_tt() - self.metric_inner_kk()
-
-    def scalar_relation_residual(self, lam):
-        """|lambda m(m-1) - (rho-hat + g(T,T) - g(K,K))|."""
-        return scalar_relation_gap(lam, self.geometry.dim, self.scalar_sum())
 
     def laplacian_cubic_terms(self):
         """Terms of Delta_g g(K,K) = 2 g(F,K) + 2 g(nabla^g K, nabla^g K).

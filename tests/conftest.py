@@ -18,4 +18,5 @@ def spiked_centroaffine():
     assert gap.max() >= 0.1
     spiked = ManifoldSpec.from_dict(spec.to_dict())
     spiked.cubic["111"] = f"exp(1/((x1-{c!r})*(x1-{c!r}) + 0.001))"
-    return spiked.validate(), c
+    spiked.validate()
+    return spiked, c

@@ -22,7 +22,9 @@ from statmanifold import (
     run_diagnostics,
     sphere_stereographic,
 )
+from statmanifold.maps import band_agreement
 from statmanifold.pipeline import crosscheck
+from statmanifold.statistical import fit_constant_curvature, scalar_relation_gap
 
 IDENTITY_CHECKS = (
     "codazzi",
@@ -104,8 +106,8 @@ def test_criterion_2_main1_identity_suite():
         _, _, ident = evaluate_spec(inst.spec)
         res_a, res_b = ident.main1_residuals()
         worst = max(worst, float(np.max(res_a)), float(np.max(res_b)))
-        equivalent = ident.flag_equivalence(1e-8)
-        if equivalent != "consistent":
+        t_res, b_res = (float(np.max(res)) for res in ident.flag_residuals())
+        if band_agreement(t_res, b_res, 1e-8) != "consistent":
             _report("2 (main1 identity suite)", False, f"flag mismatch on {inst.name}")
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed < 5.0
@@ -140,9 +142,9 @@ def test_criterion_5_constant_curvature_and_scalar_relation():
     detail = []
     for inst in _suite_5():
         _, stat, _ = evaluate_spec(inst.spec)
-        lam, residual = stat.constant_curvature_fit()
+        lam, residual = fit_constant_curvature([(stat.R, stat.geometry.g)])
         fit = float(np.max(residual))
-        rel = float(np.max(stat.scalar_relation_residual(lam)))
+        rel = float(np.max(scalar_relation_gap(lam, inst.spec.dim, stat.scalar_sum())))
         if not (abs(abs(lam) - 1.0) <= 1e-8 and fit <= 1e-6 and rel <= 1e-6):
             ok = False
         detail.append(f"{inst.name}: lambda {lam:+.6f}, fit {fit:.1e}, relation {rel:.1e}")

@@ -95,13 +95,13 @@ def test_run_rejects_invalid_spec(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["run", "crosscheck"])
 def test_each_command_validates_the_spec_once(centroaffine_spec, monkeypatch, command):
     calls = []
-    parsed_sources = ManifoldSpec._parsed_sources
+    validate = ManifoldSpec.validate
 
     def counted(self):
         calls.append(self.name)
-        return parsed_sources(self)
+        return validate(self)
 
-    monkeypatch.setattr(ManifoldSpec, "_parsed_sources", counted)
+    monkeypatch.setattr(ManifoldSpec, "validate", counted)
     assert main([command, str(centroaffine_spec)]) == 0
     assert len(calls) == 1
 
@@ -135,6 +135,36 @@ def test_crosscheck_passes_and_coarse_step_fails(centroaffine_spec, capsys):
     assert main(["crosscheck", str(centroaffine_spec), "--h", "0.3"]) == 2
     captured = capsys.readouterr()
     assert "crosscheck failed" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, option, value, name",
+    [
+        ("crosscheck", "--h", "nan", "h"),
+        ("crosscheck", "--h", "0", "h"),
+        ("crosscheck", "--h", "-0.001", "h"),
+        ("crosscheck", "--threshold", "nan", "threshold"),
+        ("crosscheck", "--threshold", "-1", "threshold"),
+        ("run", "--tol", "nan", "tolerance"),
+        ("run", "--tol", "inf", "tolerance"),
+        ("run", "--tol", "-1", "tolerance"),
+        ("run", "--samples", "-3", "count"),
+        ("run", "--seed", "-1", "seed"),
+        ("crosscheck", "--samples", "-3", "count"),
+        ("crosscheck", "--seed", "-1", "seed"),
+    ],
+)
+def test_bad_run_option_is_named_before_any_work(
+    centroaffine_spec, monkeypatch, capsys, command, option, value, name
+):
+    def unexpected(self):
+        raise AssertionError("the spec was compiled before the options were checked")
+
+    monkeypatch.setattr(ManifoldSpec, "compile", unexpected)
+    assert main([command, str(centroaffine_spec), option, value]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {name} must be ")
+    assert "metric" not in captured.err and captured.out == ""
 
 
 def test_export_unknown_builtin(capsys):

@@ -9,7 +9,6 @@ from statmanifold import (
     NonConstantExponentError,
     UnknownIdentifierError,
     eval_jet,
-    eval_value,
     fd_jet,
     parse_expression,
     to_source,
@@ -34,7 +33,7 @@ def test_parse_centroaffine_metric_component():
     ast = parse_expression(
         "1/(a1+a2+1) * a1*(a1+1)/(x1*x1)", ["x1", "x2"], {"a1": 1.0, "a2": 2.0}
     )
-    value = eval_value(ast, np.array([2.0, 1.0]))
+    value = eval_jet(ast, np.array([2.0, 1.0]), 0).value
     assert value == pytest.approx((1.0 / 4.0) * 1.0 * 2.0 / 4.0)
 
 
@@ -49,7 +48,7 @@ def test_pow_requires_constant_exponent():
         parse_expression("pow(x1, x2)", ["x1", "x2"])
     # parameters substitute to constants and are fine
     ast = parse_expression("pow(x1, a1 + 1)", ["x1"], {"a1": 1.0})
-    assert eval_value(ast, np.array([3.0])) == pytest.approx(9.0)
+    assert eval_jet(ast, np.array([3.0]), 0).value == pytest.approx(9.0)
 
 
 def test_syntax_errors_carry_offsets():
@@ -72,16 +71,18 @@ def test_roundtrip_pretty_print():
         ast = parse_expression(src, ["x1", "x2"])
         again = parse_expression(to_source(ast), ["x1", "x2"])
         pts = 0.3 + rng.random((10, 2))
-        np.testing.assert_allclose(eval_value(ast, pts), eval_value(again, pts), rtol=1e-15)
+        np.testing.assert_allclose(
+            eval_jet(ast, pts, 0).value, eval_jet(again, pts, 0).value, rtol=1e-15
+        )
 
 
 def test_precedence_and_associativity():
     # evaluate with a dummy 1-d point; no variables are referenced
     ast = parse_expression("2 - 3 - 4", [])
-    assert eval_value(ast, np.array([0.0])) == pytest.approx(-5.0)
-    assert eval_value(parse_expression("12/3/2", []), np.array([0.0])) == pytest.approx(2.0)
-    assert eval_value(parse_expression("2 + 3*4", []), np.array([0.0])) == pytest.approx(14.0)
-    assert eval_value(parse_expression("-2*3", []), np.array([0.0])) == pytest.approx(-6.0)
+    assert eval_jet(ast, np.array([0.0]), 0).value == pytest.approx(-5.0)
+    assert eval_jet(parse_expression("12/3/2", []), np.array([0.0]), 0).value == pytest.approx(2.0)
+    assert eval_jet(parse_expression("2 + 3*4", []), np.array([0.0]), 0).value == pytest.approx(14.0)
+    assert eval_jet(parse_expression("-2*3", []), np.array([0.0]), 0).value == pytest.approx(-6.0)
 
 
 def test_eval_jet_matches_fd_on_corpus():
@@ -176,8 +177,9 @@ def test_fd_step_validation():
     ast = parse_expression("x1", ["x1"])
     with pytest.raises(ValueError):
         fd_jet(ast, np.array([1.0]), 3, 1e-3)
-    with pytest.raises(ValueError):
-        fd_jet(ast, np.array([1.0]), 1, -1e-3)
+    for h in (-1e-3, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            fd_jet(ast, np.array([1.0]), 1, h)
 
 
 def test_fd_step_leaving_domain_raises():

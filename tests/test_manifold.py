@@ -99,6 +99,9 @@ def test_box_must_be_ordered_and_complete():
     with pytest.raises(SpecValidationError, match="strategy"):
         minimal_spec(sample={"box": {"x1": [0.0, 1.0], "x2": [0.0, 1.0]},
                              "count": 4, "seed": 1, "strategy": "sobol"}).validate()
+    with pytest.raises(SpecValidationError, match="sample seed must be nonnegative"):
+        minimal_spec(sample={"box": {"x1": [0.0, 1.0], "x2": [0.0, 1.0]},
+                             "count": 4, "seed": -1, "strategy": "uniform"}).validate()
 
 
 def test_probe_detects_domain_violation():

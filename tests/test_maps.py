@@ -8,11 +8,18 @@ from statmanifold import (
     flat_constant_cubic,
     random_polynomial_cubic,
 )
+from statmanifold.maps import band_agreement
 
 
 def identity_report(instance, count=None, seed=None):
     _, stat, ident = evaluate_spec(instance.spec, count=count, seed=seed)
     return stat, ident
+
+
+def flags(ident, tolerance=1e-8):
+    """The semi-equiaffine flag and the flag agreement, as run_diagnostics derives them."""
+    t_res, b_res = (float(np.max(res)) for res in ident.flag_residuals())
+    return t_res <= tolerance, band_agreement(t_res, b_res, tolerance)
 
 
 def test_tension_fields_for_riemannian_structure():
@@ -47,8 +54,7 @@ def test_parallel_tchebychev_gives_vanishing_bitension():
     _, ident = identity_report(flat_constant_cubic(2, {"111": 2.0}), count=30)
     assert np.max(np.abs(ident.tau2)) < 1e-10
     assert np.max(np.abs(ident.taubar2)) < 1e-10
-    assert ident.semi_equiaffine_flag(1e-8)
-    assert ident.flag_equivalence(1e-8) == "consistent"
+    assert flags(ident) == (True, "consistent")
 
 
 def test_bitension_paths_agree_on_random_cubics():
@@ -63,8 +69,7 @@ def test_main1_identities_hold_even_when_conditions_fail():
     assert np.max(res_a) < 1e-8
     assert np.max(res_b) < 1e-8
     # the instance itself is generically not semi-equiaffine
-    assert not ident.semi_equiaffine_flag(1e-8)
-    assert ident.flag_equivalence(1e-8) == "consistent"
+    assert flags(ident) == (False, "consistent")
     assert np.max(np.abs(ident.tau2)) > 1e-3
 
 
@@ -73,8 +78,7 @@ def test_main1_identities_on_centroaffine():
     res_a, res_b = ident.main1_residuals()
     assert np.max(res_a) < 1e-8
     assert np.max(res_b) < 1e-8
-    assert ident.semi_equiaffine_flag(1e-8)
-    assert ident.flag_equivalence(1e-8) == "consistent"
+    assert flags(ident) == (True, "consistent")
 
 
 def test_flag_equivalence_hysteresis_band():
@@ -82,8 +86,8 @@ def test_flag_equivalence_hysteresis_band():
     # dead band and must report inconclusive instead of flapping
     _, ident = identity_report(random_polynomial_cubic(2, 2, seed=31), count=40)
     residual = float(np.max(np.abs(ident.t1)))
-    assert ident.flag_equivalence(residual / 5.0) == "inconclusive"
-    assert ident.flag_equivalence(residual * 2.0) == "consistent"
+    assert flags(ident, residual / 5.0)[1] == "inconclusive"
+    assert flags(ident, residual * 2.0)[1] == "consistent"
 
 
 def test_semi_equiaffine_flag_tracks_bitension_flag():
@@ -94,7 +98,6 @@ def test_semi_equiaffine_flag_tracks_bitension_flag():
     ]
     for inst, expected in cases:
         _, ident = identity_report(inst)
-        assert ident.semi_equiaffine_flag(1e-8) is expected
-        assert ident.flag_equivalence(1e-8) == "consistent"
+        assert flags(ident) == (expected, "consistent")
         bitension = max(np.max(np.abs(ident.tau2)), np.max(np.abs(ident.taubar2)))
         assert bool(bitension <= 1e-8) is expected

@@ -120,7 +120,7 @@ def test_non_finite_frame_values_name_the_stage():
     spec.cubic["111"] = "1e200*x1"
     with pytest.raises(SpecValidationError, match=r"statistical frame: R is not finite at sample point \["):
         with np.errstate(over="ignore", invalid="ignore"):
-            run_diagnostics(spec.validate(), seed=1)
+            run_diagnostics(spec, seed=1)
     # the crosscheck never builds R: it compares the finite nabla^g T, and fails there
     report = crosscheck(spec, seed=1)
     assert not report.passed
@@ -153,7 +153,7 @@ def _sphere_with_polynomial_cubic():
 def test_crosscheck_orders_give_the_compared_quantities(spec):
     # metric 2 and cubic 1 against the diagnostics' 3 and 2, in the crosscheck's own measure
     compiled = spec.compile()
-    points = compiled.sample_points(seed=1)
+    points = spec.sample_points(seed=1)
     low_geometry, low_stat = pipeline._frames(compiled, points, 2, 1, reads=("tch",))
     geometry, stat = pipeline._frames(compiled, points, 3, 2)
     for low, full in (

@@ -6,6 +6,7 @@ import pytest
 
 from statmanifold import (
     CubicFormAsymmetry,
+    GeometryFrame,
     ManifoldSpec,
     StatisticalFrame,
     centroaffine_power_surface,
@@ -17,13 +18,18 @@ from statmanifold import (
     random_polynomial_cubic,
     tchebychev,
 )
-from statmanifold.jets import jet_einsum
-from statmanifold.statistical import fit_constant_curvature
+from statmanifold.jets import Jet, jet_einsum, jet_space
+from statmanifold.statistical import fit_constant_curvature, scalar_relation_gap
 
 
 def frames(instance, count=None, seed=None):
     geom, stat, ident = evaluate_spec(instance.spec, count=count, seed=seed)
     return geom, stat, ident
+
+
+def curvature_fit(stat):
+    """(lambda, per-point residual) of the constant-curvature fit on one frame."""
+    return fit_constant_curvature([(stat.R, stat.geometry.g)])
 
 
 def test_zero_cubic_reduces_to_riemannian():
@@ -55,6 +61,19 @@ def test_difference_tensor_rejects_asymmetric_cubic():
     cubic[0, 0, 1] = 1.0  # C_112 != C_121
     with pytest.raises(CubicFormAsymmetry):
         difference_tensor(np.eye(2), cubic)
+
+
+def test_statistical_frame_rejects_asymmetric_cubic():
+    spec = flat_constant_cubic(2, {}).spec
+    points = spec.sample_points(count=3)
+    geom = GeometryFrame(points, spec.compile().metric_jets(points, 3))
+    space = jet_space(2, 2)
+    coeff = np.zeros((len(points), 2, 2, 2, space.ncoeff))
+    coeff[:, 0, 0, 1, 0] = 1.0  # C_112 = 1 but C_121 = 0
+    with pytest.raises(CubicFormAsymmetry):
+        StatisticalFrame(geom, Jet(space, coeff))
+    coeff[:, 0, 1, 0, 0] = coeff[:, 1, 0, 0, 0] = 1.0  # all three slots: symmetric
+    StatisticalFrame(geom, Jet(space, coeff))
 
 
 def test_cubic_roundtrip_through_difference_tensor():
@@ -163,7 +182,7 @@ def test_conjugate_symmetry_three_residuals_flag_together():
 def test_constant_curvature_centroaffine():
     for a1, a2 in ((1.0, 2.0), (2.0, 3.0), (0.5, 0.8)):
         _, stat, _ = frames(centroaffine_power_surface(a1, a2))
-        lam, residual = stat.constant_curvature_fit()
+        lam, residual = curvature_fit(stat)
         assert lam == pytest.approx(-1.0, abs=1e-9)
         assert np.max(residual) < 1e-8
 
@@ -172,12 +191,12 @@ def test_constant_curvature_riemannian_spaces():
     from statmanifold import sphere_stereographic
 
     _, stat, _ = frames(sphere_stereographic(2, 2.0), count=40)
-    lam, residual = stat.constant_curvature_fit()
+    lam, residual = curvature_fit(stat)
     assert lam == pytest.approx(2.0, abs=1e-9)
     assert np.max(residual) < 1e-8
 
     _, stat, _ = frames(flat_constant_cubic(2, {}), count=10)
-    lam, residual = stat.constant_curvature_fit()
+    lam, residual = curvature_fit(stat)
     assert lam == pytest.approx(0.0, abs=1e-12)
     assert np.max(residual) < 1e-12
 
@@ -253,9 +272,9 @@ def test_trace_identity_factor_is_one_half():
 def test_scalar_relation_on_constant_curvature_instances():
     for inst in (centroaffine_power_surface(1.0, 2.0), centroaffine_power_surface(2.0, 3.0)):
         _, stat, _ = frames(inst)
-        lam, residual = stat.constant_curvature_fit()
+        lam, residual = curvature_fit(stat)
         assert np.max(residual) < 1e-8
-        assert np.max(stat.scalar_relation_residual(lam)) < 1e-6
+        assert np.max(scalar_relation_gap(lam, stat.geometry.dim, stat.scalar_sum())) < 1e-6
 
 
 def test_scalar_relation_flat_families():
@@ -272,7 +291,7 @@ def test_scalar_relation_flat_families():
     for cubic in samples:
         inst = flat_constant_cubic(2, cubic)
         _, stat, _ = frames(inst, count=10)
-        lam, residual = stat.constant_curvature_fit()
+        lam, residual = curvature_fit(stat)
         gtt = stat.metric_inner_tt()
         gkk = stat.metric_inner_kk()
         if np.max(residual) <= 1e-6 * (1.0 + abs(lam)):
