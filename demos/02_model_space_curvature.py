@@ -30,7 +30,9 @@ print("== first eigenfunction of the sphere Laplacian ==")
 for m, c in ((2, 1.0), (3, 1.0), (2, 4.0)):
     instance = sphere_stereographic(m, c)
     geom, _, _ = evaluate_spec(instance.spec)
-    ast = parse_expression(instance.oracle["eigenfunction"],
+    # the pulled-back height function (1 - c|x|^2) / (sqrt(c) (1 + c|x|^2))
+    norm = " + ".join(f"{x}*{x}" for x in instance.spec.coordinates)
+    ast = parse_expression(f"(1 - c*({norm}))/(sqrt(c)*(1 + c*({norm})))",
                            instance.spec.coordinates, instance.spec.parameters)
     f = eval_jet(ast, geom.points, 3)
     laplacian = geom.laplacian_scalar(f)

@@ -18,12 +18,21 @@ report = run_diagnostics(instance.spec)  # the same sample, reduced into the rep
 pts = geom.points
 print(f"instance: {instance.name}, {pts.shape[0]} sample points")
 
+# closed forms, with s = a1 + a2 + 1 and c_ij = a_i (a_j + delta_ij) / s
+c = np.array([[a1 * (a1 + 1.0), a1 * a2], [a1 * a2, a2 * (a2 + 1.0)]]) / (a1 + a2 + 1.0)
+g_closed = c / np.einsum("pi,pj->pij", pts, pts)  # g_ij = c_ij / (x^i x^j)
+gamma_closed = np.zeros((len(pts), 2, 2, 2))  # Gamma^i_ii = -1/x^i, all others zero
+for i in range(2):
+    gamma_closed[:, i, i, i] = -1.0 / pts[:, i]
+nabla_closed = -np.einsum("pij,pk->pkij", g_closed, pts)  # nabla_{e_i} e_j = -g_ij x
+eta_closed = np.stack([(1.0 - a1) / pts[:, 0], (1.0 - a2) / pts[:, 1]], axis=-1)
+
 print()
 print("== golden closed forms ==")
-print("|g - closed form|      :", np.max(np.abs(geom.g - instance.oracle["metric"](pts))))
-print("|Gamma - closed form|  :", np.max(np.abs(geom.gamma - instance.oracle["christoffel"](pts))))
-print("|nabla - closed form|  :", np.max(np.abs(stat.nabla - instance.oracle["nabla_coefficients"](pts))))
-print("|eta - closed form|    :", np.max(np.abs(stat.eta - instance.oracle["eta"](pts))))
+print("|g - closed form|      :", np.max(np.abs(geom.g - g_closed)))
+print("|Gamma - closed form|  :", np.max(np.abs(geom.gamma - gamma_closed)))
+print("|nabla - closed form|  :", np.max(np.abs(stat.nabla - nabla_closed)))
+print("|eta - closed form|    :", np.max(np.abs(stat.eta - eta_closed)))
 print("|nabla^g T| (vanishes) :", np.max(np.abs(stat.tch)))
 
 print()

@@ -41,13 +41,7 @@ from .pipeline import (
     evaluate_spec,
     run_diagnostics,
 )
-from .statistical import (
-    CubicFormAsymmetry,
-    StatisticalFrame,
-    cubic_from_difference,
-    difference_tensor,
-    tchebychev,
-)
+from .statistical import CubicFormAsymmetry, StatisticalFrame, cubic_from_difference
 
 __version__ = "0.1.0"
 
@@ -78,7 +72,6 @@ __all__ = [
     "coordinate_jets",
     "crosscheck",
     "cubic_from_difference",
-    "difference_tensor",
     "eval_jet",
     "evaluate_spec",
     "fd_jet",
@@ -91,6 +84,5 @@ __all__ = [
     "random_symmetric_constants",
     "run_diagnostics",
     "sphere_stereographic",
-    "tchebychev",
     "to_source",
 ]

@@ -1,9 +1,10 @@
-"""Catalog of ready-made chart specifications with closed-form oracle data.
+"""Catalog of ready-made chart specifications and the flags they must reproduce.
 
 Each builtin bundles a :class:`~statmanifold.manifold.ManifoldSpec` with the
-closed forms known for it (Christoffel symbols, connection coefficients,
-Tchebychev covector, ...) and the flags the diagnostic pipeline must
-reproduce.  The catalog is the regression backbone of the test suite.
+flags the diagnostic pipeline must reproduce and, where known, its constant
+curvature.  The closed forms known for each instance (Christoffel symbols,
+connection coefficients, Tchebychev covector, ...) live with the tests, which
+compare the computed frames against them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ class BuiltinInstance:
     name: str
     spec: ManifoldSpec
     expected: dict = field(default_factory=dict)
-    oracle: dict = field(default_factory=dict)
     description: str = ""
 
 
@@ -68,34 +68,6 @@ def centroaffine_power_surface(a1=1.0, a2=2.0):
         sample=SampleSpec(box={"x1": (0.5, 3.0), "x2": (0.5, 3.0)}),
     )
 
-    scale = a[0] + a[1] + 1.0
-    c = np.array(
-        [
-            [a[0] * (a[0] + 1.0), a[0] * a[1]],
-            [a[0] * a[1], a[1] * (a[1] + 1.0)],
-        ]
-    ) / scale
-
-    def metric(points):
-        x = np.asarray(points, dtype=float)
-        return c / np.einsum("pi,pj->pij", x, x)
-
-    def christoffel(points):
-        x = np.asarray(points, dtype=float)
-        n = x.shape[0]
-        gamma = np.zeros((n, 2, 2, 2))
-        for i in range(2):
-            gamma[:, i, i, i] = -1.0 / x[:, i]
-        return gamma
-
-    def nabla_coefficients(points):
-        x = np.asarray(points, dtype=float)
-        return -np.einsum("pij,pk->pkij", metric(points), x)
-
-    def eta(points):
-        x = np.asarray(points, dtype=float)
-        return np.stack([(1.0 - a[0]) / x[:, 0], (1.0 - a[1]) / x[:, 1]], axis=-1)
-
     equiaffine = a == (1.0, 1.0)
     return BuiltinInstance(
         name=spec.name,
@@ -107,13 +79,6 @@ def centroaffine_power_surface(a1=1.0, a2=2.0):
             "equiaffine": equiaffine,
             "semi_equiaffine": True,
             "constant_curvature": -1.0,
-        },
-        oracle={
-            "metric": metric,
-            "christoffel": christoffel,
-            "nabla_coefficients": nabla_coefficients,
-            "eta": eta,
-            "tchebychev_operator": lambda points: np.zeros((len(points), 2, 2)),
         },
         description="centroaffine power surface; Tchebychev operator vanishes globally",
     )
@@ -166,13 +131,6 @@ def flat_constant_cubic(dim=2, cubic=None):
             "semi_equiaffine": True,
             "constant_curvature": 0.0 if np.allclose(full, 0.0) else None,
         },
-        oracle={
-            "tchebychev": lambda points: np.broadcast_to(t_const, (len(points), dim)).copy(),
-            "difference": lambda points: np.broadcast_to(
-                -0.5 * full, (len(points), dim, dim, dim)
-            ).copy(),
-            "tchebychev_operator": lambda points: np.zeros((len(points), dim, dim)),
-        },
         description="flat chart with parallel cubic form (projects to the standard torus)",
     )
 
@@ -207,14 +165,6 @@ def sphere_stereographic(dim=2, curvature=1.0):
     if curvature <= 0:
         raise ValueError("sphere curvature must be positive")
     spec = _conformal_spec(dim, curvature, "sphere-stereographic")
-    coords = spec.coordinates
-    norm = " + ".join(f"{x}*{x}" for x in coords)
-    eigenfunction = f"(1 - c*({norm}))/(sqrt(c)*(1 + c*({norm})))"
-
-    def ricci(points):
-        g = _conformal_metric(points, curvature)
-        return curvature * (dim - 1) * g
-
     return BuiltinInstance(
         name=spec.name,
         spec=spec,
@@ -226,12 +176,6 @@ def sphere_stereographic(dim=2, curvature=1.0):
             "semi_equiaffine": True,
             "constant_curvature": float(curvature),
             "scalar_curvature": float(curvature * dim * (dim - 1)),
-        },
-        oracle={
-            "metric": lambda points: _conformal_metric(points, curvature),
-            "ricci": ricci,
-            "eigenfunction": eigenfunction,
-            "eigenvalue": -float(curvature * dim),
         },
         description="round sphere (stereographic chart), Riemannian statistical structure",
     )
@@ -254,19 +198,8 @@ def hyperbolic_ball(dim=2, curvature=-1.0):
             "constant_curvature": float(curvature),
             "scalar_curvature": float(curvature * dim * (dim - 1)),
         },
-        oracle={
-            "metric": lambda points: _conformal_metric(points, curvature),
-            "ricci": lambda points: curvature * (dim - 1) * _conformal_metric(points, curvature),
-        },
         description="hyperbolic space (Poincare ball chart), Riemannian statistical structure",
     )
-
-
-def _conformal_metric(points, curvature):
-    x = np.asarray(points, dtype=float)
-    n, m = x.shape
-    factor = 4.0 / (1.0 + curvature * np.sum(x * x, axis=1)) ** 2
-    return np.einsum("p,ij->pij", factor, np.eye(m))
 
 
 def random_polynomial_cubic(dim=2, degree=2, seed=0):

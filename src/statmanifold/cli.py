@@ -49,6 +49,10 @@ def _build_parser():
     return parser
 
 
+# the flag that sets each API argument an option's range error can name
+_FLAGS = dict(tolerance="--tol", count="--samples", seed="--seed", h="--h", threshold="--threshold")
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
@@ -63,7 +67,10 @@ def main(argv=None):
         print(err, file=sys.stderr)
         return 3
     except (OSError, ValueError, KeyError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        # a range error reads "<argument> must be ...": name the option by its flag
+        name, sep, rule = str(err).partition(" must be ")
+        message = f"{_FLAGS[name]}{sep}{rule}" if sep and name in _FLAGS else err
+        print(f"error: {message}", file=sys.stderr)
         return 3
 
 

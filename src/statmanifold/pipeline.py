@@ -34,13 +34,7 @@ from .geometry import (
 from .jets import coordinate_jets
 from .manifold import ManifoldSpec, SpecValidationError, require_sample_options
 from .maps import FALSE, INCONCLUSIVE, IdentityMapReport, band, band_agreement
-from .statistical import (
-    StatisticalFrame,
-    difference_tensor,
-    fit_constant_curvature,
-    scalar_relation_gap,
-    tchebychev,
-)
+from .statistical import StatisticalFrame, fit_constant_curvature, scalar_relation_gap
 
 PASS, FAIL, NOT_APPLICABLE = "pass", "fail", "not-applicable"
 
@@ -158,11 +152,22 @@ def _require_finite(points, stage, **arrays):
             raise SpecValidationError([f"{stage} frame: {name} is not finite at sample point {at}"])
 
 
+def _diagnostic_frames(compiled, points):
+    """Geometry, statistical and identity-map frames at the diagnostics' jet
+    orders; a value that is not finite in any of them ends as a spec error."""
+    geometry, stat = _frames(compiled, points, 3, 2)
+    identity = IdentityMapReport(stat)
+    _require_finite(
+        points, "identity map", tau2=identity.tau2, taubar2=identity.taubar2,
+        tau2_proof=identity.tau2_proof, taubar2_proof=identity.taubar2_proof,
+        t1=identity.t1, t2=identity.t2,
+    )
+    return geometry, stat, identity
+
+
 def evaluate_spec(spec: ManifoldSpec, count=None, seed=None):
     """Build the geometry, statistical and identity-map frames on a sample."""
-    compiled = spec.compile()
-    geometry, statistical = _frames(compiled, spec.sample_points(count, seed), 3, 2)
-    return geometry, statistical, IdentityMapReport(statistical)
+    return _diagnostic_frames(spec.compile(), spec.sample_points(count, seed))
 
 
 def _probe_scalar(points, order=3):
@@ -212,13 +217,7 @@ def _per_point(points, block_fn):
 
 def _block_residuals(compiled, points):
     """Per-point residuals of one block of points, before any reduction."""
-    geometry, stat = _frames(compiled, points, 3, 2)
-    identity = IdentityMapReport(stat)
-    _require_finite(
-        points, "identity map", tau2=identity.tau2, taubar2=identity.taubar2,
-        tau2_proof=identity.tau2_proof, taubar2_proof=identity.taubar2_proof,
-        t1=identity.t1, t2=identity.t2,
-    )
+    geometry, stat, identity = _diagnostic_frames(compiled, points)
     res_a, res_b = identity.main1_residuals()
     r_minus_l, r_minus_rbar, alt_dk = stat.conjugate_symmetry_residuals()
     flag_t, flag_b = identity.flag_residuals()
@@ -308,11 +307,16 @@ def run_diagnostics(spec: ManifoldSpec, tolerance=DEFAULT_TOLERANCE, count=None,
         "constant_curvature": cc_flag,
     }
 
+    def conditional(residual, tolerance, applicable):
+        return _check(points, residual, tolerance, None if applicable else NOT_APPLICABLE)
+
+    def agreement(a, b):
+        """Two residuals that must raise the same flag, reported at the first point."""
+        status = _AGREEMENT_STATUS[band_agreement(a, b, tol)]
+        return CheckResult(max(a, b), list(points[0]), status)
+
     # the symmetry of Ric and the closedness of g(T, .) must flag together
-    sym_status = _AGREEMENT_STATUS[band_agreement(ric_asym, eq5, tol)]
-    checks["ricci_symmetry_equivalence"] = CheckResult(
-        max(ric_asym, eq5), list(points[0]), sym_status
-    )
+    checks["ricci_symmetry_equivalence"] = agreement(ric_asym, eq5)
 
     # the three conjugate-symmetry residuals must agree at the flag level
     states = {band(peak[name], tol) for name in ("r_minus_l", "r_minus_rbar", "alt_dk")}
@@ -321,14 +325,7 @@ def run_diagnostics(spec: ManifoldSpec, tolerance=DEFAULT_TOLERANCE, count=None,
     )
 
     # equiaffine iff the metric volume form is nabla-parallel
-    vol_res = peak["volume_parallel"]
-    vol_status = _AGREEMENT_STATUS[band_agreement(t_norm, vol_res, tol)]
-    checks["equiaffine_volume_form_equivalence"] = CheckResult(
-        max(t_norm, vol_res), list(points[0]), vol_status
-    )
-
-    def conditional(residual, tolerance, applicable):
-        return _check(points, residual, tolerance, None if applicable else NOT_APPLICABLE)
+    checks["equiaffine_volume_form_equivalence"] = agreement(t_norm, peak["volume_parallel"])
 
     # parallel-T criterion: semi-equiaffine, symmetric Ric, Ric^g(T,T) <= 0
     # together force nabla^g T = 0
@@ -486,8 +483,7 @@ def _shrink_box(spec, margin):
 
 def _tchebychev_values(compiled, points):
     """Pointwise T through the order-0 route: values of g, C -> K -> trace."""
-    g = compiled.metric_jets(points, 0).value
-    ginv = np.linalg.inv(g)
+    ginv = np.linalg.inv(compiled.metric_jets(points, 0).value)
     # the compiled C fills all six permutations from one source, so it is symmetric
-    k = difference_tensor(ginv, compiled.cubic_jets(points, 0).value, require_symmetric=False)
-    return tchebychev(ginv, k, g)[0]
+    k = -0.5 * np.einsum("...kl,...ijl->...kij", ginv, compiled.cubic_jets(points, 0).value)
+    return np.einsum("...ij,...kij->...k", ginv, k)

@@ -12,7 +12,6 @@ nabla-bar = nabla^g - K.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import permutations
 
 import numpy as np
 
@@ -30,24 +29,16 @@ class CubicFormAsymmetry(ValueError):
         self.max_asymmetry = max_asymmetry
 
 
-def _require_symmetric(cubic):
-    """Raise :class:`CubicFormAsymmetry` unless C is symmetric to SYMMETRY_TOLERANCE (relative)."""
-    batch_perm = lambda p: tuple(range(cubic.ndim - 3)) + tuple(cubic.ndim - 3 + i for i in p)
+def _require_total_symmetry(cubic):
+    """Raise :class:`CubicFormAsymmetry` unless C is symmetric to SYMMETRY_TOLERANCE
+    (relative) under swaps of slots 1, 2 and of slots 2, 3.  These two generate
+    every permutation, each a product of at most three of them, so C is then
+    symmetric to 3 * SYMMETRY_TOLERANCE under all of them."""
     asym = max(
-        float(np.max(np.abs(cubic - np.transpose(cubic, batch_perm(p)))))
-        for p in permutations(range(3)) if p != (0, 1, 2)
+        float(np.max(np.abs(cubic - np.swapaxes(cubic, axis, axis + 1)))) for axis in (-3, -2)
     )
     if asym > SYMMETRY_TOLERANCE * (1.0 + float(np.max(np.abs(cubic)))):
         raise CubicFormAsymmetry(asym)
-
-
-def difference_tensor(g_inv, cubic, require_symmetric=True):
-    """K^k_ij = -1/2 g^{kl} C_{ijl}, at one point or on a batch."""
-    g_inv = np.asarray(g_inv, dtype=float)
-    cubic = np.asarray(cubic, dtype=float)
-    if require_symmetric:
-        _require_symmetric(cubic)
-    return -0.5 * np.einsum("...kl,...ijl->...kij", g_inv, cubic)
 
 
 def cubic_from_difference(g, difference):
@@ -55,15 +46,6 @@ def cubic_from_difference(g, difference):
     g = np.asarray(g, dtype=float)
     difference = np.asarray(difference, dtype=float)
     return -2.0 * np.einsum("...lij,...lk->...ijk", difference, g)
-
-
-def tchebychev(g_inv, difference, g):
-    """Tchebychev vector field T = tr_g K and its dual covector eta = g(T, .)."""
-    g_inv = np.asarray(g_inv, dtype=float)
-    difference = np.asarray(difference, dtype=float)
-    g = np.asarray(g, dtype=float)
-    t = np.einsum("...ij,...kij->...k", g_inv, difference)
-    return t, np.einsum("...kl,...l->...k", g, t)
 
 
 def interchange_tensor(riemann, g, ginv):
@@ -121,7 +103,7 @@ class StatisticalFrame:
             raise ValueError("cubic jets must have batch shape (N, m, m, m)")
         self.C_jets = cubic_jets
         self.C = cubic_jets.value
-        _require_symmetric(self.C)
+        _require_total_symmetry(self.C)
 
         self.K_jets = -0.5 * jet_einsum("kl,ijl->kij", geometry.ginv_jets, cubic_jets)
         self.K = self.K_jets.value

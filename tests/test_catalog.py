@@ -1,7 +1,8 @@
-"""Builtin catalog: every instance reproduces its expected flags and oracles."""
+"""Builtin catalog: every instance reproduces its expected flags and closed forms."""
 
 import numpy as np
 import pytest
+from closed_forms import CLOSED_FORMS
 
 from statmanifold import (
     builtin_names,
@@ -39,12 +40,16 @@ def test_builtin_reproduces_expected_flags(name):
         assert report.constant_curvature["lambda"] == pytest.approx(lam, abs=1e-8)
 
 
+def test_every_builtin_has_closed_forms():
+    assert sorted(CLOSED_FORMS) == sorted(builtin_names())
+
+
 @pytest.mark.parametrize("name", builtin_names())
 def test_builtin_oracles(name):
     instance = get_builtin(name)
     geom, stat, _ = evaluate_spec(instance.spec, count=25)
     pts = geom.points
-    oracle = instance.oracle
+    oracle = CLOSED_FORMS[name](instance.spec)
     if "metric" in oracle:
         np.testing.assert_allclose(geom.g, oracle["metric"](pts), atol=1e-11)
     if "christoffel" in oracle:

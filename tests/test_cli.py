@@ -145,12 +145,12 @@ def test_crosscheck_passes_and_coarse_step_fails(centroaffine_spec, capsys):
         ("crosscheck", "--h", "-0.001", "h"),
         ("crosscheck", "--threshold", "nan", "threshold"),
         ("crosscheck", "--threshold", "-1", "threshold"),
-        ("run", "--tol", "nan", "tolerance"),
-        ("run", "--tol", "inf", "tolerance"),
-        ("run", "--tol", "-1", "tolerance"),
-        ("run", "--samples", "-3", "count"),
+        ("run", "--tol", "nan", "tol"),
+        ("run", "--tol", "inf", "tol"),
+        ("run", "--tol", "-1", "tol"),
+        ("run", "--samples", "-3", "samples"),
         ("run", "--seed", "-1", "seed"),
-        ("crosscheck", "--samples", "-3", "count"),
+        ("crosscheck", "--samples", "-3", "samples"),
         ("crosscheck", "--seed", "-1", "seed"),
     ],
 )
@@ -163,7 +163,7 @@ def test_bad_run_option_is_named_before_any_work(
     monkeypatch.setattr(ManifoldSpec, "compile", unexpected)
     assert main([command, str(centroaffine_spec), option, value]) == 3
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: {name} must be ")
+    assert captured.err.startswith(f"error: --{name} must be ")
     assert "metric" not in captured.err and captured.out == ""
 
 

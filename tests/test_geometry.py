@@ -3,6 +3,7 @@
 import sys
 from collections import Counter
 
+import closed_forms
 import numpy as np
 import pytest
 
@@ -62,7 +63,7 @@ def test_centroaffine_christoffel_everywhere():
     inst = centroaffine_power_surface(1.5, 0.7)
     geom, _, _ = evaluate_spec(inst.spec)
     np.testing.assert_allclose(
-        geom.gamma, inst.oracle["christoffel"](geom.points), atol=1e-11
+        geom.gamma, closed_forms.centroaffine(inst.spec)["christoffel"](geom.points), atol=1e-11
     )
 
 
@@ -156,12 +157,11 @@ def test_scalar_laplacian_of_linear_function_flat():
 def test_sphere_first_eigenfunction(dim, c):
     inst = sphere_stereographic(dim, c)
     geom, _, _ = evaluate_spec(inst.spec)
-    ast = parse_expression(
-        inst.oracle["eigenfunction"], inst.spec.coordinates, inst.spec.parameters
-    )
+    forms = closed_forms.sphere(inst.spec)
+    ast = parse_expression(forms["eigenfunction"], inst.spec.coordinates, inst.spec.parameters)
     f = eval_jet(ast, geom.points, 3)
     lap = geom.laplacian_scalar(f)
-    target = inst.oracle["eigenvalue"] * f.value
+    target = forms["eigenvalue"] * f.value
     assert np.max(np.abs(lap - target) / np.abs(target)) < 1e-6
 
 

@@ -1,6 +1,9 @@
 """Statistical kernel: difference tensor, dual connections, Tchebychev field,
 curvature conditions, scalar identities."""
 
+from itertools import permutations
+
+import closed_forms
 import numpy as np
 import pytest
 
@@ -11,12 +14,10 @@ from statmanifold import (
     StatisticalFrame,
     centroaffine_power_surface,
     cubic_from_difference,
-    difference_tensor,
     evaluate_spec,
     flat_constant_cubic,
     get_builtin,
     random_polynomial_cubic,
-    tchebychev,
 )
 from statmanifold.jets import Jet, jet_einsum, jet_space
 from statmanifold.statistical import fit_constant_curvature, scalar_relation_gap
@@ -44,23 +45,13 @@ def test_zero_cubic_reduces_to_riemannian():
 
 
 def test_difference_tensor_flat_constant_cubic():
-    g_inv = np.eye(2)
-    cubic = np.zeros((2, 2, 2))
-    cubic[0, 0, 0] = 2.0
-    k = difference_tensor(g_inv, cubic)
-    expected = np.zeros((2, 2, 2))
-    expected[0, 0, 0] = -1.0
-    np.testing.assert_allclose(k, expected)
-    t, eta = tchebychev(g_inv, k, np.eye(2))
-    np.testing.assert_allclose(t, [-1.0, 0.0])
-    np.testing.assert_allclose(eta, [-1.0, 0.0])
-
-
-def test_difference_tensor_rejects_asymmetric_cubic():
-    cubic = np.zeros((2, 2, 2))
-    cubic[0, 0, 1] = 1.0  # C_112 != C_121
-    with pytest.raises(CubicFormAsymmetry):
-        difference_tensor(np.eye(2), cubic)
+    # C_111 = 2 on the flat chart: K^1_11 = -1 and T = eta = (-1, 0) at every point
+    _, stat, _ = frames(flat_constant_cubic(2, {"111": 2.0}), count=5)
+    expected = np.zeros((len(stat.K), 2, 2, 2))
+    expected[:, 0, 0, 0] = -1.0
+    np.testing.assert_allclose(stat.K, expected)
+    np.testing.assert_allclose(stat.T, np.broadcast_to([-1.0, 0.0], stat.T.shape))
+    np.testing.assert_allclose(stat.eta, np.broadcast_to([-1.0, 0.0], stat.eta.shape))
 
 
 def test_statistical_frame_rejects_asymmetric_cubic():
@@ -76,6 +67,22 @@ def test_statistical_frame_rejects_asymmetric_cubic():
     StatisticalFrame(geom, Jet(space, coeff))
 
 
+@pytest.mark.parametrize(
+    "entry", sorted(set(permutations((0, 1, 2)))) + sorted(set(permutations((0, 0, 1))))
+)
+def test_statistical_frame_rejects_each_asymmetric_index_order(entry):
+    # m = 3, C zero except at one entry: each order of (1, 2, 3) must be caught,
+    # and each order of (1, 1, 2), which one slot swap alone leaves unchanged
+    spec = flat_constant_cubic(3, {}).spec
+    points = spec.sample_points(count=3)
+    geom = GeometryFrame(points, spec.compile().metric_jets(points, 3))
+    space = jet_space(3, 2)
+    coeff = np.zeros((len(points), 3, 3, 3, space.ncoeff))
+    coeff[(slice(None), *entry, 0)] = 1.0
+    with pytest.raises(CubicFormAsymmetry):
+        StatisticalFrame(geom, Jet(space, coeff))
+
+
 def test_cubic_roundtrip_through_difference_tensor():
     rng = np.random.default_rng(0)
     raw = rng.standard_normal((3, 3, 3))
@@ -84,7 +91,7 @@ def test_cubic_roundtrip_through_difference_tensor():
         cubic += np.transpose(raw, perm)
     a = rng.standard_normal((3, 3))
     g = a @ a.T + 3.0 * np.eye(3)
-    k = difference_tensor(np.linalg.inv(g), cubic)
+    k = -0.5 * np.einsum("kl,ijl->kij", np.linalg.inv(g), cubic)
     np.testing.assert_allclose(cubic_from_difference(g, k), cubic, atol=1e-12)
 
 
@@ -123,10 +130,9 @@ def test_centroaffine_connection_tables_at_unit_point():
 def test_centroaffine_nabla_matches_oracle_everywhere():
     inst = centroaffine_power_surface(2.0, 3.0)
     geom, stat, _ = frames(inst)
-    np.testing.assert_allclose(
-        stat.nabla, inst.oracle["nabla_coefficients"](geom.points), atol=1e-11
-    )
-    np.testing.assert_allclose(stat.eta, inst.oracle["eta"](geom.points), atol=1e-11)
+    forms = closed_forms.centroaffine(inst.spec)
+    np.testing.assert_allclose(stat.nabla, forms["nabla_coefficients"](geom.points), atol=1e-11)
+    np.testing.assert_allclose(stat.eta, forms["eta"](geom.points), atol=1e-11)
 
 
 def test_tchebychev_vanishes_for_unit_exponents():
@@ -146,7 +152,7 @@ def test_codazzi_negative_control():
     # Codazzi combination (nabla_X g)(Y,Z) - (nabla_Y g)(X,Z) with g = delta
     cubic = np.zeros((2, 2, 2))
     cubic[0, 0, 1] = 1.0
-    k = difference_tensor(np.eye(2), cubic, require_symmetric=False)
+    k = -0.5 * np.einsum("kl,ijl->kij", np.eye(2), cubic)
     nabla_g = -np.einsum("adi,aj->ijd", k, np.eye(2)) - np.einsum("adj,ia->ijd", k, np.eye(2))
     residual = np.max(np.abs(nabla_g - np.einsum("dji->ijd", nabla_g)))
     assert residual > 0.1
