@@ -22,7 +22,7 @@ for instance in (sphere_stereographic(2, 1.0), sphere_stereographic(3, 1.0),
     c = instance.spec.parameters["c"]
     m = instance.spec.dim
     ric_residual = np.max(np.abs(geom.ricci - c * (m - 1) * geom.g))
-    print(f"{instance.name:28s} scalar curvature {geom.scalar[0]:+9.5f} "
+    print(f"{instance.spec.name:28s} scalar curvature {geom.scalar[0]:+9.5f} "
           f"(expected {c*m*(m-1):+9.5f}), |Ric - c(m-1)g| = {ric_residual:.2e}")
 
 print()

@@ -16,7 +16,7 @@ instance = centroaffine_power_surface(a1, a2)
 geom, stat, ident = evaluate_spec(instance.spec)
 report = run_diagnostics(instance.spec)  # the same sample, reduced into the report
 pts = geom.points
-print(f"instance: {instance.name}, {pts.shape[0]} sample points")
+print(f"instance: {instance.spec.name}, {pts.shape[0]} sample points")
 
 # closed forms, with s = a1 + a2 + 1 and c_ij = a_i (a_j + delta_ij) / s
 c = np.array([[a1 * (a1 + 1.0), a1 * a2], [a1 * a2, a2 * (a2 + 1.0)]]) / (a1 + a2 + 1.0)

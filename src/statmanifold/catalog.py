@@ -23,7 +23,6 @@ AMPLITUDE = 0.5
 
 @dataclass
 class BuiltinInstance:
-    name: str
     spec: ManifoldSpec
     expected: dict = field(default_factory=dict)
     description: str = ""
@@ -70,7 +69,6 @@ def centroaffine_power_surface(a1=1.0, a2=2.0):
 
     equiaffine = a == (1.0, 1.0)
     return BuiltinInstance(
-        name=spec.name,
         spec=spec,
         expected={
             "codazzi": True,
@@ -121,7 +119,6 @@ def flat_constant_cubic(dim=2, cubic=None):
     t_const = -0.5 * np.einsum("iik->k", full)
 
     return BuiltinInstance(
-        name=spec.name,
         spec=spec,
         expected={
             "codazzi": True,
@@ -141,17 +138,31 @@ def _diagonal_metric(dim, entry):
     return {f"{i}{j}": entry if i == j else "0" for i, j in pairs}
 
 
-def _conformal_spec(dim, curvature, kind):
+def _conformal_instance(dim, curvature, kind, description):
+    """Builtin of constant curvature c: g = 4 delta / (1 + c |x|^2)^2 on a centred box."""
     coords = [f"x{i}" for i in range(1, dim + 1)]
     norm = " + ".join(f"{x}*{x}" for x in coords)
     half_width = 0.5 / np.sqrt(abs(curvature) * dim)
-    return ManifoldSpec(
+    spec = ManifoldSpec(
         name=f"{kind}-m{dim}-c{curvature:g}",
         dim=dim,
         coordinates=coords,
         parameters={"c": float(curvature)},
         metric=_diagonal_metric(dim, f"4/pow(1 + c*({norm}), 2)"),
         sample=SampleSpec(box={name: (-half_width, half_width) for name in coords}),
+    )
+    return BuiltinInstance(
+        spec=spec,
+        expected={
+            "codazzi": True,
+            "ric_symmetric": True,
+            "conjugate_symmetric": True,
+            "equiaffine": True,
+            "semi_equiaffine": True,
+            "constant_curvature": float(curvature),
+            "scalar_curvature": float(curvature * dim * (dim - 1)),
+        },
+        description=description,
     )
 
 
@@ -164,20 +175,9 @@ def sphere_stereographic(dim=2, curvature=1.0):
     """
     if curvature <= 0:
         raise ValueError("sphere curvature must be positive")
-    spec = _conformal_spec(dim, curvature, "sphere-stereographic")
-    return BuiltinInstance(
-        name=spec.name,
-        spec=spec,
-        expected={
-            "codazzi": True,
-            "ric_symmetric": True,
-            "conjugate_symmetric": True,
-            "equiaffine": True,
-            "semi_equiaffine": True,
-            "constant_curvature": float(curvature),
-            "scalar_curvature": float(curvature * dim * (dim - 1)),
-        },
-        description="round sphere (stereographic chart), Riemannian statistical structure",
+    return _conformal_instance(
+        dim, curvature, "sphere-stereographic",
+        "round sphere (stereographic chart), Riemannian statistical structure",
     )
 
 
@@ -185,20 +185,9 @@ def hyperbolic_ball(dim=2, curvature=-1.0):
     """Hyperbolic space of curvature c < 0 in the conformal ball chart."""
     if curvature >= 0:
         raise ValueError("hyperbolic curvature must be negative")
-    spec = _conformal_spec(dim, curvature, "hyperbolic-ball")
-    return BuiltinInstance(
-        name=spec.name,
-        spec=spec,
-        expected={
-            "codazzi": True,
-            "ric_symmetric": True,
-            "conjugate_symmetric": True,
-            "equiaffine": True,
-            "semi_equiaffine": True,
-            "constant_curvature": float(curvature),
-            "scalar_curvature": float(curvature * dim * (dim - 1)),
-        },
-        description="hyperbolic space (Poincare ball chart), Riemannian statistical structure",
+    return _conformal_instance(
+        dim, curvature, "hyperbolic-ball",
+        "hyperbolic space (Poincare ball chart), Riemannian statistical structure",
     )
 
 
@@ -229,7 +218,6 @@ def random_polynomial_cubic(dim=2, degree=2, seed=0):
         sample=SampleSpec(box={name: (-1.0, 1.0) for name in coords}),
     )
     return BuiltinInstance(
-        name=spec.name,
         spec=spec,
         expected={"codazzi": True},
         description=f"flat chart with random degree-{degree} polynomial cubic form, seed {seed}",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import Jet, jet_einsum, jet_partial, jet_product_einsum, jet_space
+from .jets import Jet, jet_einsum, jet_partial, jet_space
 
 UP = "up"
 DOWN = "down"
@@ -48,7 +48,7 @@ def jet_matrix_inverse(g_jets, order):
     series, power, sign = identity, x, -1.0
     for _ in range(order):
         series = series + sign * power
-        power = jet_product_einsum(space, "...il,...lj->...ij", power, x)
+        power = jet_einsum("il,lj->ij", Jet(space, power), Jet(space, x)).coeff
         sign = -sign
     return Jet(space, np.einsum("...ilc,...lj->...ijc", series, g0_inv))
 
@@ -106,14 +106,12 @@ def covariant_derivative_jets(field, coeff_jets, variance):
     coefficients.  The result has order min(order(field) - 1, order(coeff)).
     """
     order = min(field.order - 1, coeff_jets.order)
-    space = jet_space(field.dim, order)
     out = jet_partial(field.truncated(order + 1))  # (batch, *field axes, direction)
-    gamma, f = coeff_jets.coeff, field.coeff
+    gamma, f = coeff_jets.truncated(order), field.truncated(order)
     slots = "ABCDEFGH"[: len(variance)]
     for s, flag in enumerate(variance):
         gsub = f"{slots[s]}da" if flag == UP else f"ad{slots[s]}"
-        subscripts = f"...{gsub},...{slots[:s]}a{slots[s + 1:]}->...{slots}d"
-        product = jet_product_einsum(space, subscripts, gamma, f)
+        product = jet_einsum(f"{gsub},{slots[:s]}a{slots[s + 1:]}->{slots}d", gamma, f).coeff
         if flag == UP:
             out.coeff += product
         else:

@@ -9,8 +9,8 @@ arithmetic is vectorized over the batch.
 A jet tensor is a ``Jet`` whose batch shape ends in the tensor axes: the
 metric on N points has coefficients ``(N, m, m, ncoeff)``, so ``.value`` is
 ``(N, m, m)`` and ``.gradient()`` appends the derivative axis last.
-``jet_einsum`` contracts two jet tensors and ``jet_partial`` gathers all
-first partials at once.
+``jet_einsum`` is the one contraction of jet tensors, and ``jet_partial``
+gathers all first partials at once.
 
 Conventions:
 
@@ -367,28 +367,30 @@ def jet_partial(jet):
     return Jet(jet_space(space.dim, space.order - 1), partials)
 
 
-def jet_product_einsum(space, subscripts, a, b):
-    """Two-operand einsum of dense coefficient arrays, truncated to ``space``.
+def jet_einsum(subscripts, a, b):
+    """Two-operand einsum of jet tensors (explicit ``->`` form); the one jet contraction.
 
-    Each term of ``subscripts`` starts with ``...`` for the batch axes; the
-    coefficient axes are last and left out.  An index is either summed (in
-    both operands, not in the output) or free in exactly one operand.  Both
-    operands are copied once into coefficient-first stacks of batched
-    (free, summed) and (summed, free) matrices; each coefficient pair
-    (i, j) -> k of the product table is then one ``@`` added into
-    coefficient k of a coefficient-first accumulator.  The result is a
-    coefficient-last view of that accumulator.
+    The subscripts name the tensor axes at the end of each operand's batch
+    shape; leading batch axes are shared.  An index is either summed (in
+    both operands, not in the output) or free in exactly one operand.  The
+    result has the lower of the two orders.  Both operands are copied once
+    into coefficient-first stacks of batched (free, summed) and (summed,
+    free) matrices; each coefficient pair (i, j) -> k of the product table
+    is then one ``@`` added into coefficient k of a coefficient-first
+    accumulator.  The result is a coefficient-last view of that accumulator.
     """
-    lhs, rhs = subscripts.replace("...", "").split("->")
+    lhs, rhs = subscripts.split("->")
     sa, sb = lhs.split(",")
     summed = [c for c in sa if c in sb]
     free_a = [c for c in sa if c not in sb]
     free_b = [c for c in sb if c not in sa]
     if sorted(rhs) != sorted(free_a + free_b):
         raise ValueError(f"unsupported jet product {subscripts!r}")
+    space = jet_space(a.dim, min(a.order, b.order))
     extent = {}
 
-    def matrices(x, term, rows, cols):
+    def matrices(jet, term, rows, cols):
+        x = jet.coeff
         nbatch = x.ndim - 1 - len(term)
         if nbatch < 0:
             raise ValueError(f"subscripts {subscripts!r} do not match the operand ranks")
@@ -406,17 +408,4 @@ def jet_product_einsum(space, subscripts, a, b):
     for i, j, k in zip(ti, tj, tk):
         acc[k] += (a[i] @ b[j]).reshape(acc.shape[1:])
     out_axes = [1 + len(batch) + (free_a + free_b).index(c) for c in rhs]
-    return acc.transpose(*range(1, len(batch) + 1), *out_axes, 0)
-
-
-def jet_einsum(subscripts, a, b):
-    """Two-operand einsum of jet tensors (explicit ``->`` form).
-
-    The subscripts name the tensor axes at the end of each operand's batch
-    shape; leading batch axes are shared.  The result has the lower of the
-    two orders.
-    """
-    lhs, rhs = subscripts.replace(" ", "").split("->")
-    sa, sb = lhs.split(",")
-    space = jet_space(a.dim, min(a.order, b.order))
-    return Jet(space, jet_product_einsum(space, f"...{sa},...{sb}->...{rhs}", a.coeff, b.coeff))
+    return Jet(space, acc.transpose(*range(1, len(batch) + 1), *out_axes, 0))

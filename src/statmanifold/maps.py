@@ -21,26 +21,6 @@ import numpy as np
 from .jets import jet_einsum
 from .statistical import StatisticalFrame
 
-TRUE, FALSE, INCONCLUSIVE = "true", "false", "inconclusive"
-
-
-def band(value, tolerance):
-    """Flag state of a residual, with a 10x hysteresis band reported as inconclusive."""
-    if value <= tolerance:
-        return TRUE
-    if value <= 10.0 * tolerance:
-        return INCONCLUSIVE
-    return FALSE
-
-
-def band_agreement(a, b, tolerance):
-    """Whether two residuals raise the same flag: consistent, inconsistent or inconclusive."""
-    a_state, b_state = band(a, tolerance), band(b, tolerance)
-    if INCONCLUSIVE in (a_state, b_state):
-        return INCONCLUSIVE
-    return "consistent" if a_state == b_state else "inconsistent"
-
-
 def _tension(geom, source_jets):
     """Tension of id:(M,g,D)->(M,g,nabla^g), tr_g(nabla^g - D), at the order of D's jets."""
     return jet_einsum("ij,kij->k", geom.ginv_jets, geom.gamma_jets - source_jets)

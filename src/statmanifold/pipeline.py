@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -33,10 +33,11 @@ from .geometry import (
 )
 from .jets import coordinate_jets
 from .manifold import ManifoldSpec, SpecValidationError, require_sample_options
-from .maps import FALSE, INCONCLUSIVE, IdentityMapReport, band, band_agreement
+from .maps import IdentityMapReport
 from .statistical import StatisticalFrame, fit_constant_curvature, scalar_relation_gap
 
 PASS, FAIL, NOT_APPLICABLE = "pass", "fail", "not-applicable"
+TRUE, FALSE, INCONCLUSIVE = "true", "false", "inconclusive"
 
 DEFAULT_TOLERANCE = 1e-8
 FD_TOLERANCE = 1e-4
@@ -55,13 +56,6 @@ class CheckResult:
     argmax_point: list
     status: str
 
-    def to_dict(self):
-        return {
-            "max_residual": float(self.max_residual),
-            "argmax_point": [float(v) for v in self.argmax_point],
-            "status": self.status,
-        }
-
 
 @dataclass
 class DiagnosticsReport:
@@ -78,21 +72,7 @@ class DiagnosticsReport:
     runtime_seconds: float = 0.0
     schema: int = 1
 
-    def to_dict(self):
-        return {
-            "schema": self.schema,
-            "name": self.name,
-            "spec": self.spec,
-            "spec_hash": self.spec_hash,
-            "dim": self.dim,
-            "num_points": self.num_points,
-            "tolerance": self.tolerance,
-            "checks": {k: v.to_dict() for k, v in self.checks.items()},
-            "flags": self.flags,
-            "constant_curvature": self.constant_curvature,
-            "main1_flag_equivalence": self.main1_flag_equivalence,
-            "runtime_seconds": self.runtime_seconds,
-        }
+    to_dict = asdict
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -195,7 +175,7 @@ def _check(points, residual, tolerance, status=None):
     """Max and first argmax of a per-point residual; status from the tolerance unless given."""
     idx = int(np.argmax(residual))
     value = float(residual[idx])
-    return CheckResult(value, list(points[idx]), status or (PASS if value <= tolerance else FAIL))
+    return CheckResult(value, points[idx].tolist(), status or (PASS if value <= tolerance else FAIL))
 
 
 def _concatenate(parts):
@@ -268,6 +248,23 @@ def _block_residuals(compiled, points):
     }
 
 
+def band(value, tolerance):
+    """Flag state of a residual, with a 10x hysteresis band reported as inconclusive."""
+    if value <= tolerance:
+        return TRUE
+    if value <= 10.0 * tolerance:
+        return INCONCLUSIVE
+    return FALSE
+
+
+def band_agreement(a, b, tolerance):
+    """Whether two residuals raise the same flag: consistent, inconsistent or inconclusive."""
+    a_state, b_state = band(a, tolerance), band(b, tolerance)
+    if INCONCLUSIVE in (a_state, b_state):
+        return INCONCLUSIVE
+    return "consistent" if a_state == b_state else "inconsistent"
+
+
 _AGREEMENT_STATUS = {"consistent": PASS, "inconsistent": FAIL, INCONCLUSIVE: INCONCLUSIVE}
 
 
@@ -313,7 +310,7 @@ def run_diagnostics(spec: ManifoldSpec, tolerance=DEFAULT_TOLERANCE, count=None,
     def agreement(a, b):
         """Two residuals that must raise the same flag, reported at the first point."""
         status = _AGREEMENT_STATUS[band_agreement(a, b, tol)]
-        return CheckResult(max(a, b), list(points[0]), status)
+        return CheckResult(max(a, b), points[0].tolist(), status)
 
     # the symmetry of Ric and the closedness of g(T, .) must flag together
     checks["ricci_symmetry_equivalence"] = agreement(ric_asym, eq5)
@@ -386,14 +383,7 @@ class CrosscheckReport:
         return self.max_deviation <= self.threshold
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "h": self.h,
-            "threshold": self.threshold,
-            "deviations": dict(self.deviations),
-            "max_deviation": self.max_deviation,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "max_deviation": self.max_deviation, "passed": self.passed}
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -90,10 +90,11 @@ class StatisticalFrame:
     """Statistical data for a batch of chart points, layered over a GeometryFrame.
 
     Holds the cubic form C, difference tensor K, Tchebychev field T and its
-    dual eta.  The Tchebychev operator nabla^g T, nabla^g K, the coefficients
-    and curvatures of the dual pair (nabla, nabla-bar), the Ricci tensor of
-    nabla and the interchange tensors L, L-bar are computed on first read and
-    then kept, so a caller pays only for what it reads.
+    dual eta.  The Tchebychev operator nabla^g T, nabla^g K, the scalar jet
+    g(K, K), the coefficients and curvatures of the dual pair (nabla,
+    nabla-bar), the Ricci tensor of nabla and the interchange tensors L, L-bar
+    are computed on first read and then kept, so a caller pays only for what
+    it reads.
     """
 
     def __init__(self, geometry: GeometryFrame, cubic_jets):
@@ -258,11 +259,18 @@ class StatisticalFrame:
     def metric_inner_tt(self):
         return np.einsum("pij,pi,pj->p", self.geometry.g, self.T, self.T, optimize="greedy")
 
-    def metric_inner_kk(self):
-        g, ginv = self.geometry.g, self.geometry.ginv
-        return np.einsum(
-            "pkl,pia,pjb,pkij,plab->p", g, ginv, ginv, self.K, self.K, optimize="greedy"
+    @cached_property
+    def kk_jets(self):
+        """g(K, K) as a scalar jet; K with both lower indices raised lives only in this product."""
+        geom = self.geometry
+        k_up = jet_einsum(
+            "jb,kib->kij", geom.ginv_jets, jet_einsum("ia,kaj->kij", geom.ginv_jets, self.K_jets)
         )
+        k_low = jet_einsum("kl,kij->lij", geom.g_jets, self.K_jets)
+        return jet_einsum("kij,kij->", k_low, k_up)
+
+    def metric_inner_kk(self):
+        return self.kk_jets.value
 
     def scalar_sum(self):
         """rho-hat + g(T,T) - g(K,K) per point; lambda m(m-1) under constant curvature."""
@@ -277,14 +285,7 @@ class StatisticalFrame:
         """
         geom = self.geometry
         g, ginv, riem = geom.g, geom.ginv, geom.riemann
-
-        # K with both lower indices raised; the intermediate lives only inside this product
-        k_up = jet_einsum(
-            "jb,kib->kij", geom.ginv_jets, jet_einsum("ia,kaj->kij", geom.ginv_jets, self.K_jets)
-        )
-        k_low = jet_einsum("kl,kij->lij", geom.g_jets, self.K_jets)
-        phi = jet_einsum("kij,kij->", k_low, k_up)
-        laplacian = geom.laplacian_scalar(phi)
+        laplacian = geom.laplacian_scalar(self.kk_jets)
 
         path = "greedy"
         f = (

@@ -23,7 +23,7 @@ from statmanifold import (
     run_diagnostics,
     sphere_stereographic,
 )
-from statmanifold.maps import band_agreement
+from statmanifold.pipeline import band_agreement
 from statmanifold.pipeline import crosscheck
 from statmanifold.statistical import fit_constant_curvature, scalar_relation_gap
 
@@ -109,7 +109,7 @@ def test_criterion_2_main1_identity_suite():
         worst = max(worst, float(np.max(res_a)), float(np.max(res_b)))
         t_res, b_res = (float(np.max(res)) for res in ident.flag_residuals())
         if band_agreement(t_res, b_res, 1e-8) != "consistent":
-            _report("2 (main1 identity suite)", False, f"flag mismatch on {inst.name}")
+            _report("2 (main1 identity suite)", False, f"flag mismatch on {inst.spec.name}")
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed < 5.0
     _report("2 (main1 identity suite)", ok, f"max residual {worst:.2e}, {elapsed:.2f}s")
@@ -130,7 +130,7 @@ def test_criterion_4_semi_equiaffine_flags():
         report = run_diagnostics(inst.spec)
         if not report.flags["semi_equiaffine"]:
             ok = False
-            detail.append(f"{inst.name} unexpectedly false")
+            detail.append(f"{inst.spec.name} unexpectedly false")
     negative = run_diagnostics(random_polynomial_cubic(2, 2, seed=100).spec)
     if negative.flags["semi_equiaffine"]:
         ok = False
@@ -148,7 +148,7 @@ def test_criterion_5_constant_curvature_and_scalar_relation():
         rel = float(np.max(scalar_relation_gap(lam, inst.spec.dim, stat.scalar_sum())))
         if not (abs(abs(lam) - 1.0) <= 1e-8 and fit <= 1e-6 and rel <= 1e-6):
             ok = False
-        detail.append(f"{inst.name}: lambda {lam:+.6f}, fit {fit:.1e}, relation {rel:.1e}")
+        detail.append(f"{inst.spec.name}: lambda {lam:+.6f}, fit {fit:.1e}, relation {rel:.1e}")
     _report("5 (constant curvature +-1, scalar relation)", ok, "; ".join(detail))
 
 
@@ -165,7 +165,7 @@ def test_criterion_6_sphere_spectrum():
         rel = float(np.max(np.abs(lap - target) / np.abs(target)))
         if rel > 1e-6:
             ok = False
-        detail.append(f"{inst.name}: rel {rel:.1e}")
+        detail.append(f"{inst.spec.name}: rel {rel:.1e}")
     _report("6 (first eigenfunction spot check)", ok, "; ".join(detail))
 
 
@@ -212,7 +212,7 @@ def test_criterion_9_identity_battery():
             result = report.checks[check]
             if result.max_residual > worst:
                 worst = result.max_residual
-                worst_name = f"{inst.name}:{check}"
+                worst_name = f"{inst.spec.name}:{check}"
             if result.status != "pass":
-                _report("9 (identity battery)", False, f"{inst.name}:{check} failed")
+                _report("9 (identity battery)", False, f"{inst.spec.name}:{check} failed")
     _report("9 (identity battery)", worst <= 1e-8, f"worst {worst:.2e} at {worst_name}")

@@ -203,6 +203,40 @@ def test_jet_einsum_matches_component_products(subscripts):
         )
 
 
+@pytest.mark.parametrize("high", ["a", "b"])
+def test_jet_einsum_truncates_the_higher_operand(high):
+    # the covariant derivative passes its operands truncated to the output order;
+    # leaving one operand at order 3 must give the same coefficients, bit for bit
+    rng = np.random.default_rng(13)
+    m, batch = 3, (4,)
+
+    def operand(name, rank):
+        space = jet_space(m, 3 if name == high else 2)
+        return Jet(space, rng.standard_normal(batch + (m,) * rank + (space.ncoeff,)))
+
+    a, b = operand("a", 3), operand("b", 1)
+    out = jet_einsum("Ada,a->Ad", a, b)
+    expected = jet_einsum("Ada,a->Ad", a.truncated(2), b.truncated(2))
+    assert out.order == 2
+    np.testing.assert_array_equal(out.coeff, expected.coeff)
+
+
+@pytest.mark.parametrize(
+    "subscripts, ranks, message",
+    [
+        ("ij,jk->ijk", (2, 2), "unsupported jet product"),
+        ("ij,ij->ij", (2, 2), "unsupported jet product"),
+        ("ijk,k->ij", (2, 1), "do not match the operand ranks"),
+        ("ij,jk->ik", (2, 1), "do not match the operand ranks"),
+    ],
+)
+def test_jet_einsum_rejects_bad_subscripts(subscripts, ranks, message):
+    space = jet_space(2, 1)
+    a, b = (Jet(space, np.ones((2,) * rank + (space.ncoeff,))) for rank in ranks)
+    with pytest.raises(ValueError, match=message):
+        jet_einsum(subscripts, a, b)
+
+
 def test_compose_chain_rule_against_reference():
     # phi(f) with f = x^2 + 1 at x = 1.3: compare against d^k/dx^k log(x^2+1)
     space = jet_space(1, 3)

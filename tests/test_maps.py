@@ -8,7 +8,7 @@ from statmanifold import (
     flat_constant_cubic,
     random_polynomial_cubic,
 )
-from statmanifold.maps import band_agreement
+from statmanifold.pipeline import band_agreement
 
 
 def identity_report(instance, count=None, seed=None):

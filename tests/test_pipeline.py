@@ -2,6 +2,7 @@
 bounded by the block, not the sample, and non-finite values between the probe
 points end as spec errors."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -162,3 +163,18 @@ def test_crosscheck_orders_give_the_compared_quantities(spec):
         (low_stat.tch, stat.tch),
     ):
         assert np.max(pipeline._relative(full, low)) <= 1e-13
+
+
+def test_report_keys_are_pinned():
+    # reports serialize their own dataclass fields: a new field is a new key of schema 1
+    spec = get_builtin("flat-cubic").spec
+    report = json.loads(run_diagnostics(spec, count=10, seed=1).to_json())
+    assert set(report) == {
+        "schema", "name", "spec", "spec_hash", "dim", "num_points", "tolerance", "checks",
+        "flags", "constant_curvature", "main1_flag_equivalence", "runtime_seconds",
+    }
+    assert report["schema"] == 1
+    for name, check in report["checks"].items():
+        assert set(check) == {"max_residual", "argmax_point", "status"}, name
+    fd = json.loads(crosscheck(spec, count=10, seed=1).to_json())
+    assert set(fd) == {"name", "h", "threshold", "deviations", "max_deviation", "passed"}

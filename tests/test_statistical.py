@@ -393,3 +393,16 @@ def test_frame_arrays_at_reduced_order_equal_the_full_order_ones():
     assert ident.tau_jets.order == ident.taubar_jets.order == 2
     assert np.array_equal(ident.tau_jets.coeff, tau.coeff)
     assert np.array_equal(ident.taubar_jets.coeff, taubar.coeff)
+
+
+def test_metric_inner_kk_matches_the_value_contraction():
+    # oracle: g(K, K) = g_kl g^ia g^jb K^k_ij K^l_ab contracted on values in one
+    # einsum, against the frame's scalar jet, on the sphere-m3 metric with a
+    # non-constant cubic
+    curved = get_builtin("sphere-m3").spec.to_dict()
+    curved["cubic"] = random_polynomial_cubic(3, 2, seed=1).spec.to_dict()["cubic"]
+    geom, stat, _ = evaluate_spec(ManifoldSpec.from_dict(curved), count=20)
+    g, ginv, k = geom.g, geom.ginv, stat.K
+    expected = np.einsum("pkl,pia,pjb,pkij,plab->p", g, ginv, ginv, k, k, optimize="greedy")
+    assert np.min(expected) > 1e-3  # K does not vanish anywhere in the sample
+    np.testing.assert_allclose(stat.metric_inner_kk(), expected, rtol=1e-12, atol=0)
