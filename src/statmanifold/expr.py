@@ -305,7 +305,7 @@ def _render(node):
 def eval_jet(node, point, order):
     """Evaluate an expression as a jet of the requested order at ``point``.
 
-    ``point`` is a single chart point (m,) or a batch (N, m); coefficients of
+    ``point`` is a single chart point (m,) or a batch (..., m); coefficients of
     the result equal the analytic partial derivatives (up to factorials) of
     the expression.  Domain violations raise :class:`EvalDomainError` naming
     the offending subexpression.
@@ -323,6 +323,8 @@ def eval_jet(node, point, order):
         if isinstance(n, Unary):
             return -ev(n.child)
         if isinstance(n, Binary):
+            if n.op == "*" and isinstance(n.left, Const):
+                return ev(n.right) * n.left.value  # scales each coefficient: no jet product
             left = ev(n.left)
             right = ev(n.right)
             try:
@@ -363,42 +365,36 @@ def central_differences(fn, point, h, order=2):
     """(value, gradient, Hessian) of ``fn`` at ``point`` by central differences.
 
     ``fn`` maps points (..., m) to values of any trailing shape; derivative
-    axes come last.  The Hessian is None at ``order`` 1.  Each stencil point
-    is evaluated once.
+    axes come last.  The Hessian is None at ``order`` 1.  ``fn`` is called
+    once, on the whole stencil (2m + 1 points at order 1, 2m^2 + 1 at order
+    2) stacked as points (..., stencil, m).
     """
     point = np.asarray(point, dtype=float)
     m = point.shape[-1]
-
-    def at(*steps):
-        q = point.copy()
-        for i, sign in steps:
-            q[..., i] = q[..., i] + sign * h
-        return fn(q)
-
-    value = fn(point)
-    axis = [(at((i, +1)), at((i, -1))) for i in range(m)]
-    gradient = np.stack([(fp - fm) / (2.0 * h) for fp, fm in axis], axis=-1)
+    eye = np.eye(m)
+    i, j = np.triu_indices(m, 1)
+    steps = [np.zeros((1, m)), eye, -eye]
+    if order == 2:
+        steps += [si * eye[i] + sj * eye[j] for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    f = np.moveaxis(fn(point[..., None, :] + h * np.concatenate(steps)), point.ndim - 1, 0)
+    value, fp, fm = f[0], f[1 : 1 + m], f[1 + m : 1 + 2 * m]
+    gradient = np.moveaxis((fp - fm) / (2.0 * h), 0, -1)
     if order == 1:
         return value, gradient, None
     hessian = np.zeros(np.shape(value) + (m, m))
-    for i, (fp, fm) in enumerate(axis):
-        hessian[..., i, i] = (fp - 2.0 * value + fm) / h**2
-        for j in range(i + 1, m):
-            hessian[..., i, j] = hessian[..., j, i] = (
-                at((i, +1), (j, +1))
-                - at((i, +1), (j, -1))
-                - at((i, -1), (j, +1))
-                + at((i, -1), (j, -1))
-            ) / (4.0 * h**2)
+    hessian[..., range(m), range(m)] = np.moveaxis((fp - 2.0 * value + fm) / h**2, 0, -1)
+    pp, pm, mp, mm = np.split(f[1 + 2 * m :], 4)
+    hessian[..., i, j] = hessian[..., j, i] = np.moveaxis((pp - pm - mp + mm) / (4.0 * h**2), 0, -1)
     return value, gradient, hessian
 
 
 def fd_jet(node, point, order, h):
     """Central-difference estimate of the jet, for cross-checking only.
 
-    Supports orders 1 and 2; the point must sit inside the expression's
-    domain with margin at least ``2h`` in every coordinate, otherwise the
-    stencil evaluation raises the usual domain error.
+    Supports orders 1 and 2 and evaluates the whole stencil in one order-0
+    :func:`eval_jet` call; the point must sit inside the expression's domain
+    with margin at least ``2h`` in every coordinate, otherwise the stencil
+    evaluation raises the usual domain error.
     """
     if order not in (1, 2):
         raise ValueError("fd_jet supports orders 1 and 2")

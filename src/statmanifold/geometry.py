@@ -147,8 +147,9 @@ class GeometryFrame:
         try:
             np.linalg.cholesky(self.g)
         except np.linalg.LinAlgError as err:
+            at = points[np.argmin(np.linalg.eigvalsh(self.g)[:, 0])].tolist()
             raise MetricNotPositiveDefinite(
-                "metric is not positive definite at a sample point"
+                f"metric is not positive definite at sample point {at}"
             ) from err
         self.ginv_jets = jet_matrix_inverse(metric_jets, metric_jets.order - 1)
         self.ginv = self.ginv_jets.value

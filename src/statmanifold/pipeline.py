@@ -24,14 +24,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .expr import central_differences, fd_jet
+from .expr import central_differences, eval_jet, fd_jet, parse_expression
 from .geometry import (
     GeometryFrame,
     christoffel_components,
     christoffel_derivative_components,
     curvature_components,
 )
-from .jets import coordinate_jets
 from .manifold import ManifoldSpec, SpecValidationError, require_sample_options
 from .maps import IdentityMapReport
 from .statistical import StatisticalFrame, fit_constant_curvature, scalar_relation_gap
@@ -150,16 +149,11 @@ def evaluate_spec(spec: ManifoldSpec, count=None, seed=None):
     return _diagnostic_frames(spec.compile(), spec.sample_points(count, seed))
 
 
-def _probe_scalar(points, order=3):
-    """Deterministic smooth probe used for scalar-Laplacian checks."""
-    coords = coordinate_jets(points, order)
-    total = coords[0]
-    for c in coords[1:]:
-        total = total + c
-    f = total.sin()
-    for c in coords:
-        f = f + 0.5 * (c * c)
-    return f
+def _probe(coordinates):
+    """Deterministic smooth probe of the scalar-Laplacian checks, as an expression:
+    sin(x1 + ... + xm) + 0.5*(x1*x1) + ... + 0.5*(xm*xm)."""
+    squares = "".join(f" + 0.5*({x}*{x})" for x in coordinates)
+    return parse_expression(f"sin({' + '.join(coordinates)}){squares}", coordinates)
 
 
 def _require_real(name, value, positive=False):
@@ -215,7 +209,7 @@ def _block_residuals(compiled, points):
         ),
         "metric_compatibility": geometry.metric_compatibility_residual(),
         "divergence_identity_gradient_field": geometry.divergence_identity_residual(
-            _probe_scalar(points)
+            eval_jet(_probe(compiled.spec.coordinates), points, 3)
         ),
         "tension_is_minus_tchebychev": identity.tension_residual(),
         "conjugate_tension_is_tchebychev": identity.conjugate_tension_residual(),
@@ -385,8 +379,7 @@ class CrosscheckReport:
     def to_dict(self):
         return {**asdict(self), "max_deviation": self.max_deviation, "passed": self.passed}
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    to_json = DiagnosticsReport.to_json
 
 
 def _relative(a, b):
@@ -407,7 +400,7 @@ def crosscheck(spec: ManifoldSpec, h=FD_STEP, threshold=FD_TOLERANCE, count=None
     threshold = _require_real("threshold", threshold)
     require_sample_options(count, seed)
     compiled = spec.compile()
-    points = _shrink_box(spec, 2.0 * h).sample_points(count, seed)
+    points = _shrink_box(spec, h).sample_points(count, seed)
     deviations = _per_point(points, lambda block: _crosscheck_block(compiled, block, h))
     report = CrosscheckReport(name=spec.name, h=h, threshold=threshold)
     report.deviations = {name: float(np.max(dev)) for name, dev in deviations.items()}
@@ -416,32 +409,23 @@ def crosscheck(spec: ManifoldSpec, h=FD_STEP, threshold=FD_TOLERANCE, count=None
 
 def _crosscheck_block(compiled, points, h):
     """Per-point relative deviations of the jet route from the fd route on one block."""
-    m = compiled.dim
     # Gamma and R read the order-1 Gamma to first derivatives, the Laplacian
     # reads values and nabla^g T is read as values: metric 2, cubic 1, probe 2
     geometry, stat = _frames(compiled, points, 2, 1, reads=("tch",))
 
-    # finite-difference metric derivatives, once per distinct expression
-    n = points.shape[0]
-    dg_fd = np.zeros((n, m, m, m))
-    d2g_fd = np.zeros((n, m, m, m, m))
-    for ast, entries in compiled.metric_slots:
-        jet = fd_jet(ast, points, 2, h)
-        grad, hess = jet.gradient(), jet.hessian()
-        for i, j in entries:
-            dg_fd[:, i, j], d2g_fd[:, i, j] = grad, hess
-
+    # finite-difference metric derivatives: the metric as one tensor on the stacked stencil
+    _, dg_fd, d2g_fd = central_differences(lambda q: compiled.metric_jets(q, 0).value, points, h)
     ginv = geometry.ginv
     gamma_fd = christoffel_components(ginv, dg_fd)
     dgamma_fd = christoffel_derivative_components(ginv, dg_fd, d2g_fd)
     riemann_fd = curvature_components(gamma_fd, dgamma_fd)
 
     # scalar Laplacian of the probe: fd Hessian/gradient against the jet route
-    probe = _probe_scalar(points, order=2)
-    lap_jet = geometry.laplacian_scalar(probe)
-    _, grad_fd, hess_fd = central_differences(lambda q: _probe_scalar(q, order=0).value, points, h)
-    lap_fd = np.einsum("pij,pij->p", ginv, hess_fd) - np.einsum(
-        "pij,paij,pa->p", ginv, gamma_fd, grad_fd, optimize="greedy"
+    probe = _probe(compiled.spec.coordinates)
+    lap_jet = geometry.laplacian_scalar(eval_jet(probe, points, 2))
+    probe_fd = fd_jet(probe, points, 2, h)
+    lap_fd = np.einsum("pij,pij->p", ginv, probe_fd.hessian()) - np.einsum(
+        "pij,paij,pa->p", ginv, gamma_fd, probe_fd.gradient(), optimize="greedy"
     )
 
     # Tchebychev operator: fd derivatives of the T field (order-0 evaluations)
@@ -458,14 +442,15 @@ def _crosscheck_block(compiled, points, h):
     }
 
 
-def _shrink_box(spec, margin):
+def _shrink_box(spec, h):
     shrunk_box = {}
     for name, (lo, hi) in spec.sample.box.items():
-        if hi - lo <= 2.0 * margin:
+        if hi - lo <= 4.0 * h:
             raise ValueError(
-                f"sample box for {name!r} is too narrow for fd margin {margin:g}"
+                f"h must be less than a quarter of the width of the sample box for {name!r} "
+                f"({hi - lo:g}), got {h:g}"
             )
-        shrunk_box[name] = (lo + margin, hi - margin)
+        shrunk_box[name] = (lo + 2.0 * h, hi - 2.0 * h)
     clone = ManifoldSpec.from_dict(spec.to_dict())
     clone.sample.box = shrunk_box
     return clone

@@ -261,13 +261,12 @@ class StatisticalFrame:
 
     @cached_property
     def kk_jets(self):
-        """g(K, K) as a scalar jet; K with both lower indices raised lives only in this product."""
+        """g(K, K) = -C_kij K^kij / 2 as a scalar jet; K raised twice lives only in this product."""
         geom = self.geometry
         k_up = jet_einsum(
             "jb,kib->kij", geom.ginv_jets, jet_einsum("ia,kaj->kij", geom.ginv_jets, self.K_jets)
         )
-        k_low = jet_einsum("kl,kij->lij", geom.g_jets, self.K_jets)
-        return jet_einsum("kij,kij->", k_low, k_up)
+        return jet_einsum("kij,kij->", -0.5 * self.C_jets, k_up)
 
     def metric_inner_kk(self):
         return self.kk_jets.value

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from statmanifold import ManifoldSpec, get_builtin
+from statmanifold import ManifoldSpec, flat_constant_cubic, get_builtin
 
 
 @pytest.fixture
@@ -20,3 +20,19 @@ def spiked_centroaffine():
     spiked.cubic["111"] = f"exp(1/((x1-{c!r})*(x1-{c!r}) + 0.001))"
     spiked.validate()
     return spiked, c
+
+
+@pytest.fixture
+def dented_metric():
+    """flat_constant_cubic(2) with g_11 < 0 on a disc of radius sqrt(ln(3)/200)
+    around (0.31, 0.52), which the validation probe misses: the spec validates.
+    Returns (spec, a function that tells whether a point lies in the disc)."""
+    spec = flat_constant_cubic(2).spec
+    spec.metric["11"] = "1 - 3*exp(-200*((x1-0.31)*(x1-0.31) + (x2-0.52)*(x2-0.52)))"
+    spec.validate()
+
+    def inside(point):
+        x1, x2 = point
+        return (x1 - 0.31) ** 2 + (x2 - 0.52) ** 2 < np.log(3.0) / 200.0
+
+    return spec, inside

@@ -179,3 +179,25 @@ def test_run_rejects_overflow_between_probe_points(spiked_centroaffine, tmp_path
     captured = capsys.readouterr()
     assert "cubic[111] is not finite to order 2 at sample point" in captured.err
     assert captured.out == ""
+
+
+def test_crosscheck_names_an_h_too_large_for_the_box(centroaffine_spec, capsys):
+    assert main(["crosscheck", str(centroaffine_spec), "--h", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: --h must be less than a quarter of the width of the sample box for 'x1' "
+        "(2.5), got 1\n"
+    )
+    assert captured.out == ""
+
+
+def test_run_names_the_point_where_the_metric_is_indefinite(dented_metric, tmp_path, capsys):
+    spec, inside = dented_metric
+    path = tmp_path / "dented.json"
+    spec.save(path)
+    assert main(["run", str(path), "--seed", "1"]) == 3
+    captured = capsys.readouterr()
+    prefix = "error: metric is not positive definite at sample point "
+    assert captured.err.startswith(prefix)
+    assert inside(json.loads(captured.err[len(prefix):]))
+    assert captured.out == ""

@@ -14,6 +14,7 @@ from statmanifold import (
     to_source,
 )
 from statmanifold.expr import central_differences
+from statmanifold.jets import Jet
 
 # the fd-versus-jet corpus: every operator and call at least once
 CORPUS = [
@@ -131,18 +132,22 @@ def test_fd_exact_on_quadratics():
 
 
 def test_central_differences_evaluate_each_stencil_point_once():
-    # value, 2m axis points and 4 points per off-diagonal pair: 2m^2 + 1 in all
+    # one call on the whole stencil: the value, 2m axis points and 4 points
+    # per off-diagonal pair, 2m^2 + 1 distinct rows per point
     m, h = 3, 1e-3
     point = np.array([[0.3, -0.2, 0.5], [0.1, 0.4, -0.6]])
     seen = []
 
     def f(q):
         seen.append(q.copy())
-        return np.sin(q[:, 0]) * q[:, 1] + q[:, 1] * q[:, 2] * q[:, 2]
+        return np.sin(q[..., 0]) * q[..., 1] + q[..., 1] * q[..., 2] * q[..., 2]
 
     value, gradient, hessian = central_differences(f, point, h)
-    assert len(seen) == 2 * m * m + 1
-    assert len({q.tobytes() for q in seen}) == len(seen)
+    assert len(seen) == 1
+    stencil = seen[0]
+    assert stencil.shape == (len(point), 2 * m * m + 1, m)
+    for rows in stencil:
+        assert len({row.tobytes() for row in rows}) == 2 * m * m + 1
     # the textbook stencil, one formula per entry
     e = np.eye(m) * h
     assert np.array_equal(value, f(point))
@@ -159,6 +164,15 @@ def test_central_differences_evaluate_each_stencil_point_once():
                 ) / (4.0 * h**2)
             assert np.array_equal(hessian[:, i, j], want)
     assert central_differences(f, point, h, order=1)[2] is None
+
+
+def test_constant_factor_gives_the_jet_product_bit_for_bit():
+    # a constant left factor scales the coefficients instead of multiplying jets
+    pts = np.array([[0.3, -0.7], [1.1, 0.4]])
+    inner = eval_jet(parse_expression("sin(x1*x2) + x2", ["x1", "x2"]), pts, 3)
+    product = Jet.constant(inner.space, 2.5, pts.shape[:-1]) * inner
+    scaled = eval_jet(parse_expression("2.5*(sin(x1*x2) + x2)", ["x1", "x2"]), pts, 3)
+    assert np.array_equal(scaled.coeff, product.coeff)
 
 
 def test_domain_error_names_subexpression():

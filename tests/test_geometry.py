@@ -23,7 +23,7 @@ from statmanifold import (
     run_diagnostics,
     sphere_stereographic,
 )
-from statmanifold import geometry
+from statmanifold import geometry, pipeline
 from statmanifold.geometry import UP, covariant_derivative_jets, jet_matrix_inverse
 from statmanifold.jets import Jet, coordinate_jets, jet_einsum, jet_space
 from statmanifold.pipeline import crosscheck
@@ -167,12 +167,11 @@ def test_sphere_first_eigenfunction(dim, c):
 
 def test_divergence_identity_for_gradient_fields():
     # X div(V) = g(Delta_g V, X) - Ric(V, X) for V = grad f
-    from statmanifold.pipeline import _probe_scalar
-
     for inst in (sphere_stereographic(2, 1.0), hyperbolic_ball(2, -1.0),
                  centroaffine_power_surface(1.0, 2.0)):
         geom, _, _ = evaluate_spec(inst.spec, count=40)
-        res = geom.divergence_identity_residual(_probe_scalar(geom.points))
+        probe = eval_jet(pipeline._probe(inst.spec.coordinates), geom.points, 3)
+        res = geom.divergence_identity_residual(probe)
         assert np.max(res) < 1e-8
 
 

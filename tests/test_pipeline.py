@@ -10,8 +10,10 @@ import pytest
 
 from statmanifold import (
     ManifoldSpec,
+    MetricNotPositiveDefinite,
     SpecValidationError,
     crosscheck,
+    eval_jet,
     evaluate_spec,
     flat_constant_cubic,
     get_builtin,
@@ -20,6 +22,7 @@ from statmanifold import (
     run_diagnostics,
     statistical,
 )
+from statmanifold import expr, manifold
 
 
 def _residuals_and_rest(report):
@@ -130,6 +133,24 @@ def test_non_finite_frame_values_name_the_stage():
     ]
 
 
+def test_indefinite_metric_between_probe_points_names_the_point(dented_metric):
+    spec, inside = dented_metric
+    with pytest.raises(MetricNotPositiveDefinite) as err:
+        run_diagnostics(spec, seed=1)
+    message = str(err.value)
+    assert message.startswith("metric is not positive definite at sample point [")
+    assert inside(json.loads(message.partition(" at sample point ")[2]))
+    assert run_diagnostics(spec, seed=0).exit_code() == 0
+
+
+def test_too_large_h_is_named():
+    with pytest.raises(ValueError) as err:
+        crosscheck(get_builtin("centroaffine").spec, h=1)
+    assert str(err.value) == (
+        "h must be less than a quarter of the width of the sample box for 'x1' (2.5), got 1"
+    )
+
+
 def test_crosscheck_builds_only_what_it_compares(monkeypatch):
     def unexpected(*args):
         raise AssertionError("the crosscheck compares no curvature of the dual connections")
@@ -140,6 +161,24 @@ def test_crosscheck_builds_only_what_it_compares(monkeypatch):
     assert crosscheck(spec, seed=1).passed
     with pytest.raises(AssertionError, match="dual connections"):
         run_diagnostics(spec, seed=1)
+
+
+def test_each_crosscheck_stencil_is_one_call(monkeypatch):
+    spec = get_builtin("centroaffine").spec
+    compiled = spec.compile()
+    assert (len(compiled.metric_slots), len(compiled.cubic_slots)) == (3, 4)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return eval_jet(*args)
+
+    for module in (expr, manifold, pipeline):
+        monkeypatch.setattr(module, "eval_jet", counted)
+    pipeline._crosscheck_block(compiled, spec.sample_points(seed=1), pipeline.FD_STEP)
+    # 7 for the frames, 3 for the metric stencil, 7 for T's stencil (metric and
+    # cubic at order 0) and 2 for the probe (its jet and its fd stencil)
+    assert len(calls) == 7 + 3 + 7 + 2
 
 
 def _sphere_with_polynomial_cubic():
