@@ -10,12 +10,12 @@ compare the computed frames against them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .jets import MAX_DIM
-from .manifold import ManifoldSpec, SampleSpec
+from .manifold import ManifoldSpec, SampleSpec, component_key
 
 # the random cubic coefficients are uniform in [-AMPLITUDE, AMPLITUDE]
 AMPLITUDE = 0.5
@@ -86,7 +86,7 @@ def random_symmetric_constants(dim, seed):
     """Totally symmetric constant cubic components, keyed by sorted index strings."""
     rng = np.random.default_rng(seed)
     return {
-        "".join(str(i + 1) for i in combo): round(float(AMPLITUDE * (2.0 * rng.random() - 1.0)), 6)
+        component_key(combo): round(float(AMPLITUDE * (2.0 * rng.random() - 1.0)), 6)
         for combo in combinations_with_replacement(range(dim), 3)
     }
 
@@ -113,9 +113,8 @@ def flat_constant_cubic(dim=2, cubic=None):
     )
 
     full = np.zeros((dim, dim, dim))
-    for key, value in cubic.items():
-        for perm in permutations(int(ch) - 1 for ch in key):
-            full[perm] = value
+    for entry in np.ndindex(full.shape):
+        full[entry] = cubic.get(component_key(entry), 0.0)
     t_const = -0.5 * np.einsum("iik->k", full)
 
     return BuiltinInstance(
@@ -134,8 +133,8 @@ def flat_constant_cubic(dim=2, cubic=None):
 
 def _diagonal_metric(dim, entry):
     """Metric components with ``entry`` on the diagonal and 0 off it."""
-    pairs = combinations_with_replacement(range(1, dim + 1), 2)
-    return {f"{i}{j}": entry if i == j else "0" for i, j in pairs}
+    pairs = combinations_with_replacement(range(dim), 2)
+    return {component_key((i, j)): entry if i == j else "0" for i, j in pairs}
 
 
 def _conformal_instance(dim, curvature, kind, description):
@@ -204,11 +203,11 @@ def random_polynomial_cubic(dim=2, degree=2, seed=0):
         monomials += [f"{a}*{b}" for a, b in combinations_with_replacement(coords, 2)]
     rng = np.random.default_rng(seed)
     cubic = {}
-    for combo in combinations_with_replacement(range(1, dim + 1), 3):
+    for combo in combinations_with_replacement(range(dim), 3):
         coeffs = AMPLITUDE * (2.0 * rng.random(len(monomials)) - 1.0)
         terms = [f"{round(float(c), 6)!r}*{mono}" if mono != "1" else f"{round(float(c), 6)!r}"
                  for c, mono in zip(coeffs, monomials)]
-        cubic["".join(str(i) for i in combo)] = " + ".join(terms)
+        cubic[component_key(combo)] = " + ".join(terms)
     spec = ManifoldSpec(
         name=f"flat-random-cubic-m{dim}-seed{seed}",
         dim=dim,

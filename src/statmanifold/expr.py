@@ -26,6 +26,10 @@ import numpy as np
 from .jets import Jet, JetDomainError, coordinate_jets, jet_space
 
 FUNCTIONS = {"pow": 2, "exp": 1, "log": 1, "sin": 1, "cos": 1, "sqrt": 1}
+# binary operators by precedence level, loosest first; all associate to the left
+_LEVELS = ("+-", "*/")
+# deepest tree accepted: folding, rendering and evaluation recurse once per level
+MAX_DEPTH = 200
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
@@ -135,6 +139,11 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def accept(self, ops):
+        """Consume and return the next token if it is one of the operators ``ops``, else None."""
+        kind, value, _ = self.peek()
+        return self.advance() if kind == "op" and value in ops else None
+
     def expect(self, text):
         kind, value, offset = self.peek()
         if kind == "op" and value == text:
@@ -143,40 +152,26 @@ class _Parser:
         raise ExprSyntaxError(f"expected {text!r} but found {shown!r} at offset {offset}", offset)
 
     def parse(self):
-        node = self.expr()
+        node = self.binary()
         kind, value, offset = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected trailing input {value!r} at offset {offset}", offset)
         return node
 
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                right = self.term()
-                node = Binary(value, node, right, (node.span[0], right.span[1]))
-            else:
-                return node
-
-    def term(self):
-        node = self.unary()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                right = self.unary()
-                node = Binary(value, node, right, (node.span[0], right.span[1]))
-            else:
-                return node
+    def binary(self, level=0):
+        """Left-associative chain of the operators at precedence ``level`` and above."""
+        if level == len(_LEVELS):
+            return self.unary()
+        node = self.binary(level + 1)
+        while token := self.accept(_LEVELS[level]):
+            right = self.binary(level + 1)
+            node = Binary(token[1], node, right, (node.span[0], right.span[1]))
+        return node
 
     def unary(self):
-        kind, value, offset = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
+        if token := self.accept("-"):
             child = self.unary()
-            return Unary("-", child, (offset, child.span[1]))
+            return Unary("-", child, (token[2], child.span[1]))
         return self.primary()
 
     def primary(self):
@@ -192,28 +187,22 @@ class _Parser:
                 return Const(float(self.parameters[value]), (offset, offset + len(value)))
             raise UnknownIdentifierError(f"unknown identifier {value!r} at offset {offset}", offset)
         if kind == "op" and value == "(":
-            node = self.expr()
+            node = self.binary()
             self.expect(")")
             return node
         shown = value if kind != "end" else "end of input"
         raise ExprSyntaxError(f"unexpected {shown!r} at offset {offset}", offset)
 
     def call(self, func, offset):
-        kind, value, open_offset = self.peek()
-        if not (kind == "op" and value == "("):
+        if not self.accept("("):
+            open_offset = self.peek()[2]
             raise ExprSyntaxError(
                 f"function name {func!r} must be followed by '(' at offset {open_offset}",
                 open_offset,
             )
-        self.advance()
-        args = [self.expr()]
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == ",":
-                self.advance()
-                args.append(self.expr())
-            else:
-                break
+        args = [self.binary()]
+        while self.accept(","):
+            args.append(self.binary())
         close = self.expect(")")
         span = (offset, close[2] + 1)
         if len(args) != FUNCTIONS[func]:
@@ -251,19 +240,45 @@ def _fold_constant(node):
 def parse_expression(src, variables, parameters=None):
     """Parse a component expression against declared coordinates and parameters.
 
-    Parameters are substituted as constants.
+    Parameters are substituted as constants.  A tree deeper than MAX_DEPTH
+    levels, or nesting too deep for the parser, is a syntax error.
     """
     if not src or not src.strip():
         raise ExprSyntaxError("empty expression", 0)
     names = list(variables)
     if len(set(names)) != len(names):
         raise ValueError("coordinate names must be distinct")
-    return _Parser(src, names, parameters).parse()
+    parser = _Parser(src, names, parameters)
+    try:
+        node = parser.parse()
+    except RecursionError:
+        node = None
+    offset = parser.peek()[2] if node is None else _too_deep(node)
+    if offset is not None:
+        raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels at offset {offset}", offset)
+    return node
+
+
+def _too_deep(node):
+    """Offset of the first node found below MAX_DEPTH levels, or None (walked without recursion)."""
+    stack = [(node, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            return node.span[0]
+        if isinstance(node, Unary):
+            children = (node.child,)
+        elif isinstance(node, Binary):
+            children = (node.left, node.right)
+        else:
+            children = getattr(node, "args", ())  # a Call's, or none
+        stack.extend((child, depth + 1) for child in children)
+    return None
 
 
 # -- pretty printing ---------------------------------------------------------
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+_PREC = {op: level + 1 for level, ops in enumerate(_LEVELS) for op in ops}
 
 
 def to_source(node):
@@ -290,7 +305,7 @@ def _render(node):
         right, rp = _render(node.right)
         if lp < prec:
             left = f"({left})"
-        if rp < prec or (rp == prec and node.op in "-/"):
+        if rp <= prec:  # a right operand at the same level keeps its parentheses
             right = f"({right})"
         return f"{left} {node.op} {right}", prec
     if isinstance(node, Call):

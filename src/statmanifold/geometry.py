@@ -26,7 +26,24 @@ DOWN = "down"
 
 
 class MetricNotPositiveDefinite(ValueError):
-    """The metric is not positive definite at a sample point."""
+    """The metric is not positive definite at a sample or probe point."""
+
+
+def require_positive_definite(g, points, kind):
+    """Raise :class:`MetricNotPositiveDefinite` naming the ``kind`` point (sample,
+    probe) of the smallest eigenvalue unless g is positive definite at every point."""
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError as err:
+        at = points[np.argmin(np.linalg.eigvalsh(g)[:, 0])].tolist()
+        raise MetricNotPositiveDefinite(f"metric is not positive definite at {kind} point {at}") from err
+
+
+def metric_derivative(g, dg, coeff, other=None):
+    """(D g)(Y, Z; X) = X g(Y, Z) - g(D_X Y, Z) - g(Y, D'_X Z), direction last,
+    for the connection coefficients ``coeff`` of D; D' = D unless ``other`` is given."""
+    other = coeff if other is None else other
+    return dg - np.einsum("padi,paj->pijd", coeff, g) - np.einsum("padj,pia->pijd", other, g)
 
 
 def jet_matrix_inverse(g_jets, order):
@@ -144,13 +161,7 @@ class GeometryFrame:
 
         self.g_jets = metric_jets
         self.g = metric_jets.value
-        try:
-            np.linalg.cholesky(self.g)
-        except np.linalg.LinAlgError as err:
-            at = points[np.argmin(np.linalg.eigvalsh(self.g)[:, 0])].tolist()
-            raise MetricNotPositiveDefinite(
-                f"metric is not positive definite at sample point {at}"
-            ) from err
+        require_positive_definite(self.g, points, "sample")
         self.ginv_jets = jet_matrix_inverse(metric_jets, metric_jets.order - 1)
         self.ginv = self.ginv_jets.value
         self.dg = metric_jets.gradient()
@@ -240,12 +251,7 @@ class GeometryFrame:
 
     def metric_compatibility_residual(self):
         """max |(nabla^g g)_{ij;d}| per point."""
-        nabla_g = (
-            self.dg
-            - np.einsum("padi,paj->pijd", self.gamma, self.g)
-            - np.einsum("padj,pia->pijd", self.gamma, self.g)
-        )
-        return np.max(np.abs(nabla_g), axis=(1, 2, 3))
+        return np.max(np.abs(metric_derivative(self.g, self.dg, self.gamma)), axis=(1, 2, 3))
 
     def gradient_field(self, f_jet):
         """grad f as a jet field: g^{ki} d_i f."""

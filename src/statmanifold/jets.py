@@ -29,7 +29,7 @@ Background: Griewank, Utke & Walther, Math. Comp. 69 (2000).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -75,61 +75,56 @@ class JetSpace:
         self.ncoeff = len(self.exponents)
         self.position = {e: i for i, e in enumerate(self.exponents)}
         self.degrees = np.array([sum(e) for e in self.exponents])
-        self._product = None
-        self._derivative = {}
-        self._hessian_slots = None
 
+    # tables are kept per space; spaces come from jet_space, which keeps each one for good
+    @cache
     def product_table(self):
         """(ti, tj, tk, scatter): out[tk] += a[ti] * b[tj], or (a[ti] * b[tj]) @ scatter.
 
         The scatter matrix is dense with one 1.0 per row; its largest
         instance (dim 8, order 3) is 969 x 165.
         """
-        if self._product is None:
-            ti, tj, tk = [], [], []
-            for i, ea in enumerate(self.exponents):
-                for j, eb in enumerate(self.exponents):
-                    if self.degrees[i] + self.degrees[j] > self.order:
-                        continue
-                    ec = tuple(x + y for x, y in zip(ea, eb))
-                    ti.append(i)
-                    tj.append(j)
-                    tk.append(self.position[ec])
-            scatter = np.zeros((len(ti), self.ncoeff))
-            scatter[np.arange(len(ti)), tk] = 1.0
-            self._product = (np.array(ti), np.array(tj), np.array(tk), scatter)
-        return self._product
+        ti, tj, tk = [], [], []
+        for i, ea in enumerate(self.exponents):
+            for j, eb in enumerate(self.exponents):
+                if self.degrees[i] + self.degrees[j] > self.order:
+                    continue
+                ec = tuple(x + y for x, y in zip(ea, eb))
+                ti.append(i)
+                tj.append(j)
+                tk.append(self.position[ec])
+        scatter = np.zeros((len(ti), self.ncoeff))
+        scatter[np.arange(len(ti)), tk] = 1.0
+        return np.array(ti), np.array(tj), np.array(tk), scatter
 
+    @cache
     def derivative_table(self, var):
         """(src, factor) mapping coefficients onto the order-1 lower space."""
-        if var not in self._derivative:
-            lower = jet_space(self.dim, self.order - 1)
-            src = np.empty(lower.ncoeff, dtype=int)
-            fac = np.empty(lower.ncoeff)
-            for q, e in enumerate(lower.exponents):
-                bumped = tuple(x + (1 if v == var else 0) for v, x in enumerate(e))
-                src[q] = self.position[bumped]
-                fac[q] = e[var] + 1
-            self._derivative[var] = (src, fac)
-        return self._derivative[var]
+        lower = jet_space(self.dim, self.order - 1)
+        src = np.empty(lower.ncoeff, dtype=int)
+        fac = np.empty(lower.ncoeff)
+        for q, e in enumerate(lower.exponents):
+            bumped = tuple(x + (1 if v == var else 0) for v, x in enumerate(e))
+            src[q] = self.position[bumped]
+            fac[q] = e[var] + 1
+        return src, fac
 
+    @cache
     def hessian_slots(self):
-        if self._hessian_slots is None:
-            m = self.dim
-            pos = np.empty((m, m), dtype=int)
-            fac = np.empty((m, m))
-            for i in range(m):
-                for j in range(m):
-                    e = [0] * m
-                    e[i] += 1
-                    e[j] += 1
-                    pos[i, j] = self.position[tuple(e)]
-                    fac[i, j] = 2.0 if i == j else 1.0
-            self._hessian_slots = (pos, fac)
-        return self._hessian_slots
+        m = self.dim
+        pos = np.empty((m, m), dtype=int)
+        fac = np.empty((m, m))
+        for i in range(m):
+            for j in range(m):
+                e = [0] * m
+                e[i] += 1
+                e[j] += 1
+                pos[i, j] = self.position[tuple(e)]
+                fac[i, j] = 2.0 if i == j else 1.0
+        return pos, fac
 
 
-@lru_cache(maxsize=None)
+@cache
 def jet_space(dim, order):
     return JetSpace(dim, order)
 
@@ -173,11 +168,9 @@ class Jet:
         if order >= 1:
             coeff[..., 1 : 1 + dim] = np.asarray(gradient, dtype=float)
         if order >= 2 and hessian is not None:
-            hessian = np.asarray(hessian, dtype=float)
             pos, fac = space.hessian_slots()
-            for i in range(dim):
-                for j in range(i, dim):
-                    coeff[..., pos[i, j]] = hessian[..., i, j] / fac[i, j]
+            i, j = np.triu_indices(dim)
+            coeff[..., pos[i, j]] = np.asarray(hessian, dtype=float)[..., i, j] / fac[i, j]
         return cls(space, coeff)
 
     # -- accessors ---------------------------------------------------------
@@ -320,30 +313,19 @@ class Jet:
         return self.compose(derivs[: self.order + 1])
 
     def powc(self, exponent):
-        """Power with a constant exponent."""
+        """Power with a constant exponent e: phi^(k)(v) = e (e - 1) ... (e - k + 1) v^(e - k)."""
         exponent = float(exponent)
         v = self.value
         if exponent.is_integer():
-            n = int(exponent)
-            if n < 0:
-                bad = v == 0
-                if np.any(bad):
-                    raise JetDomainError("zero base with a negative exponent", bad)
-            derivs = []
-            for k in range(self.order + 1):
-                falling = math.prod(n - t for t in range(k))
-                if falling == 0:
-                    derivs.append(np.zeros_like(v))
-                else:
-                    derivs.append(falling * np.power(v, float(n - k)))
-            return self.compose(derivs)
-        bad = v <= 0
+            bad, message = (v == 0) & (exponent < 0), "zero base with a negative exponent"
+        else:
+            bad, message = v <= 0, "non-integer power of a non-positive base"
         if np.any(bad):
-            raise JetDomainError("non-integer power of a non-positive base", bad)
-        derivs = []
+            raise JetDomainError(message, bad)
+        derivs, falling = [], 1.0
         for k in range(self.order + 1):
-            falling = math.prod(exponent - t for t in range(k))
-            derivs.append(falling * np.power(v, exponent - k))
+            derivs.append(np.zeros_like(v) if falling == 0 else falling * np.power(v, exponent - k))
+            falling *= exponent - k
         return self.compose(derivs)
 
 

@@ -27,16 +27,22 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
 from .expr import FUNCTIONS, EvalDomainError, ExprError, eval_jet, parse_expression
+from .geometry import MetricNotPositiveDefinite, require_positive_definite
 from .jets import MAX_DIM, Jet, jet_space
 
 SCHEMA_VERSION = 1
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
+
+
+def component_key(indices):
+    """Spec key of a tensor entry: 0-based indices in any order, (1, 0) -> "12"."""
+    return "".join(str(i + 1) for i in sorted(indices))
 
 
 class SpecValidationError(ValueError):
@@ -149,13 +155,13 @@ class ManifoldSpec:
         if problems:
             raise SpecValidationError(problems)
 
-        expected_metric = {self._key(pair) for pair in combinations_with_replacement(range(1, self.dim + 1), 2)}
+        expected_metric = {component_key(p) for p in combinations_with_replacement(range(self.dim), 2)}
         for key in self.metric:
             if key not in expected_metric:
                 problems.append(f"metric key {key!r} is not a sorted index pair within 1..{self.dim}")
         for key in expected_metric - set(self.metric):
             problems.append(f"missing metric component {key!r} (lower triangle must be complete)")
-        valid_cubic = {self._key(t) for t in combinations_with_replacement(range(1, self.dim + 1), 3)}
+        valid_cubic = {component_key(t) for t in combinations_with_replacement(range(self.dim), 3)}
         for key in self.cubic:
             if key not in valid_cubic:
                 problems.append(
@@ -196,9 +202,6 @@ class ManifoldSpec:
             raise SpecValidationError(problems)
         return asts
 
-    def _key(self, indices):
-        return "".join(str(i) for i in indices)
-
     def _probe(self, asts, problems):
         """Evaluate every distinct expression to order 2 at probe points; each
         component's jet must be finite there, and g positive definite."""
@@ -221,14 +224,13 @@ class ManifoldSpec:
                     problems.append(f"{label}[{key}] is not finite to order 2 at probe point {at}")
         if problems:
             return
-        g = np.zeros((points.shape[0], self.dim, self.dim))
-        for i in range(1, self.dim + 1):
-            for j in range(i, self.dim + 1):
-                g[:, i - 1, j - 1] = g[:, j - 1, i - 1] = jets[self.metric[self._key((i, j))]].value
+        g = np.empty((points.shape[0], self.dim, self.dim))
+        for i, j in np.ndindex(self.dim, self.dim):
+            g[:, i, j] = jets[self.metric[component_key((i, j))]].value
         try:
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            problems.append("metric is not positive definite at a probe point inside the box")
+            require_positive_definite(g, points, "probe")
+        except MetricNotPositiveDefinite as err:
+            problems.append(str(err))
 
     def _probe_points(self):
         lo, hi = self._box_arrays()
@@ -295,15 +297,8 @@ class CompiledManifold:
 
     def __init__(self, spec: ManifoldSpec, asts):
         self.spec = spec
-        m = spec.dim
-        self.metric_slots = _group(
-            asts,
-            ((spec.metric[f"{i + 1}{j + 1}"], [(i, j), (j, i)]) for i in range(m) for j in range(i, m)),
-        )
-        self.cubic_slots = _group(
-            asts,
-            ((src, permutations([int(c) - 1 for c in key])) for key, src in spec.cubic.items()),
-        )
+        self.metric_slots = _group(asts, spec.metric, (spec.dim,) * 2)
+        self.cubic_slots = _group(asts, spec.cubic, (spec.dim,) * 3)
 
     @property
     def dim(self):
@@ -330,10 +325,13 @@ class CompiledManifold:
         return Jet(space, out)
 
 
-def _group(asts, components):
-    """[(ast, entries)], one item per distinct source, in first-seen order."""
+def _group(asts, components, shape):
+    """[(ast, entries)], one item per distinct source, in first-seen order; an
+    entry of a tensor of ``shape`` belongs to the component its key names."""
     groups = {}
-    for src, entries in components:
-        groups.setdefault(src, set()).update(entries)
-    return [(asts[src], sorted(entries)) for src, entries in groups.items()]
+    for entry in np.ndindex(shape):
+        src = components.get(component_key(entry))
+        if src is not None:
+            groups.setdefault(src, []).append(entry)
+    return [(asts[src], entries) for src, entries in groups.items()]
 

@@ -31,7 +31,7 @@ from .geometry import (
     christoffel_derivative_components,
     curvature_components,
 )
-from .manifold import ManifoldSpec, SpecValidationError, require_sample_options
+from .manifold import ManifoldSpec, SpecValidationError, component_key, require_sample_options
 from .maps import IdentityMapReport
 from .statistical import StatisticalFrame, fit_constant_curvature, scalar_relation_gap
 
@@ -105,8 +105,7 @@ def _frames(
         bad = np.argwhere(~np.isfinite(jets.coeff))
         if len(bad):
             point, *component = bad[0][:-1]  # first point, then first component there
-            key = "".join(str(i + 1) for i in sorted(component))
-            at = points[point].tolist()
+            at, key = points[point].tolist(), component_key(component)
             raise SpecValidationError(
                 [f"{label}[{key}] is not finite to order {jets.order} at sample point {at}"]
             )
@@ -266,9 +265,8 @@ def run_diagnostics(spec: ManifoldSpec, tolerance=DEFAULT_TOLERANCE, count=None,
     """Run the full diagnostic battery on a spec; deterministic given (spec, seed).
 
     Frames are built block by block (BLOCK_POINTS points each); every max,
-    argmax and flag reduces the concatenated per-point residuals, so they do
-    not depend on the block size.  The constant-curvature fit adds per-block
-    sums, so lambda can differ in its last bits between block sizes.
+    argmax, flag and the constant-curvature fit reduce concatenated per-point
+    values, so they do not depend on the block size.
     """
     start = time.perf_counter()
     tol = _require_real("tolerance", tolerance)
@@ -457,8 +455,9 @@ def _shrink_box(spec, h):
 
 
 def _tchebychev_values(compiled, points):
-    """Pointwise T through the order-0 route: values of g, C -> K -> trace."""
+    """Pointwise T^k = -1/2 g^{kl} g^{ij} C_ijl through the order-0 route: values
+    of g and C, the trace of C first."""
     ginv = np.linalg.inv(compiled.metric_jets(points, 0).value)
     # the compiled C fills all six permutations from one source, so it is symmetric
-    k = -0.5 * np.einsum("...kl,...ijl->...kij", ginv, compiled.cubic_jets(points, 0).value)
-    return np.einsum("...ij,...kij->...k", ginv, k)
+    trace = np.einsum("...ij,...ijl->...l", ginv, compiled.cubic_jets(points, 0).value)
+    return -0.5 * np.einsum("...kl,...l->...k", ginv, trace)

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import DOWN, UP, GeometryFrame, curvature_components, ricci_components
+from .geometry import DOWN, UP, GeometryFrame, curvature_components, metric_derivative, ricci_components
 from .jets import jet_einsum
 
 SYMMETRY_TOLERANCE = 1e-9
@@ -58,8 +58,9 @@ def fit_constant_curvature(blocks):
 
     ``blocks`` lists (riemann, g) pairs of consecutive point batches.  Returns
     (lambda, per-point max residual over all blocks); the fit pools every
-    component at every point.  Sums and residuals are taken block by block,
-    so no temporary spans more than one block.
+    component at every point.  R.M and M.M are summed per point, block by
+    block, and the per-point sums once over the sample, so no temporary spans
+    more than one block and lambda does not depend on where blocks split.
     """
     m = blocks[0][1].shape[-1]
     if m < 2:
@@ -69,11 +70,12 @@ def fit_constant_curvature(blocks):
     def model(g):
         return np.einsum("pjk,li->plijk", g, eye) - np.einsum("pik,lj->plijk", g, eye)
 
-    numerator = denom = 0.0
+    sums = ([], [])  # R.M and M.M of each point, block by block
     for riemann, g in blocks:
         block_model = model(g)
-        numerator += float(np.sum(riemann * block_model))
-        denom += float(np.sum(block_model * block_model))
+        sums[0].append(np.sum(riemann * block_model, axis=(1, 2, 3, 4)))
+        sums[1].append(np.sum(block_model * block_model, axis=(1, 2, 3, 4)))
+    numerator, denom = (float(np.sum(np.concatenate(parts))) for parts in sums)
     lam = numerator / denom
     residuals = [
         np.max(np.abs(riemann - lam * model(g)), axis=(1, 2, 3, 4)) for riemann, g in blocks
@@ -144,12 +146,7 @@ class StatisticalFrame:
 
     def nabla_g_components(self):
         """(nabla g)(Y, Z; X) with the statistical connection, direction last."""
-        g, dg = self.geometry.g, self.geometry.dg
-        return (
-            dg
-            - np.einsum("padi,paj->pijd", self.nabla, g)
-            - np.einsum("padj,pia->pijd", self.nabla, g)
-        )
+        return metric_derivative(self.geometry.g, self.geometry.dg, self.nabla)
 
     def codazzi_residual(self):
         """max |(nabla_X g)(Y,Z) - (nabla_Y g)(X,Z)| on coordinate vectors."""
@@ -166,11 +163,9 @@ class StatisticalFrame:
 
     def duality_residual(self):
         """X g(Y,Z) = g(nabla_X Y, Z) + g(Y, nabla-bar_X Z)."""
-        g, dg = self.geometry.g, self.geometry.dg
-        rhs = np.einsum("paxy,paz->pyzx", self.nabla, g) + np.einsum(
-            "paxz,pya->pyzx", self.bar, g
-        )
-        return np.max(np.abs(dg - rhs), axis=(1, 2, 3))
+        geom = self.geometry
+        residual = metric_derivative(geom.g, geom.dg, self.nabla, self.bar)
+        return np.max(np.abs(residual), axis=(1, 2, 3))
 
     def levi_civita_mean_residual(self):
         """nabla^g = (nabla + nabla-bar)/2."""

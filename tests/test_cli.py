@@ -116,6 +116,19 @@ def test_run_rejects_non_finite_expression(centroaffine_spec, capsys):
     assert captured.out == ""
 
 
+def test_run_rejects_a_too_deep_expression(tmp_path, capsys):
+    path = tmp_path / "flat-cubic.json"
+    assert main(["export", "flat-cubic", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    payload["cubic"]["111"] = " + ".join(["x1"] * 3000)
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["run", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "cubic[111]: expression nests deeper than" in captured.err
+    assert captured.out == ""
+
+
 def test_run_missing_file(capsys):
     assert main(["run", "/no/such/spec.json"]) == 3
 

@@ -11,9 +11,10 @@ from statmanifold import (
     eval_jet,
     fd_jet,
     parse_expression,
+    random_polynomial_cubic,
     to_source,
 )
-from statmanifold.expr import central_differences
+from statmanifold.expr import MAX_DEPTH, central_differences
 from statmanifold.jets import Jet
 
 # the fd-versus-jet corpus: every operator and call at least once
@@ -64,6 +65,31 @@ def test_syntax_errors_carry_offsets():
         parse_expression("sin", ["x1"])
     with pytest.raises(ExprSyntaxError):
         parse_expression("", ["x1"])
+
+
+@pytest.mark.parametrize(
+    "src", ["(" * 300 + "x1" + ")" * 300, " + ".join(["x1"] * 3000)], ids=["parentheses", "long-sum"]
+)
+def test_too_deep_expression_is_a_syntax_error(src):
+    with pytest.raises(ExprSyntaxError, match=f"nests deeper than {MAX_DEPTH} levels at offset") as err:
+        parse_expression(src, ["x1"])
+    assert 0 <= err.value.offset <= len(src)
+
+
+def test_expression_at_the_depth_bound_is_accepted():
+    ast = parse_expression(" + ".join(["x1"] * MAX_DEPTH), ["x1"])  # a left chain MAX_DEPTH deep
+    assert eval_jet(ast, np.array([0.5]), 3).gradient()[0] == MAX_DEPTH
+    assert parse_expression(to_source(ast), ["x1"]) == ast
+    with pytest.raises(ExprSyntaxError):
+        parse_expression(" + ".join(["x1"] * (MAX_DEPTH + 1)), ["x1"])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_largest_random_cubic_is_within_the_depth_bound(seed):
+    # the parse that validate() runs first; its m = 8 probe takes seconds
+    spec = random_polynomial_cubic(8, 2, seed).spec
+    for src in spec.cubic.values():
+        parse_expression(src, spec.coordinates, spec.parameters)
 
 
 def test_roundtrip_pretty_print():

@@ -140,6 +140,39 @@ def test_domain_errors():
         zero.powc(-1)
 
 
+def _integer_power_derivatives(v, n, order):
+    """phi^(k)(v) for an integer exponent n: falling factorial in integers, 0 where it vanishes."""
+    derivs = []
+    for k in range(order + 1):
+        falling = math.prod(n - t for t in range(k))
+        derivs.append(np.zeros_like(v) if falling == 0 else falling * np.power(v, float(n - k)))
+    return derivs
+
+
+def _real_power_derivatives(v, exponent, order):
+    """phi^(k)(v) for a non-integer exponent."""
+    return [math.prod(exponent - t for t in range(k)) * np.power(v, exponent - k) for k in range(order + 1)]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("exponent", [-2, -1, 0, 1, 2, 3, 2.5, -0.5])
+def test_powc_is_the_power_rule_bit_for_bit(exponent, order):
+    values = [0.3, 1.7, 4.0]
+    if float(exponent).is_integer():
+        values += [-2.5, -0.4] + ([0.0] if exponent >= 0 else [])
+    rng = np.random.default_rng(11)
+    space = jet_space(2, order)
+    coeff = rng.standard_normal((len(values), space.ncoeff))
+    coeff[:, 0] = values
+    x = Jet(space, coeff)
+    v = x.value
+    if float(exponent).is_integer():
+        derivs = _integer_power_derivatives(v, int(exponent), order)
+    else:
+        derivs = _real_power_derivatives(v, float(exponent), order)
+    assert x.powc(exponent).coeff.tobytes() == x.compose(derivs).coeff.tobytes()
+
+
 def test_from_derivatives_roundtrip():
     rng = np.random.default_rng(3)
     value = rng.standard_normal(5)

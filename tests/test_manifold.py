@@ -124,8 +124,9 @@ def test_probe_rejects_non_finite_jets():
 
 def test_probe_detects_indefinite_metric():
     spec = minimal_spec(metric={"11": "-1", "12": "0", "22": "1"})
-    with pytest.raises(SpecValidationError, match="positive definite"):
+    with pytest.raises(SpecValidationError, match="positive definite") as err:
         spec.validate()
+    assert "at probe point [" in str(err.value)
 
 
 def test_sampling_is_deterministic_and_has_corners():

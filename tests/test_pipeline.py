@@ -18,6 +18,7 @@ from statmanifold import (
     flat_constant_cubic,
     get_builtin,
     pipeline,
+    random_polynomial_cubic,
     random_symmetric_constants,
     run_diagnostics,
     statistical,
@@ -51,6 +52,23 @@ def test_block_size_does_not_change_reports(monkeypatch):
     assert blocked_res == pytest.approx(whole_res, rel=0, abs=1e-12)
     assert blocked_fd.deviations == pytest.approx(whole_fd.deviations, rel=0, abs=1e-12)
     assert blocked_fd.passed == whole_fd.passed
+
+
+@pytest.mark.parametrize(
+    "spec, seed",
+    [
+        (get_builtin("sphere-m2").spec, 1),
+        (get_builtin("centroaffine").spec, 3),
+        (random_polynomial_cubic(3, 2, 1).spec, 5),
+    ],
+    ids=["sphere-m2", "centroaffine", "negative-control-m3"],
+)
+def test_lambda_does_not_depend_on_the_block_size(monkeypatch, spec, seed):
+    lambdas = set()
+    for size in (7, 64, 1024):
+        monkeypatch.setattr(pipeline, "BLOCK_POINTS", size)
+        lambdas.add(run_diagnostics(spec, seed=seed).constant_curvature["lambda"])
+    assert len(lambdas) == 1
 
 
 def _peak_bytes(spec, count):
