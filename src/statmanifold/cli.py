@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from .catalog import builtin_names, get_builtin
-from .manifold import ManifoldSpec, SpecValidationError
+from .manifold import ManifoldSpec, OptionError, SpecValidationError
 from .pipeline import DEFAULT_TOLERANCE, FD_STEP, FD_TOLERANCE, crosscheck, run_diagnostics
 
 
@@ -49,7 +49,7 @@ def _build_parser():
     return parser
 
 
-# the flag that sets each API argument an option's range error can name
+# the flag that sets each API argument an OptionError can name
 _FLAGS = dict(tolerance="--tol", count="--samples", seed="--seed", h="--h", threshold="--threshold")
 
 
@@ -66,11 +66,11 @@ def main(argv=None):
     except SpecValidationError as err:
         print(err, file=sys.stderr)
         return 3
+    except OptionError as err:
+        print(f"error: {_FLAGS[err.argument]} {err.rule}", file=sys.stderr)
+        return 3
     except (OSError, ValueError, KeyError) as err:
-        # a range error reads "<argument> must be ...": name the option by its flag
-        name, sep, rule = str(err).partition(" must be ")
-        message = f"{_FLAGS[name]}{sep}{rule}" if sep and name in _FLAGS else err
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {err}", file=sys.stderr)
         return 3
 
 

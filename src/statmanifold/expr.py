@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, JetDomainError, coordinate_jets, jet_space
+from .jets import Jet, JetDomainError, jet_space
 
 FUNCTIONS = {"pow": 2, "exp": 1, "log": 1, "sin": 1, "cos": 1, "sqrt": 1}
 # binary operators by precedence level, loosest first; all associate to the left
@@ -326,14 +326,16 @@ def eval_jet(node, point, order):
     the offending subexpression.
     """
     point = np.asarray(point, dtype=float)
-    coords = coordinate_jets(point, order)
     space = jet_space(point.shape[-1], order)
     batch = point.shape[:-1]
+    coords = {}  # coordinate index -> its variable jet, built on first use
 
     def ev(n):
         if isinstance(n, Const):
             return Jet.constant(space, n.value, batch)
         if isinstance(n, Var):
+            if n.index not in coords:
+                coords[n.index] = Jet.variable(space, n.index, point[..., n.index])
             return coords[n.index]
         if isinstance(n, Unary):
             return -ev(n.child)

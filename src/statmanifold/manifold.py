@@ -53,6 +53,14 @@ class SpecValidationError(ValueError):
         self.problems = list(problems)
 
 
+class OptionError(ValueError):
+    """A run option out of range; ``argument`` names the API argument that set it."""
+
+    def __init__(self, argument, rule):
+        super().__init__(f"{argument} {rule}")
+        self.argument, self.rule = argument, rule
+
+
 @dataclass
 class SampleSpec:
     box: dict
@@ -88,15 +96,15 @@ class ManifoldSpec:
             box = {name: (float(lo), float(hi)) for name, (lo, hi) in sample.get("box", {}).items()}
             spec = cls(
                 name=str(data.get("name", "unnamed")),
-                dim=int(data["dim"]),
+                dim=_integral("dim", data["dim"]),
                 coordinates=list(data["coordinates"]),
                 metric=dict(data["metric"]),
                 cubic=dict(data.get("cubic", {})),
                 parameters={k: float(v) for k, v in (data.get("parameters") or {}).items()},
                 sample=SampleSpec(
                     box=box,
-                    count=int(sample.get("count", SampleSpec.count)),
-                    seed=int(sample.get("seed", SampleSpec.seed)),
+                    count=_integral("sample count", sample.get("count", SampleSpec.count)),
+                    seed=_integral("sample seed", sample.get("seed", SampleSpec.seed)),
                     strategy=str(sample.get("strategy", SampleSpec.strategy)),
                 ),
             )
@@ -135,8 +143,8 @@ class ManifoldSpec:
     # -- validation ------------------------------------------------------------
 
     def validate(self):
-        """Raise :class:`SpecValidationError` collecting every problem found;
-        return {source: AST} of each distinct source."""
+        """Raise :class:`SpecValidationError` collecting every problem found,
+        probing the box last; return the :class:`CompiledManifold` it probed."""
         problems = []
         if not 2 <= self.dim <= MAX_DIM:
             problems.append(f"dim must be in 2..{MAX_DIM}, got {self.dim}")
@@ -187,7 +195,9 @@ class ManifoldSpec:
                     problems.append(f"sample box is missing coordinate {name!r}")
                 else:
                     lo, hi = self.sample.box[name]
-                    if not lo < hi:
+                    if not np.isfinite([lo, hi]).all():
+                        problems.append(f"sample box for {name!r} must have finite bounds")
+                    elif not lo < hi:
                         problems.append(f"sample box for {name!r} must satisfy lo < hi")
             if self.sample.strategy not in ("uniform", "grid"):
                 problems.append(f"unknown sampling strategy {self.sample.strategy!r}")
@@ -197,40 +207,25 @@ class ManifoldSpec:
         if problems:
             raise SpecValidationError(problems)
 
-        self._probe(asts, problems)
+        # the probe: every distinct expression to order 2, and g positive definite
+        compiled = CompiledManifold(self, asts)
+        points = self._probe_points()
+        rows = {}
+        for label in ("metric", "cubic"):
+            try:
+                rows[label] = compiled.rows(label, points, 2, "probe")
+            except SpecValidationError as err:
+                problems += err.problems
+        if not problems:
+            # the metric's values alone: the probe never gathers the m^3 cubic tensor
+            g = np.take(rows["metric"][..., 0], compiled.index["metric"], axis=-1)
+            try:
+                require_positive_definite(g, points, "probe")
+            except MetricNotPositiveDefinite as err:
+                problems.append(str(err))
         if problems:
             raise SpecValidationError(problems)
-        return asts
-
-    def _probe(self, asts, problems):
-        """Evaluate every distinct expression to order 2 at probe points; each
-        component's jet must be finite there, and g positive definite."""
-        points = self._probe_points()
-        jets = {}  # source -> its jet, or the EvalDomainError it raised
-        for src, ast in asts.items():
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    jets[src] = eval_jet(ast, points, 2)
-            except EvalDomainError as err:
-                jets[src] = err
-        for label, table in (("metric", self.metric), ("cubic", self.cubic)):
-            for key, src in table.items():
-                if isinstance(jets[src], EvalDomainError):
-                    problems.append(f"{label}[{key}] leaves its domain inside the box: {jets[src]}")
-                    continue
-                bad = ~np.all(np.isfinite(jets[src].coeff), axis=-1)
-                if bad.any():
-                    at = points[int(np.argmax(bad))].tolist()
-                    problems.append(f"{label}[{key}] is not finite to order 2 at probe point {at}")
-        if problems:
-            return
-        g = np.empty((points.shape[0], self.dim, self.dim))
-        for i, j in np.ndindex(self.dim, self.dim):
-            g[:, i, j] = jets[self.metric[component_key((i, j))]].value
-        try:
-            require_positive_definite(g, points, "probe")
-        except MetricNotPositiveDefinite as err:
-            problems.append(str(err))
+        return compiled
 
     def _probe_points(self):
         lo, hi = self._box_arrays()
@@ -268,14 +263,23 @@ class ManifoldSpec:
     # -- compilation ----------------------------------------------------------------
 
     def compile(self):
-        return CompiledManifold(self, self.validate())
+        return self.validate()
+
+
+def _integral(name, value):
+    """``value`` as an int; ValueError naming it unless it is a whole number (2 or 2.0)."""
+    if isinstance(value, int):
+        return value
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(float(value))
 
 
 def require_sample_options(count, seed):
-    """Raise ValueError naming ``count`` or ``seed`` if it is negative."""
+    """Raise :class:`OptionError` naming ``count`` or ``seed`` if it is negative."""
     for name, value in (("count", count), ("seed", seed)):
         if value is not None and int(value) < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
+            raise OptionError(name, f"must be nonnegative, got {value}")
 
 
 def _shrunk_corners(lo, hi):
@@ -285,53 +289,62 @@ def _shrunk_corners(lo, hi):
 
 
 class CompiledManifold:
-    """Parsed expressions of a validated spec, ready for jet evaluation.
+    """Parsed expressions of a validated spec, ready for checked jet evaluation.
 
-    ``asts`` maps each component source to the AST that validation parsed.
-    ``metric_slots`` and ``cubic_slots`` pair each distinct source's AST with
-    the tensor entries it fills, so an expression shared by several
-    components (a conformal factor on the diagonal, a zero) is parsed and
-    evaluated once.  Grouping by source rather than by AST equality keeps
-    ``0`` and a parameter equal to ``-0.0`` apart.
+    Per tensor (``"metric"``, ``"cubic"``), ``sources`` maps each distinct
+    component source to the AST validation parsed; source i fills row i + 1 of
+    :meth:`rows`, and ``index`` (shape ``(m,) * rank``) names each entry's row,
+    0 (zero) for an absent cubic component.  Grouping by source rather than by
+    AST equality keeps ``0`` and a parameter equal to ``-0.0`` apart.
     """
 
     def __init__(self, spec: ManifoldSpec, asts):
         self.spec = spec
-        self.metric_slots = _group(asts, spec.metric, (spec.dim,) * 2)
-        self.cubic_slots = _group(asts, spec.cubic, (spec.dim,) * 3)
+        self.sources, self.index = {}, {}
+        for label, rank in (("metric", 2), ("cubic", 3)):
+            components = getattr(spec, label)
+            sources = self.sources[label] = {src: asts[src] for src in components.values()}
+            row = {src: i for i, src in enumerate(sources, 1)}
+            index = self.index[label] = np.zeros((spec.dim,) * rank, dtype=np.intp)
+            for entry in np.ndindex(index.shape):
+                index[entry] = row.get(components.get(component_key(entry)), 0)
 
-    @property
-    def dim(self):
-        return self.spec.dim
-
-    def metric_jets(self, points, order=3):
+    def metric_jets(self, points, order=3, kind="sample"):
         """The metric as one jet tensor: coefficients (*batch, m, m, ncoeff)."""
-        return self._tensor_jets(self.metric_slots, points, order, 2)
+        return self._tensor_jets("metric", points, order, kind)
 
-    def cubic_jets(self, points, order=3):
+    def cubic_jets(self, points, order=3, kind="sample"):
         """The cubic form as one jet tensor: coefficients (*batch, m, m, m, ncoeff)."""
-        return self._tensor_jets(self.cubic_slots, points, order, 3)
+        return self._tensor_jets("cubic", points, order, kind)
 
-    def _tensor_jets(self, slots, points, order, rank):
-        """Evaluate each distinct expression once and write it into all its entries;
-        entries no expression fills stay zero."""
+    def _tensor_jets(self, label, points, order, kind):
+        rows = self.rows(label, points, order, kind)
+        return Jet(jet_space(self.spec.dim, order), np.take(rows, self.index[label], axis=-2))
+
+    def rows(self, label, points, order, kind):
+        """Each distinct source of the ``label`` tensor evaluated once on a batch
+        (..., m) of ``kind`` points (sample, probe, stencil): coefficients
+        (..., 1 + sources, ncoeff).  A source that leaves its domain or is not
+        finite there is a :class:`SpecValidationError`, one line per component
+        it fills, in spec-key order."""
         points = np.asarray(points, dtype=float)
-        space = jet_space(self.dim, order)
-        out = np.zeros(points.shape[:-1] + (self.dim,) * rank + (space.ncoeff,))
-        for ast, entries in slots:
-            coeff = eval_jet(ast, points, order).coeff
-            for entry in entries:
-                out[(..., *entry, slice(None))] = coeff
-        return Jet(space, out)
-
-
-def _group(asts, components, shape):
-    """[(ast, entries)], one item per distinct source, in first-seen order; an
-    entry of a tensor of ``shape`` belongs to the component its key names."""
-    groups = {}
-    for entry in np.ndindex(shape):
-        src = components.get(component_key(entry))
-        if src is not None:
-            groups.setdefault(src, []).append(entry)
-    return [(asts[src], entries) for src, entries in groups.items()]
-
+        sources = self.sources[label]
+        space = jet_space(self.spec.dim, order)
+        rows = np.zeros(points.shape[:-1] + (1 + len(sources), space.ncoeff))
+        failed = {}  # source -> what is wrong with it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, (src, ast) in enumerate(sources.items(), 1):
+                try:
+                    rows[..., i, :] = eval_jet(ast, points, order).coeff
+                except EvalDomainError as err:
+                    failed[src] = f"leaves its domain inside the box: {err}"
+        bad = ~np.isfinite(rows).all(axis=-1).reshape(-1, rows.shape[-2])  # (point, row)
+        for i in np.flatnonzero(bad.any(axis=0)):
+            at = points.reshape(-1, self.spec.dim)[np.argmax(bad[:, i])].tolist()
+            failed[list(sources)[i - 1]] = f"is not finite to order {order} at {kind} point {at}"
+        if failed:
+            components = getattr(self.spec, label).items()
+            raise SpecValidationError(
+                [f"{label}[{key}] {failed[src]}" for key, src in components if src in failed]
+            )
+        return rows

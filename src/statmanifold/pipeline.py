@@ -31,7 +31,7 @@ from .geometry import (
     christoffel_derivative_components,
     curvature_components,
 )
-from .manifold import ManifoldSpec, SpecValidationError, component_key, require_sample_options
+from .manifold import ManifoldSpec, OptionError, SpecValidationError, require_sample_options
 from .maps import IdentityMapReport
 from .statistical import StatisticalFrame, fit_constant_curvature, scalar_relation_gap
 
@@ -98,17 +98,8 @@ def _frames(
     computed in that order.  Input jets, geometry values, K, T and the fields
     read that are not finite end as a spec error.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        metric = compiled.metric_jets(points, metric_order)
-        cubic = compiled.cubic_jets(points, cubic_order)
-    for label, jets in (("metric", metric), ("cubic", cubic)):
-        bad = np.argwhere(~np.isfinite(jets.coeff))
-        if len(bad):
-            point, *component = bad[0][:-1]  # first point, then first component there
-            at, key = points[point].tolist(), component_key(component)
-            raise SpecValidationError(
-                [f"{label}[{key}] is not finite to order {jets.order} at sample point {at}"]
-            )
+    metric = compiled.metric_jets(points, metric_order)
+    cubic = compiled.cubic_jets(points, cubic_order)
     geometry = GeometryFrame(points, metric)
     _require_finite(
         points, "geometry", ginv=geometry.ginv, gamma=geometry.gamma,
@@ -156,11 +147,11 @@ def _probe(coordinates):
 
 
 def _require_real(name, value, positive=False):
-    """``value`` as a float; ValueError naming it unless finite and >= 0 (> 0 if ``positive``)."""
+    """``value`` as a float; OptionError naming it unless finite and >= 0 (> 0 if ``positive``)."""
     value = float(value)
     if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
         bound = "positive" if positive else "nonnegative"
-        raise ValueError(f"{name} must be finite and {bound}, got {value}")
+        raise OptionError(name, f"must be finite and {bound}, got {value}")
     return value
 
 
@@ -412,7 +403,9 @@ def _crosscheck_block(compiled, points, h):
     geometry, stat = _frames(compiled, points, 2, 1, reads=("tch",))
 
     # finite-difference metric derivatives: the metric as one tensor on the stacked stencil
-    _, dg_fd, d2g_fd = central_differences(lambda q: compiled.metric_jets(q, 0).value, points, h)
+    _, dg_fd, d2g_fd = central_differences(
+        lambda q: compiled.metric_jets(q, 0, "stencil").value, points, h
+    )
     ginv = geometry.ginv
     gamma_fd = christoffel_components(ginv, dg_fd)
     dgamma_fd = christoffel_derivative_components(ginv, dg_fd, d2g_fd)
@@ -444,9 +437,10 @@ def _shrink_box(spec, h):
     shrunk_box = {}
     for name, (lo, hi) in spec.sample.box.items():
         if hi - lo <= 4.0 * h:
-            raise ValueError(
-                f"h must be less than a quarter of the width of the sample box for {name!r} "
-                f"({hi - lo:g}), got {h:g}"
+            raise OptionError(
+                "h",
+                f"must be less than a quarter of the width of the sample box for {name!r} "
+                f"({hi - lo:g}), got {h:g}",
             )
         shrunk_box[name] = (lo + 2.0 * h, hi - 2.0 * h)
     clone = ManifoldSpec.from_dict(spec.to_dict())
@@ -457,7 +451,7 @@ def _shrink_box(spec, h):
 def _tchebychev_values(compiled, points):
     """Pointwise T^k = -1/2 g^{kl} g^{ij} C_ijl through the order-0 route: values
     of g and C, the trace of C first."""
-    ginv = np.linalg.inv(compiled.metric_jets(points, 0).value)
+    ginv = np.linalg.inv(compiled.metric_jets(points, 0, "stencil").value)
     # the compiled C fills all six permutations from one source, so it is symmetric
-    trace = np.einsum("...ij,...ijl->...l", ginv, compiled.cubic_jets(points, 0).value)
+    trace = np.einsum("...ij,...ijl->...l", ginv, compiled.cubic_jets(points, 0, "stencil").value)
     return -0.5 * np.einsum("...kl,...l->...k", ginv, trace)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from statmanifold import ManifoldSpec, flat_constant_cubic, get_builtin
+from statmanifold.pipeline import FD_STEP, _shrink_box
 
 
 @pytest.fixture
@@ -20,6 +21,25 @@ def spiked_centroaffine():
     spiked.cubic["111"] = f"exp(1/((x1-{c!r})*(x1-{c!r}) + 0.001))"
     spiked.validate()
     return spiked, c
+
+
+@pytest.fixture
+def pole_centroaffine():
+    """centroaffine with C_111 = 1/(x1 - c), c a sample x1 at seed 1 of the box the
+    crosscheck samples (shrunk by 2 FD_STEP), at least 0.1 from every probe x1.
+    ``shrunk`` is the spec on that box: run_diagnostics samples it at the points
+    the crosscheck of ``spec`` samples.  Both validate.  Returns (spec, shrunk)."""
+    spec = ManifoldSpec.from_dict(get_builtin("centroaffine").spec.to_dict())
+    shrunk = _shrink_box(spec, FD_STEP)
+    x1 = shrunk.sample_points(seed=1)[:, 0]
+    probe_x1 = np.concatenate([spec._probe_points()[:, 0], shrunk._probe_points()[:, 0]])
+    gap = np.min(np.abs(x1[:, None] - probe_x1[None, :]), axis=1)
+    c = float(x1[np.argmax(gap)])
+    assert gap.max() >= 0.1
+    for pole in (spec, shrunk):
+        pole.cubic["111"] = f"1/(x1 - {c!r})"
+        pole.validate()
+    return spec, shrunk
 
 
 @pytest.fixture

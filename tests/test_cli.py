@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from statmanifold import ManifoldSpec
+from statmanifold import ManifoldSpec, cli, get_builtin
 from statmanifold.cli import main
 
 
@@ -192,6 +192,37 @@ def test_run_rejects_overflow_between_probe_points(spiked_centroaffine, tmp_path
     captured = capsys.readouterr()
     assert "cubic[111] is not finite to order 2 at sample point" in captured.err
     assert captured.out == ""
+
+
+def test_run_names_the_component_that_leaves_its_domain(pole_centroaffine, tmp_path, capsys):
+    _, shrunk = pole_centroaffine
+    path = tmp_path / "pole.json"
+    shrunk.save(path)
+    assert main(["run", str(path), "--seed", "1"]) == 3
+    captured = capsys.readouterr()
+    assert "cubic[111] leaves its domain inside the box: division by zero" in captured.err
+    assert captured.out == ""
+
+
+def test_run_rejects_a_non_finite_box(tmp_path, capsys):
+    spec = ManifoldSpec.from_dict(get_builtin("centroaffine").spec.to_dict())
+    spec.sample.box["x1"] = (-float("inf"), 1.0)
+    path = tmp_path / "unbounded.json"
+    spec.save(path)
+    assert main(["run", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "sample box for 'x1' must have finite bounds" in captured.err
+    assert captured.out == ""
+
+
+def test_a_deeper_value_error_is_printed_verbatim(centroaffine_spec, monkeypatch, capsys):
+    # only an option error names a flag; other messages are not rewritten
+    def deeper(*args, **kwargs):
+        raise ValueError("seed must be drawn from a generator")
+
+    monkeypatch.setattr(cli, "run_diagnostics", deeper)
+    assert main(["run", str(centroaffine_spec)]) == 3
+    assert capsys.readouterr().err == "error: seed must be drawn from a generator\n"
 
 
 def test_crosscheck_names_an_h_too_large_for_the_box(centroaffine_spec, capsys):

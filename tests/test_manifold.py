@@ -93,6 +93,9 @@ def test_box_must_be_ordered_and_complete():
     with pytest.raises(SpecValidationError, match="lo < hi"):
         minimal_spec(sample={"box": {"x1": [1.0, -1.0], "x2": [0.0, 1.0]},
                              "count": 4, "seed": 1, "strategy": "uniform"}).validate()
+    with pytest.raises(SpecValidationError, match="box for 'x1' must have finite bounds"):
+        minimal_spec(sample={"box": {"x1": [-np.inf, 1.0], "x2": [0.0, 1.0]},
+                             "count": 4, "seed": 1, "strategy": "uniform"}).validate()
     with pytest.raises(SpecValidationError, match="missing coordinate"):
         minimal_spec(sample={"box": {"x1": [0.0, 1.0]}, "count": 4, "seed": 1,
                              "strategy": "uniform"}).validate()
@@ -102,6 +105,23 @@ def test_box_must_be_ordered_and_complete():
     with pytest.raises(SpecValidationError, match="sample seed must be nonnegative"):
         minimal_spec(sample={"box": {"x1": [0.0, 1.0], "x2": [0.0, 1.0]},
                              "count": 4, "seed": -1, "strategy": "uniform"}).validate()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("dim", 2.7), ("sample count", 10.5), ("sample seed", 1.9)],
+    ids=["dim", "count", "seed"],
+)
+def test_non_integral_counts_are_spec_errors(field, value):
+    data = minimal_spec().to_dict()
+    data["dim"] = 2.0  # an integral number is accepted
+    assert ManifoldSpec.from_dict(data).dim == 2
+    if field == "dim":
+        data["dim"] = value
+    else:
+        data["sample"][field.split()[1]] = value
+    with pytest.raises(SpecValidationError, match=f"{field} must be an integer, got {value}"):
+        ManifoldSpec.from_dict(data)
 
 
 def test_probe_detects_domain_violation():
@@ -222,23 +242,27 @@ def test_compile_parses_and_probes_each_distinct_source_once(monkeypatch):
     compiled = spec.compile()
     assert parsed == [spec.metric["11"], "0"]
     assert len(evaluated) == 2  # the probe
-    # the compiled slots hold the ASTs validation parsed
-    assert [ast for ast, _ in compiled.metric_slots] == evaluated
+    # the compiled sources hold the ASTs validation parsed
+    assert list(compiled.sources["metric"].values()) == evaluated
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, batch",
     [
-        get_builtin("sphere-m3").spec,
-        get_builtin("centroaffine").spec,
-        flat_constant_cubic(6, random_symmetric_constants(6, 1)).spec,
+        (get_builtin("sphere-m3").spec, None),
+        (get_builtin("centroaffine").spec, None),
+        (flat_constant_cubic(6, random_symmetric_constants(6, 1)).spec, None),
+        (get_builtin("centroaffine").spec, (3, 3)),  # stacked (N, S, m), as a stencil is
+        (flat_constant_cubic(8, random_symmetric_constants(8, 1)).spec, (6,)),
     ],
-    ids=["sphere-m3", "centroaffine", "constant-cubic-m6"],
+    ids=["sphere-m3", "centroaffine", "constant-cubic-m6", "centroaffine-stacked", "constant-cubic-m8"],
 )
-def test_component_tables_equal_a_per_component_loop(spec):
+def test_component_tables_equal_a_per_component_loop(spec, batch):
     compiled = spec.compile()
-    points = spec.sample_points(count=7)
     m = spec.dim
+    points = spec.sample_points(count=7)
+    if batch is not None:  # the leading points, in the batch shape
+        points = points[: np.prod(batch)].reshape(*batch, m)
 
     def component(table, indices, order):
         src = table.get("".join(str(i + 1) for i in sorted(indices)))
@@ -252,8 +276,8 @@ def test_component_tables_equal_a_per_component_loop(spec):
         cubic = compiled.cubic_jets(points, order).coeff
         oracle_metric, oracle_cubic = np.zeros_like(metric), np.zeros_like(cubic)
         for entry in product(range(m), repeat=2):
-            oracle_metric[(slice(None), *entry)] = component(spec.metric, entry, order)
+            oracle_metric[(..., *entry, slice(None))] = component(spec.metric, entry, order)
         for entry in product(range(m), repeat=3):
-            oracle_cubic[(slice(None), *entry)] = component(spec.cubic, entry, order)
+            oracle_cubic[(..., *entry, slice(None))] = component(spec.cubic, entry, order)
         assert np.array_equal(metric, oracle_metric)
         assert np.array_equal(cubic, oracle_cubic)

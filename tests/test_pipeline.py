@@ -136,6 +136,35 @@ def test_non_finite_input_between_probe_points_is_a_spec_error(spiked_centroaffi
     assert problem.startswith("cubic[111] is not finite to order 1 at sample point [")
 
 
+def test_domain_error_between_probe_points_names_the_component(pole_centroaffine):
+    spec, shrunk = pole_centroaffine
+    for run in (lambda: run_diagnostics(shrunk, seed=1), lambda: crosscheck(spec, seed=1)):
+        with pytest.raises(SpecValidationError) as err:
+            run()
+        (problem,) = err.value.problems
+        assert problem.startswith("cubic[111] leaves its domain inside the box: division by zero")
+
+
+def test_overflow_only_on_a_stencil_point_names_the_stencil():
+    # C_111 = exp(2e-4/((x1-p)^2 + 1e-12)) overflows only within about h/2 of x1 = p,
+    # one step h above the sample x1 farthest from every other sample and probe x1:
+    # the frames are finite at every sample point, T's order-0 stencil is not
+    h = pipeline.FD_STEP
+    spec = ManifoldSpec.from_dict(get_builtin("centroaffine").spec.to_dict())
+    x1 = pipeline._shrink_box(spec, h).sample_points(seed=1)[:, 0]
+    gap = np.abs(x1[:, None] - np.concatenate([x1, spec._probe_points()[:, 0]])[None, :])
+    gap[np.arange(len(x1)), np.arange(len(x1))] = np.inf
+    nearest = gap.min(axis=1)
+    assert nearest.max() >= 3 * h
+    p = float(x1[np.argmax(nearest)] + h)
+    spec.cubic["111"] = f"exp(2e-4/((x1 - {p!r})*(x1 - {p!r}) + 1e-12))"
+    with pytest.raises(SpecValidationError) as err:
+        crosscheck(spec, seed=1)
+    (problem,) = err.value.problems
+    assert problem.startswith("cubic[111] is not finite to order 0 at stencil point [")
+    assert float(problem.split("[")[2].split(",")[0]) == p
+
+
 def test_non_finite_frame_values_name_the_stage():
     # C ~ 1e200 is finite, but R of nabla = nabla^g + K carries K*K ~ 1e400
     spec = ManifoldSpec.from_dict(get_builtin("centroaffine").spec.to_dict())
@@ -184,7 +213,7 @@ def test_crosscheck_builds_only_what_it_compares(monkeypatch):
 def test_each_crosscheck_stencil_is_one_call(monkeypatch):
     spec = get_builtin("centroaffine").spec
     compiled = spec.compile()
-    assert (len(compiled.metric_slots), len(compiled.cubic_slots)) == (3, 4)
+    assert (len(compiled.sources["metric"]), len(compiled.sources["cubic"])) == (3, 4)
     calls = []
 
     def counted(*args):
