@@ -50,9 +50,9 @@ def jet_matrix_inverse(g_jets, order):
     """Inverse of a jet-valued matrix at ``order`` via the Neumann series.
 
     Writing G = G0 (I + X) with X = G0^{-1} G - I, the sum I - X + X^2 - ...
-    is cut after X^order.  X's constant coefficient is G0^{-1} G0 - I,
-    rounding noise rather than 0, so X is nilpotent only up to that noise:
-    the low coefficients of the result move in their last bits with ``order``.
+    is cut after X^order, the last power it forms.  X's constant coefficient is
+    G0^{-1} G0 - I, rounding noise rather than 0, so X is nilpotent only up to that
+    noise: the low coefficients of the result move in their last bits with ``order``.
     """
     m = g_jets.dim
     space = jet_space(m, order)
@@ -60,39 +60,35 @@ def jet_matrix_inverse(g_jets, order):
     g0_inv = np.linalg.inv(g[..., 0])
     x = np.einsum("...il,...ljc->...ijc", g0_inv, g)
     x[..., 0] -= np.eye(m)
-    identity = np.zeros_like(x)
-    identity[..., 0] = np.eye(m)
-    series, power, sign = identity, x, -1.0
-    for _ in range(order):
-        series = series + sign * power
-        power = jet_einsum("il,lj->ij", Jet(space, power), Jet(space, x)).coeff
-        sign = -sign
+    series = np.zeros_like(x)
+    series[..., 0] = np.eye(m)
+    for k in range(1, order + 1):
+        power = x if k == 1 else jet_einsum("il,lj->ij", Jet(space, power), Jet(space, x)).coeff
+        series = series + (-1.0) ** k * power
     return Jet(space, np.einsum("...ilc,...lj->...ijc", series, g0_inv))
+
+
+def _first_kind(dg):
+    """[p, l, i, j, ...] = d_i g_jl + d_j g_il - d_l g_ij from dg[p, a, b, c, ...] = d_c g_ab;
+    trailing axes, such as a second derivative's, ride along."""
+    return (
+        np.einsum("pjli...->plij...", dg)
+        + np.einsum("pilj...->plij...", dg)
+        - np.einsum("pijl...->plij...", dg)
+    )
 
 
 def christoffel_components(ginv, dg):
     """Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)."""
-    return 0.5 * (
-        np.einsum("pkl,pjli->pkij", ginv, dg)
-        + np.einsum("pkl,pilj->pkij", ginv, dg)
-        - np.einsum("pkl,pijl->pkij", ginv, dg)
-    )
+    return 0.5 * np.einsum("pkl,plij->pkij", ginv, _first_kind(dg))
 
 
 def christoffel_derivative_components(ginv, dg, d2g):
     """d_d Gamma^k_ij from metric derivatives; d2g[p,a,b,u,v] = d_u d_v g_ab."""
     dginv = -np.einsum("pka,pabd,pbl->pkld", ginv, dg, ginv, optimize="greedy")
-    bracket = (
-        np.einsum("pjli->plij", dg) + np.einsum("pilj->plij", dg) - np.einsum("pijl->plij", dg)
-    )
-    dbracket = (
-        np.einsum("pjlid->plijd", d2g)
-        + np.einsum("piljd->plijd", d2g)
-        - np.einsum("pijld->plijd", d2g)
-    )
     return 0.5 * (
-        np.einsum("pkld,plij->pkijd", dginv, bracket)
-        + np.einsum("pkl,plijd->pkijd", ginv, dbracket)
+        np.einsum("pkld,plij->pkijd", dginv, _first_kind(dg))
+        + np.einsum("pkl,plijd->pkijd", ginv, _first_kind(d2g))
     )
 
 
@@ -143,8 +139,9 @@ class GeometryFrame:
     both the numeric tensors (Christoffel symbols, curvature, Ricci, scalar
     curvature) and the jet-level metric, inverse and Christoffel fields
     needed to differentiate derived fields downstream.
-    The inverse and the Christoffel jets have order r - 1: Gamma = g^{-1} dg
-    needs no more of the inverse than dg carries.
+    The inverse and the Christoffel jets have order r - 1: Gamma is one raise by
+    g^{-1} of the first-kind symbols of dg, so it needs no more of the inverse
+    than dg carries.
     """
 
     def __init__(self, points, metric_jets):
@@ -166,12 +163,11 @@ class GeometryFrame:
         self.ginv = self.ginv_jets.value
         self.dg = metric_jets.gradient()
 
-        dg_jets = jet_partial(metric_jets)
-        self.gamma_jets = 0.5 * (
-            jet_einsum("kl,jli->kij", self.ginv_jets, dg_jets)
-            + jet_einsum("kl,ilj->kij", self.ginv_jets, dg_jets)
-            - jet_einsum("kl,ijl->kij", self.ginv_jets, dg_jets)
-        )
+        # first-kind symbols d_i g_jl + d_j g_il - d_l g_ij; dg holds d_c g_ab in slot [a, b, c]
+        dg = jet_partial(metric_jets)
+        jli, ilj, ijl = (np.einsum(f"...{t}c->...lijc", dg.coeff) for t in ("jli", "ilj", "ijl"))
+        first_kind = Jet(dg.space, jli + ilj - ijl)
+        self.gamma_jets = 0.5 * jet_einsum("kl,lij->kij", self.ginv_jets, first_kind)
         self.gamma = self.gamma_jets.value
         self.dgamma = self.gamma_jets.gradient()
         self.riemann = curvature_components(self.gamma, self.dgamma)

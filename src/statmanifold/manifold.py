@@ -146,8 +146,8 @@ class ManifoldSpec:
         """Raise :class:`SpecValidationError` collecting every problem found,
         probing the box last; return the :class:`CompiledManifold` it probed."""
         problems = []
-        if not 2 <= self.dim <= MAX_DIM:
-            problems.append(f"dim must be in 2..{MAX_DIM}, got {self.dim}")
+        if not isinstance(self.dim, (int, np.integer)) or not 2 <= self.dim <= MAX_DIM:
+            problems.append(f"dim must be an integer in 2..{MAX_DIM}, got {self.dim}")
         if len(self.coordinates) != self.dim:
             problems.append("coordinates list must have length dim")
         seen = set()
@@ -202,7 +202,10 @@ class ManifoldSpec:
             if self.sample.strategy not in ("uniform", "grid"):
                 problems.append(f"unknown sampling strategy {self.sample.strategy!r}")
             for name in ("count", "seed"):
-                if getattr(self.sample, name) < 0:
+                value = getattr(self.sample, name)
+                if not isinstance(value, (int, np.integer)):
+                    problems.append(f"sample {name} must be an integer, got {value}")
+                elif value < 0:
                     problems.append(f"sample {name} must be nonnegative")
         if problems:
             raise SpecValidationError(problems)
@@ -267,18 +270,18 @@ class ManifoldSpec:
 
 
 def _integral(name, value):
-    """``value`` as an int; ValueError naming it unless it is a whole number (2 or 2.0)."""
+    """``value`` as an int; :class:`OptionError` naming it unless it is whole (2 or 2.0)."""
     if isinstance(value, int):
         return value
     if not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise OptionError(name, f"must be an integer, got {value!r}")
     return int(float(value))
 
 
 def require_sample_options(count, seed):
-    """Raise :class:`OptionError` naming ``count`` or ``seed`` if it is negative."""
+    """Raise :class:`OptionError` naming ``count`` or ``seed`` unless None or whole and >= 0."""
     for name, value in (("count", count), ("seed", seed)):
-        if value is not None and int(value) < 0:
+        if value is not None and _integral(name, value) < 0:
             raise OptionError(name, f"must be nonnegative, got {value}")
 
 

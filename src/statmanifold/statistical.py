@@ -256,12 +256,10 @@ class StatisticalFrame:
 
     @cached_property
     def kk_jets(self):
-        """g(K, K) = -C_kij K^kij / 2 as a scalar jet; K raised twice lives only in this product."""
-        geom = self.geometry
-        k_up = jet_einsum(
-            "jb,kib->kij", geom.ginv_jets, jet_einsum("ia,kaj->kij", geom.ginv_jets, self.K_jets)
-        )
-        return jet_einsum("kij,kij->", -0.5 * self.C_jets, k_up)
+        """g(K, K) = g^{ij} K^a_ib K^b_ja as a scalar jet: g_kl g^{ia} g^{jb} K^k_ij K^l_ab,
+        since g(K_X Y, Z) = -C(X, Y, Z)/2 is totally symmetric."""
+        k_k = jet_einsum("aib,bja->ij", self.K_jets, self.K_jets)
+        return jet_einsum("ij,ij->", self.geometry.ginv_jets, k_k)
 
     def metric_inner_kk(self):
         return self.kk_jets.value

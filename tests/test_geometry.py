@@ -23,9 +23,9 @@ from statmanifold import (
     run_diagnostics,
     sphere_stereographic,
 )
-from statmanifold import geometry, pipeline
+from statmanifold import geometry, maps, pipeline, statistical
 from statmanifold.geometry import UP, covariant_derivative_jets, jet_matrix_inverse
-from statmanifold.jets import Jet, coordinate_jets, jet_einsum, jet_space
+from statmanifold.jets import Jet, coordinate_jets, jet_einsum, jet_partial, jet_space
 from statmanifold.pipeline import crosscheck
 
 
@@ -90,11 +90,9 @@ def test_first_bianchi_and_metricity():
         assert np.max(np.abs(geom.gamma - np.einsum("pkij->pkji", geom.gamma))) == 0.0
 
 
-def test_ricci_is_the_orthonormal_frame_trace():
-    # oracle: Ric(X, Y) = sum_i g(R(e_i, X)Y, e_i) over a g-orthonormal frame,
-    # on a chart whose metric is not Einstein and whose statistical Ric is
-    # not symmetric, so a transposed trace shows
-    spec = ManifoldSpec(
+def non_einstein_m3_spec():
+    """A curved 3-d metric that is not Einstein, with a polynomial cubic form."""
+    return ManifoldSpec(
         name="non-einstein-m3",
         dim=3,
         coordinates=["x1", "x2", "x3"],
@@ -105,7 +103,13 @@ def test_ricci_is_the_orthonormal_frame_trace():
         cubic=random_polynomial_cubic(3, 2, seed=1).spec.cubic,
         sample=SampleSpec(box={f"x{i}": (-1.0, 1.0) for i in (1, 2, 3)}, count=20),
     )
-    geom, stat, _ = evaluate_spec(spec)
+
+
+def test_ricci_is_the_orthonormal_frame_trace():
+    # oracle: Ric(X, Y) = sum_i g(R(e_i, X)Y, e_i) over a g-orthonormal frame,
+    # on a chart whose metric is not Einstein and whose statistical Ric is
+    # not symmetric, so a transposed trace shows
+    geom, stat, _ = evaluate_spec(non_einstein_m3_spec())
     # columns of the inverse transpose of the Cholesky factor: E^T g E = I
     frame = np.swapaxes(np.linalg.inv(np.linalg.cholesky(geom.g)), -1, -2)
     identity = np.einsum("pai,pab,pbj->pij", frame, geom.g, frame)
@@ -230,6 +234,36 @@ def skewed_metric_spec():
     )
 
 
+def skewed_metric_with_polynomial_cubic():
+    spec = skewed_metric_spec()
+    spec.cubic = random_polynomial_cubic(2, 2, seed=1).spec.cubic
+    return spec
+
+
+@pytest.mark.parametrize(
+    "spec", [skewed_metric_with_polynomial_cubic(), non_einstein_m3_spec()], ids=["m2", "m3"]
+)
+def test_gamma_and_kk_jets_match_the_formulas_they_replace(spec):
+    # reference: Gamma as three raised first-kind terms, and g(K, K) as
+    # -1/2 C_kij g^ia g^jb K^k_ab; every jet coefficient up to order 2 agrees
+    # to rounding on a curved chart with a non-constant C
+    geom, stat, _ = evaluate_spec(spec, count=20)
+    ginv, dg = geom.ginv_jets, jet_partial(geom.g_jets)
+    gamma = 0.5 * (
+        jet_einsum("kl,jli->kij", ginv, dg)
+        + jet_einsum("kl,ilj->kij", ginv, dg)
+        - jet_einsum("kl,ijl->kij", ginv, dg)
+    )
+    k_up = jet_einsum("jb,kib->kij", ginv, jet_einsum("ia,kaj->kij", ginv, stat.K_jets))
+    kk = jet_einsum("kij,kij->", -0.5 * stat.C_jets, k_up)
+    assert np.max(np.abs(stat.C_jets.gradient())) > 0.1
+    for new, old in ((geom.gamma_jets, gamma), (stat.kk_jets, kk)):
+        assert new.order == old.order == 2
+        assert np.max(np.abs(old.truncated(1).coeff[..., 1:])) > 0.1  # not constant
+        scale = np.max(np.abs(old.coeff))
+        np.testing.assert_allclose(new.coeff, old.coeff, rtol=0, atol=1e-14 * scale)
+
+
 @pytest.mark.parametrize("spec", [skewed_metric_spec(), get_builtin("sphere-m3").spec])
 def test_metric_is_levi_civita_parallel_at_jet_level(spec):
     # nabla^g g = 0 as a function, so every Taylor coefficient of the jet
@@ -296,6 +330,25 @@ def test_each_covariant_derivative_is_computed_once_per_frame(monkeypatch):
     # 14 nabla calls on T, K, tr K, tau, tau-bar and grad f: one computation each,
     # plus the differential of the probe in gradient_field
     assert callers == {"nabla": 6, "gradient_field": 1}
+
+
+def test_jet_contractions_per_block(monkeypatch):
+    # one raise for Gamma, two contractions for g(K, K) and no unused power of
+    # X in g^{-1}: 19 per diagnose block and 4 per crosscheck block
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return jet_einsum(*args)
+
+    for module in (geometry, statistical, maps):
+        monkeypatch.setattr(module, "jet_einsum", counted)
+    spec = get_builtin("flat-cubic").spec
+    run_diagnostics(spec, count=10)  # one block
+    assert len(calls) == 19
+    calls.clear()
+    crosscheck(spec, count=10)
+    assert len(calls) == 4
 
 
 def test_repeated_nabla_returns_the_same_read_only_jet():

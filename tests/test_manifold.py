@@ -69,6 +69,23 @@ def test_dimension_range():
                              "strategy": "uniform"}).validate()
 
 
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [
+        ("dim", 2.0, "dim must be an integer in 2..8, got 2.0"),
+        ("count", 2.5, "sample count must be an integer, got 2.5"),
+        ("seed", 1.0, "sample seed must be an integer, got 1.0"),
+    ],
+)
+def test_non_integral_fields_set_in_python_are_spec_errors(field, value, problem):
+    # from_dict converts a whole float; a spec built or edited in Python is not converted
+    spec = minimal_spec()
+    setattr(spec if field == "dim" else spec.sample, field, value)
+    with pytest.raises(SpecValidationError) as err:
+        spec.validate()
+    assert err.value.problems == [problem]
+
+
 def test_expression_errors_are_collected():
     spec = minimal_spec(metric={"11": "1 +", "12": "0", "22": "x9"})
     with pytest.raises(SpecValidationError) as err:

@@ -24,6 +24,7 @@ from statmanifold import (
     statistical,
 )
 from statmanifold import expr, manifold
+from statmanifold.manifold import OptionError
 
 
 def _residuals_and_rest(report):
@@ -264,3 +265,26 @@ def test_report_keys_are_pinned():
         assert set(check) == {"max_residual", "argmax_point", "status"}, name
     fd = json.loads(crosscheck(spec, count=10, seed=1).to_json())
     assert set(fd) == {"name", "h", "threshold", "deviations", "max_deviation", "passed"}
+
+
+@pytest.mark.parametrize(
+    "entry", [run_diagnostics, crosscheck, ManifoldSpec.sample_points],
+    ids=["run_diagnostics", "crosscheck", "sample_points"],
+)
+@pytest.mark.parametrize(
+    "options, argument", [({"count": 2.5}, "count"), ({"count": 3, "seed": 1.9}, "seed")]
+)
+def test_non_integral_count_and_seed_are_option_errors(entry, options, argument):
+    with pytest.raises(OptionError) as err:
+        entry(get_builtin("flat-cubic").spec, **options)
+    assert err.value.argument == argument
+    assert err.value.rule == f"must be an integer, got {options[argument]!r}"
+
+
+def test_whole_float_count_and_seed_run_like_integers():
+    spec = get_builtin("flat-cubic").spec
+    assert np.array_equal(spec.sample_points(3.0, 1.0), spec.sample_points(3, 1))
+    reports = [run_diagnostics(spec, count=c, seed=s) for c, s in ((3.0, 1.0), (3, 1))]
+    for report in reports:
+        report.runtime_seconds = 0.0
+    assert reports[0].to_json() == reports[1].to_json()

@@ -8,7 +8,9 @@ Each case prints one line: its label, the sha256 of its report JSON without
 ``runtime_seconds``, and the sha256 of its crosscheck JSON.  The cases are
 every builtin, the two random negative controls (m = 2, 3), the m = 6
 constant cubic at 100 sample points, the m = 8 constant cubic at 20 (276
-points with its corners) and sphere-m3 at 10000, all at seed 1.
+points with its corners), the curved m = 8 chart (the stereographic sphere
+with the cubic of ``random_polynomial_cubic(8, 1, 1)``) at 20 and sphere-m3
+at 10000, all at seed 1.
 SRC is a directory holding the ``statmanifold`` package.  Given two, each is
 run in its own process; the script lists the cases that differ, each with
 every JSON leaf that differs (both values and, for numbers, their absolute
@@ -37,6 +39,9 @@ def cases(sm):
     for m, count in ((6, 100), (8, 20)):
         cubic = sm.random_symmetric_constants(m, SEED)
         yield f"flat-constant-cubic-m{m}", sm.flat_constant_cubic(m, cubic).spec, count
+    curved = sm.sphere_stereographic(8).spec
+    curved.cubic = sm.random_polynomial_cubic(8, 1, 1).spec.cubic
+    yield "sphere-m8-polynomial-cubic", curved, 20
     yield "sphere-m3-10000", sm.get_builtin("sphere-m3").spec, 10000
 
 
