@@ -237,30 +237,7 @@ class GeometryFrame:
         """sum_i Ric(e_i, V) e_i: the Ricci form applied to V, index raised."""
         return np.einsum("pka,pab,pb->pk", self.ginv, self.ricci, vector, optimize="greedy")
 
-    # -- identity residuals --------------------------------------------------
-
-    def first_bianchi_residual(self, riemann=None):
-        """max |R(X,Y)Z + R(Y,Z)X + R(Z,X)Y| per point."""
-        r = self.riemann if riemann is None else riemann
-        cyc = r + np.einsum("pljki->plijk", r) + np.einsum("plkij->plijk", r)
-        return np.max(np.abs(cyc), axis=(1, 2, 3, 4))
-
-    def metric_compatibility_residual(self):
-        """max |(nabla^g g)_{ij;d}| per point."""
-        return np.max(np.abs(metric_derivative(self.g, self.dg, self.gamma)), axis=(1, 2, 3))
-
     def gradient_field(self, f_jet):
         """grad f as a jet field: g^{ki} d_i f."""
         df = covariant_derivative_jets(f_jet, self.gamma_jets, ())
         return jet_einsum("ki,i->k", self.ginv_jets, df)
-
-    def divergence_identity_residual(self, f_jet):
-        """Residual of X div(V) = g(Delta_g V, X) - Ric(V, X) for V = grad f."""
-        v_jets = self.gradient_field(f_jet)
-        v = v_jets.value
-        lhs = self.divergence(v_jets).gradient()  # (N, x)
-        delta_v = self.rough_laplacian(v_jets)
-        rhs = np.einsum("pxa,pa->px", self.g, delta_v) - np.einsum(
-            "pax,pa->px", self.ricci, v
-        )
-        return np.max(np.abs(lhs - rhs), axis=1)

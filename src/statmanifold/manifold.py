@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import re
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
@@ -146,9 +147,9 @@ class ManifoldSpec:
         """Raise :class:`SpecValidationError` collecting every problem found,
         probing the box last; return the :class:`CompiledManifold` it probed."""
         problems = []
-        if not isinstance(self.dim, (int, np.integer)) or not 2 <= self.dim <= MAX_DIM:
-            problems.append(f"dim must be an integer in 2..{MAX_DIM}, got {self.dim}")
-        if len(self.coordinates) != self.dim:
+        if not _is_integer(self.dim) or not 2 <= self.dim <= MAX_DIM:
+            problems.append(f"dim must be an integer in 2..{MAX_DIM}, got {self.dim!r}")
+        elif len(self.coordinates) != self.dim:
             problems.append("coordinates list must have length dim")
         seen = set()
         for name in self.coordinates:
@@ -203,8 +204,8 @@ class ManifoldSpec:
                 problems.append(f"unknown sampling strategy {self.sample.strategy!r}")
             for name in ("count", "seed"):
                 value = getattr(self.sample, name)
-                if not isinstance(value, (int, np.integer)):
-                    problems.append(f"sample {name} must be an integer, got {value}")
+                if not _is_integer(value):
+                    problems.append(f"sample {name} must be an integer, got {value!r}")
                 elif value < 0:
                     problems.append(f"sample {name} must be nonnegative")
         if problems:
@@ -269,13 +270,18 @@ class ManifoldSpec:
         return self.validate()
 
 
+def _is_integer(value):
+    """Whether ``value`` is an int or a numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _integral(name, value):
-    """``value`` as an int; :class:`OptionError` naming it unless it is whole (2 or 2.0)."""
-    if isinstance(value, int):
-        return value
-    if not float(value).is_integer():
+    """``value`` as an int; :class:`OptionError` naming it unless it is a whole
+    number (2 or 2.0), which a string or a bool is not."""
+    whole = isinstance(value, int) or (isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not whole:
         raise OptionError(name, f"must be an integer, got {value!r}")
-    return int(float(value))
+    return value if isinstance(value, int) else int(float(value))
 
 
 def require_sample_options(count, seed):

@@ -11,7 +11,8 @@ Two computation routes are kept deliberately separate and compared:
 
 In the bi-tension formula the conjugated Laplacian carries the conjugate
 connection in its correction slot and the Levi-Civita-induced connection on
-the pullback bundle.
+the pullback bundle.  The residuals that compare the routes, and those of the
+tension identities, are formed in ``pipeline.residual_table``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ def _tension(geom, source_jets):
 
 
 class IdentityMapReport:
-    """Identity-map fields and the residuals of their defining identities."""
+    """Identity-map fields: tensions, both routes of the bi-tensions, (T1) and (T2)."""
 
     def __init__(self, stat: StatisticalFrame):
         self.stat = stat
@@ -70,49 +71,3 @@ class IdentityMapReport:
 
         self.t1 = stat.t1_vector()
         self.t2 = stat.t2_vector()
-
-    # -- residuals ----------------------------------------------------------
-
-    def tension_residual(self):
-        """tau(id) = -T."""
-        return np.max(np.abs(self.tau + self.stat.T), axis=1)
-
-    def conjugate_tension_residual(self):
-        """tau-bar(id) = +T."""
-        return np.max(np.abs(self.taubar - self.stat.T), axis=1)
-
-    def harmonic_residual(self):
-        """tau-hat(id) = 0."""
-        return np.max(np.abs(self.tauhat), axis=1)
-
-    def difftension_residual(self):
-        """tau-hat = (tau + tau-bar)/2."""
-        return np.max(np.abs(self.tauhat - 0.5 * (self.tau + self.taubar)), axis=1)
-
-    def path_independence_residual(self):
-        """Agreement of the general and proof-form bi-tension routes."""
-        a = np.max(np.abs(self.tau2 - self.tau2_proof), axis=1)
-        b = np.max(np.abs(self.taubar2 - self.taubar2_proof), axis=1)
-        return np.maximum(a, b)
-
-    def main1_residuals(self):
-        """The two identities behind the biharmonicity criterion.
-
-        resA: tau2 - taubar2 = 2 (Delta-hat tau - sum_i R^g(e_i, tau) e_i)
-        (the harmonic-map case of the bi-tension difference formula);
-        resB: tau2 + taubar2 = -2 (div^g(T) T + nabla^g_T T).
-        """
-        geom = self.stat.geometry
-        hat_laplacian = geom.rough_laplacian(self.tau_jets)
-        rhs_a = 2.0 * (hat_laplacian - geom.curvature_contraction(self.tau))
-        res_a = np.max(np.abs((self.tau2 - self.taubar2) - rhs_a), axis=1)
-        res_b = np.max(np.abs((self.tau2 + self.taubar2) + 2.0 * self.t2), axis=1)
-        return res_a, res_b
-
-    # -- flags ----------------------------------------------------------------
-
-    def flag_residuals(self):
-        """Per point, max |(T1), (T2)| and max |tau2, taubar2|: the inputs of both flags."""
-        t_res = np.max(np.abs(np.concatenate([self.t1, self.t2], axis=1)), axis=1)
-        b_res = np.max(np.abs(np.concatenate([self.tau2, self.taubar2], axis=1)), axis=1)
-        return t_res, b_res

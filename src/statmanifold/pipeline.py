@@ -12,6 +12,10 @@ Checks fall into three kinds:
   conjugate symmetric, symmetric Ricci, constant curvature) reported as
   flags with their residuals, never as failures.
 
+:func:`residual_table` forms the per-point residual of every check and
+condition under its report name, from the frames of one block of points, and
+:func:`_peak` is the one reduction of every residual.
+
 The report is byte-stable for a fixed (spec, seed, tolerance) apart from the
 ``runtime_seconds`` field.
 """
@@ -19,6 +23,7 @@ The report is byte-stable for a fixed (spec, seed, tolerance) apart from the
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -30,10 +35,11 @@ from .geometry import (
     christoffel_components,
     christoffel_derivative_components,
     curvature_components,
+    metric_derivative,
 )
 from .manifold import ManifoldSpec, OptionError, SpecValidationError, require_sample_options
 from .maps import IdentityMapReport
-from .statistical import StatisticalFrame, fit_constant_curvature, scalar_relation_gap
+from .statistical import StatisticalFrame, cubic_from_difference
 
 PASS, FAIL, NOT_APPLICABLE = "pass", "fail", "not-applicable"
 TRUE, FALSE, INCONCLUSIVE = "true", "false", "inconclusive"
@@ -139,15 +145,19 @@ def evaluate_spec(spec: ManifoldSpec, count=None, seed=None):
     return _diagnostic_frames(spec.compile(), spec.sample_points(count, seed))
 
 
-def _probe(coordinates):
-    """Deterministic smooth probe of the scalar-Laplacian checks, as an expression:
-    sin(x1 + ... + xm) + 0.5*(x1*x1) + ... + 0.5*(xm*xm)."""
+def _probe(dim):
+    """Deterministic smooth probe of the scalar-Laplacian checks, as an expression
+    in the chart coordinates x1..xm: sin(x1 + ... + xm) + 0.5*(x1*x1) + ... + 0.5*(xm*xm)."""
+    coordinates = [f"x{i}" for i in range(1, dim + 1)]
     squares = "".join(f" + 0.5*({x}*{x})" for x in coordinates)
     return parse_expression(f"sin({' + '.join(coordinates)}){squares}", coordinates)
 
 
 def _require_real(name, value, positive=False):
-    """``value`` as a float; OptionError naming it unless finite and >= 0 (> 0 if ``positive``)."""
+    """``value`` as a float; OptionError naming it unless a real number (not a string
+    or a bool), finite and >= 0 (> 0 if ``positive``)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise OptionError(name, f"must be a number, got {value!r}")
     value = float(value)
     if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
         bound = "positive" if positive else "nonnegative"
@@ -179,57 +189,144 @@ def _per_point(points, block_fn):
     return _concatenate([block_fn(points[i : i + BLOCK_POINTS]) for i in starts])
 
 
-def _block_residuals(compiled, points):
-    """Per-point residuals of one block of points, before any reduction."""
-    geometry, stat, identity = _diagnostic_frames(compiled, points)
-    res_a, res_b = identity.main1_residuals()
-    r_minus_l, r_minus_rbar, alt_dk = stat.conjugate_symmetry_residuals()
-    flag_t, flag_b = identity.flag_residuals()
-    # identity checks in report order: each fails the run beyond the tolerance
+def _peak(residual):
+    """Per point, max |residual| over every axis but the first: the one reduction
+    of the battery's residuals, the constant-curvature fit and the crosscheck."""
+    return np.max(np.abs(residual), axis=tuple(range(1, np.ndim(residual))))
+
+
+def _asymmetry(x, a, b):
+    """``x`` minus ``x`` with axes ``a`` and ``b`` swapped."""
+    return x - np.swapaxes(x, a, b)
+
+
+def residual_table(geom, stat, ident):
+    """Per-point residuals of one block of frames under their report names, as
+    (identities, conditions).
+
+    ``identities`` are the checks that fail the run beyond the tolerance, in
+    report order.  ``conditions`` hold the residuals behind the flags and the
+    conditional checks, each named after the flag or check it decides where one
+    exists, and the signed per-point values ``ricci_tt`` (Ric^g(T, T)) and
+    ``scalar_sum`` (rho-hat + g(T,T) - g(K,K)).  ``laplacian_cubic_form`` is
+    already |.| of a scalar; every other entry is reduced by :func:`_peak` as
+    soon as it is formed, so no unreduced tensor outlives its entry.
+    """
+    g, dg, t, tch = geom.g, geom.dg, stat.T, stat.tch
+    # sum_a coeff(nabla)^a_Xa - d_X log sqrt(det g): eta by a route independent of the
+    # metric contraction of K; its norm |nabla omega_g| / omega_g vanishes iff equiaffine
+    volume = np.einsum("paxa->px", stat.nabla) - 0.5 * np.einsum("pij,pijx->px", geom.ginv, dg)
+    grad = geom.gradient_field(eval_jet(_probe(geom.dim), geom.points, 3))
     identities = {
-        "codazzi": stat.codazzi_residual(),
-        "cubic_form_is_nabla_g": stat.cubic_is_nabla_g_residual(),
-        "cubic_form_roundtrip": stat.cubic_reconstruction_residual(),
-        "conjugate_duality": stat.duality_residual(),
-        "levi_civita_mean": stat.levi_civita_mean_residual(),
-        "curvature_conjugation": stat.curvature_conjugation_residual(),
-        "curvature_interchange_sum": stat.interchange_sum_residual(),
-        "first_bianchi": np.maximum(
-            geometry.first_bianchi_residual(), geometry.first_bianchi_residual(stat.R)
+        # (nabla_X g)(Y,Z) = (nabla_Y g)(X,Z), and nabla g = C, with the direction last
+        "codazzi": _peak(_asymmetry(metric_derivative(g, dg, stat.nabla), 1, 3)),
+        "cubic_form_is_nabla_g": _peak(metric_derivative(g, dg, stat.nabla) - stat.C),
+        # C(X,Y,Z) = -2 g(K_X Y, Z)
+        "cubic_form_roundtrip": _peak(cubic_from_difference(g, stat.K) - stat.C),
+        # X g(Y,Z) = g(nabla_X Y, Z) + g(Y, nabla-bar_X Z)
+        "conjugate_duality": _peak(metric_derivative(g, dg, stat.nabla, stat.bar)),
+        "levi_civita_mean": _peak(0.5 * (stat.nabla + stat.bar) - geom.gamma),
+        # g(R-bar(X,Y)Z, W) = -g(Z, R(X,Y)W)
+        "curvature_conjugation": _peak(
+            np.einsum("paijk,paw->pijkw", stat.Rbar, g) + np.einsum("pka,paijw->pijkw", g, stat.R)
         ),
-        "metric_compatibility": geometry.metric_compatibility_residual(),
-        "divergence_identity_gradient_field": geometry.divergence_identity_residual(
-            eval_jet(_probe(compiled.spec.coordinates), points, 3)
+        "curvature_interchange_sum": _peak(stat.L + stat.Lbar - stat.R - stat.Rbar),
+        # R(X,Y)Z + R(Y,Z)X + R(Z,X)Y = 0 for the Levi-Civita and the statistical R
+        "first_bianchi": np.maximum(*(
+            _peak(r + np.einsum("pljki->plijk", r) + np.einsum("plkij->plijk", r))
+            for r in (geom.riemann, stat.R)
+        )),
+        "metric_compatibility": _peak(metric_derivative(g, dg, geom.gamma)),
+        # X div(V) = g(Delta_g V, X) - Ric(V, X) for V = grad f of the probe f
+        "divergence_identity_gradient_field": _peak(
+            geom.divergence(grad).gradient()
+            - (
+                np.einsum("pxa,pa->px", g, geom.rough_laplacian(grad))
+                - np.einsum("pax,pa->px", geom.ricci, grad.value)
+            )
         ),
-        "tension_is_minus_tchebychev": identity.tension_residual(),
-        "conjugate_tension_is_tchebychev": identity.conjugate_tension_residual(),
-        "harmonic_tension_vanishes": identity.harmonic_residual(),
-        "difftension": identity.difftension_residual(),
-        "bitension_path_independence": identity.path_independence_residual(),
-        "main1_identity_a": res_a,
-        "main1_identity_b": res_b,
-        "tchebychev_dual_via_volume_form": stat.volume_form_dual_residual(),
+        "tension_is_minus_tchebychev": _peak(ident.tau + t),
+        "conjugate_tension_is_tchebychev": _peak(ident.taubar - t),
+        "harmonic_tension_vanishes": _peak(ident.tauhat),
+        "difftension": _peak(ident.tauhat - 0.5 * (ident.tau + ident.taubar)),
+        # the general and the proof-form route of both bi-tension fields
+        "bitension_path_independence": np.maximum(
+            _peak(ident.tau2 - ident.tau2_proof), _peak(ident.taubar2 - ident.taubar2_proof)
+        ),
+        # tau2 - taubar2 = 2 (Delta-hat tau - sum_i R^g(e_i, tau) e_i), the harmonic-map
+        # case of the bi-tension difference formula, and tau2 + taubar2 = -2 (T2)
+        "main1_identity_a": _peak(
+            (ident.tau2 - ident.taubar2)
+            - 2.0 * (geom.rough_laplacian(ident.tau_jets) - geom.curvature_contraction(ident.tau))
+        ),
+        "main1_identity_b": _peak((ident.tau2 + ident.taubar2) + 2.0 * ident.t2),
+        "tchebychev_dual_via_volume_form": _peak(volume - stat.eta),
     }
-    return {
-        "identities": identities,
-        # inputs of the pooled constant-curvature fit, kept per block, and the scalar
-        # relation; g is a view into the metric jets: copy it so they are freed with the block
-        "fit": {"blocks": (stat.R, geometry.g.copy()), "scalar_sum": stat.scalar_sum()},
-        # residuals behind the condition flags and the conditional checks
-        "r_minus_l": r_minus_l,
-        "r_minus_rbar": r_minus_rbar,
-        "alt_dk": alt_dk,
-        "ric_asym": stat.ricci_asymmetry_residual(),
-        "eq5": stat.tchebychev_closedness_residual(),
-        "t_norm": stat.tchebychev_norm(),
-        "tch_op": stat.tchebychev_operator_norm(),
-        "volume_parallel": stat.volume_form_parallel_residual(),
-        "ricci_tt": stat.ricci_g_tt(),
-        "flag_t": flag_t,
-        "flag_b": flag_b,
-        "laplacian_cubic": stat.laplacian_cubic_terms()["residual"],
-        "geodesic_potential": stat.geodesic_potential_check()[0],
+    conditions = {
+        # R = L, R = R-bar and nabla^g K totally symmetric: the conjugate-symmetry
+        # residuals, which vanish together
+        "r_minus_l": _peak(stat.R - stat.L),
+        "r_minus_rbar": _peak(stat.R - stat.Rbar),
+        "alt_dk": _peak(_asymmetry(stat.dK, 2, 4)),
+        # Ric is symmetric iff g(nabla^g T, .) is: the pair of ricci_symmetry_equivalence
+        "ric_symmetric": _peak(_asymmetry(stat.ric, 1, 2)),
+        "tchebychev_closed": _peak(_asymmetry(np.einsum("pky,pkx->pxy", g, tch), 1, 2)),
+        # equiaffine iff the volume form is nabla-parallel
+        "equiaffine": _peak(t),
+        "volume_form_parallel": _peak(volume),
+        "parallel_tchebychev_criterion": _peak(tch),
+        "ricci_tt": np.einsum("pab,pa,pb->p", geom.ricci, t, t, optimize="greedy"),
+        # (T1) and (T2), and the bi-tension fields: both sides of main1_flag_equivalence
+        "semi_equiaffine": np.maximum(_peak(ident.t1), _peak(ident.t2)),
+        "bitension": np.maximum(_peak(ident.tau2), _peak(ident.taubar2)),
+        "laplacian_cubic_form": stat.laplacian_cubic_terms()["residual"],
+        "geodesic_potential": _peak(stat.geodesic_potential_check()[0]),
+        "scalar_sum": (
+            geom.scalar + np.einsum("pij,pi,pj->p", g, t, t, optimize="greedy") - stat.kk_jets.value
+        ),
     }
+    return identities, conditions
+
+
+def _block_residuals(compiled, points):
+    """The residual table of one block, and the inputs of the pooled
+    constant-curvature fit (R and g), kept per block."""
+    geometry, stat, identity = _diagnostic_frames(compiled, points)
+    identities, conditions = residual_table(geometry, stat, identity)
+    # g is a view into the metric jets: copy it so that they are freed with the block
+    return {"identities": identities, "conditions": conditions, "fit": (stat.R, geometry.g.copy())}
+
+
+def fit_constant_curvature(blocks):
+    """Least-squares fit of R against lambda (g(Y,Z)X - g(X,Z)Y).
+
+    ``blocks`` lists (riemann, g) pairs of consecutive point batches.  Returns
+    (lambda, per-point max residual over all blocks); the fit pools every
+    component at every point.  R.M and M.M are summed per point, block by
+    block, and the per-point sums once over the sample, so no temporary spans
+    more than one block and lambda does not depend on where blocks split.
+    """
+    m = blocks[0][1].shape[-1]
+    if m < 2:
+        raise ValueError("constant curvature requires dimension >= 2")
+    eye = np.eye(m)
+
+    def model(g):
+        return np.einsum("pjk,li->plijk", g, eye) - np.einsum("pik,lj->plijk", g, eye)
+
+    sums = ([], [])  # R.M and M.M of each point, block by block
+    for riemann, g in blocks:
+        block_model = model(g)
+        sums[0].append(np.sum(riemann * block_model, axis=(1, 2, 3, 4)))
+        sums[1].append(np.sum(block_model * block_model, axis=(1, 2, 3, 4)))
+    numerator, denom = (float(np.sum(np.concatenate(parts))) for parts in sums)
+    lam = numerator / denom
+    return lam, np.concatenate([_peak(riemann - lam * model(g)) for riemann, g in blocks])
+
+
+def scalar_relation_gap(lam, dim, scalar_sum):
+    """|lambda m(m-1) - (rho-hat + g(T,T) - g(K,K))| from the per-point sum."""
+    return np.abs(lam * dim * (dim - 1) - scalar_sum)
 
 
 def band(value, tolerance):
@@ -268,22 +365,22 @@ def run_diagnostics(spec: ManifoldSpec, tolerance=DEFAULT_TOLERANCE, count=None,
 
     checks = {
         name: _check(points, residual, max(tol, 1e-12) if name == "difftension" else tol)
-        for name, residual in res.pop("identities").items()
+        for name, residual in res["identities"].items()
     }
-    fit = res.pop("fit")
-    peak = {name: float(np.max(residual)) for name, residual in res.items()}
-    conj = np.maximum(np.maximum(res["r_minus_l"], res["r_minus_rbar"]), res["alt_dk"])
-    lam, cc_residual = fit_constant_curvature(fit["blocks"])
+    cond = res["conditions"]
+    peak = {name: float(np.max(residual)) for name, residual in cond.items()}
+    conj = np.maximum(np.maximum(cond["r_minus_l"], cond["r_minus_rbar"]), cond["alt_dk"])
+    lam, cc_residual = fit_constant_curvature(res["fit"])
     cc_max = float(np.max(cc_residual))
     cc_flag = cc_max <= CONSTANT_CURVATURE_SCALE * (1.0 + abs(lam))
-    ric_asym, eq5, t_norm = peak["ric_asym"], peak["eq5"], peak["t_norm"]
+    ric_asym, t_norm = peak["ric_symmetric"], peak["equiaffine"]
 
     flags = {
         "codazzi": checks["codazzi"].status == PASS,
         "ric_symmetric": ric_asym <= tol,
         "conjugate_symmetric": float(np.max(conj)) <= tol,
         "equiaffine": t_norm <= tol,
-        "semi_equiaffine": peak["flag_t"] <= tol,
+        "semi_equiaffine": peak["semi_equiaffine"] <= tol,
         "constant_curvature": cc_flag,
     }
 
@@ -296,7 +393,7 @@ def run_diagnostics(spec: ManifoldSpec, tolerance=DEFAULT_TOLERANCE, count=None,
         return CheckResult(max(a, b), points[0].tolist(), status)
 
     # the symmetry of Ric and the closedness of g(T, .) must flag together
-    checks["ricci_symmetry_equivalence"] = agreement(ric_asym, eq5)
+    checks["ricci_symmetry_equivalence"] = agreement(ric_asym, peak["tchebychev_closed"])
 
     # the three conjugate-symmetry residuals must agree at the flag level
     states = {band(peak[name], tol) for name in ("r_minus_l", "r_minus_rbar", "alt_dk")}
@@ -305,25 +402,25 @@ def run_diagnostics(spec: ManifoldSpec, tolerance=DEFAULT_TOLERANCE, count=None,
     )
 
     # equiaffine iff the metric volume form is nabla-parallel
-    checks["equiaffine_volume_form_equivalence"] = agreement(t_norm, peak["volume_parallel"])
+    checks["equiaffine_volume_form_equivalence"] = agreement(t_norm, peak["volume_form_parallel"])
 
     # parallel-T criterion: semi-equiaffine, symmetric Ric, Ric^g(T,T) <= 0
     # together force nabla^g T = 0
     checks["parallel_tchebychev_criterion"] = conditional(
-        res["tch_op"],
+        cond["parallel_tchebychev_criterion"],
         tol,
         flags["semi_equiaffine"] and flags["ric_symmetric"] and peak["ricci_tt"] <= tol,
     )
     checks["scalar_curvature_relation"] = conditional(
-        scalar_relation_gap(lam, spec.dim, fit["scalar_sum"]), RELATION_TOLERANCE, cc_flag
+        scalar_relation_gap(lam, spec.dim, cond["scalar_sum"]), RELATION_TOLERANCE, cc_flag
     )
     checks["laplacian_cubic_form"] = conditional(
-        res["laplacian_cubic"],
+        cond["laplacian_cubic_form"],
         RELATION_TOLERANCE,
-        flags["conjugate_symmetric"] and band(peak["tch_op"], tol) != FALSE,
+        flags["conjugate_symmetric"] and band(peak["parallel_tchebychev_criterion"], tol) != FALSE,
     )
     checks["geodesic_potential"] = conditional(
-        res["geodesic_potential"], tol, t_norm > tol and peak["geodesic_potential"] <= tol
+        cond["geodesic_potential"], tol, t_norm > tol and peak["geodesic_potential"] <= tol
     )
 
     report = DiagnosticsReport(
@@ -340,7 +437,7 @@ def run_diagnostics(spec: ManifoldSpec, tolerance=DEFAULT_TOLERANCE, count=None,
             "max_residual": cc_max,
             "is_constant": cc_flag,
         },
-        main1_flag_equivalence=band_agreement(peak["flag_t"], peak["flag_b"], tol),
+        main1_flag_equivalence=band_agreement(peak["semi_equiaffine"], peak["bitension"], tol),
         runtime_seconds=0.0,
     )
     report.runtime_seconds = time.perf_counter() - start
@@ -373,7 +470,7 @@ class CrosscheckReport:
 
 def _relative(a, b):
     """Per-point max of |a - b| / (1 + |a|)."""
-    return np.max((np.abs(a - b) / (1.0 + np.abs(a))).reshape(len(a), -1), axis=1)
+    return _peak(np.abs(a - b) / (1.0 + np.abs(a)))
 
 
 def crosscheck(spec: ManifoldSpec, h=FD_STEP, threshold=FD_TOLERANCE, count=None, seed=None):
@@ -412,7 +509,7 @@ def _crosscheck_block(compiled, points, h):
     riemann_fd = curvature_components(gamma_fd, dgamma_fd)
 
     # scalar Laplacian of the probe: fd Hessian/gradient against the jet route
-    probe = _probe(compiled.spec.coordinates)
+    probe = _probe(compiled.spec.dim)
     lap_jet = geometry.laplacian_scalar(eval_jet(probe, points, 2))
     probe_fd = fd_jet(probe, points, 2, h)
     lap_fd = np.einsum("pij,pij->p", ginv, probe_fd.hessian()) - np.einsum(

@@ -23,9 +23,13 @@ from statmanifold import (
     run_diagnostics,
     sphere_stereographic,
 )
-from statmanifold.pipeline import band_agreement
-from statmanifold.pipeline import crosscheck
-from statmanifold.statistical import fit_constant_curvature, scalar_relation_gap
+from statmanifold.pipeline import (
+    band_agreement,
+    crosscheck,
+    fit_constant_curvature,
+    residual_table,
+    scalar_relation_gap,
+)
 
 IDENTITY_CHECKS = (
     "codazzi",
@@ -104,10 +108,12 @@ def test_criterion_2_main1_identity_suite():
     start = time.perf_counter()
     worst = 0.0
     for inst in _suite_2():
-        _, _, ident = evaluate_spec(inst.spec)
-        res_a, res_b = ident.main1_residuals()
-        worst = max(worst, float(np.max(res_a)), float(np.max(res_b)))
-        t_res, b_res = (float(np.max(res)) for res in ident.flag_residuals())
+        identities, conditions = residual_table(*evaluate_spec(inst.spec))
+        for name in ("main1_identity_a", "main1_identity_b"):
+            worst = max(worst, float(np.max(identities[name])))
+        t_res, b_res = (
+            float(np.max(conditions[name])) for name in ("semi_equiaffine", "bitension")
+        )
         if band_agreement(t_res, b_res, 1e-8) != "consistent":
             _report("2 (main1 identity suite)", False, f"flag mismatch on {inst.spec.name}")
     elapsed = time.perf_counter() - start
@@ -118,8 +124,8 @@ def test_criterion_2_main1_identity_suite():
 def test_criterion_3_difftension():
     worst = 0.0
     for inst in _suite_1() + _suite_2():
-        _, _, ident = evaluate_spec(inst.spec)
-        worst = max(worst, float(np.max(ident.difftension_residual())))
+        identities, _ = residual_table(*evaluate_spec(inst.spec))
+        worst = max(worst, float(np.max(identities["difftension"])))
     _report("3 (difftension)", worst <= 1e-12, f"max residual {worst:.2e}")
 
 
@@ -142,10 +148,11 @@ def test_criterion_5_constant_curvature_and_scalar_relation():
     ok = True
     detail = []
     for inst in _suite_5():
-        _, stat, _ = evaluate_spec(inst.spec)
-        lam, residual = fit_constant_curvature([(stat.R, stat.geometry.g)])
+        geom, stat, ident = evaluate_spec(inst.spec)
+        lam, residual = fit_constant_curvature([(stat.R, geom.g)])
         fit = float(np.max(residual))
-        rel = float(np.max(scalar_relation_gap(lam, inst.spec.dim, stat.scalar_sum())))
+        scalar_sum = residual_table(geom, stat, ident)[1]["scalar_sum"]
+        rel = float(np.max(scalar_relation_gap(lam, inst.spec.dim, scalar_sum)))
         if not (abs(abs(lam) - 1.0) <= 1e-8 and fit <= 1e-6 and rel <= 1e-6):
             ok = False
         detail.append(f"{inst.spec.name}: lambda {lam:+.6f}, fit {fit:.1e}, relation {rel:.1e}")

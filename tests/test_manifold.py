@@ -75,6 +75,12 @@ def test_dimension_range():
         ("dim", 2.0, "dim must be an integer in 2..8, got 2.0"),
         ("count", 2.5, "sample count must be an integer, got 2.5"),
         ("seed", 1.0, "sample seed must be an integer, got 1.0"),
+        ("dim", "2", "dim must be an integer in 2..8, got '2'"),
+        ("dim", True, "dim must be an integer in 2..8, got True"),
+        ("count", "3", "sample count must be an integer, got '3'"),
+        ("count", True, "sample count must be an integer, got True"),
+        ("seed", "1", "sample seed must be an integer, got '1'"),
+        ("seed", False, "sample seed must be an integer, got False"),
     ],
 )
 def test_non_integral_fields_set_in_python_are_spec_errors(field, value, problem):
@@ -126,8 +132,11 @@ def test_box_must_be_ordered_and_complete():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("dim", 2.7), ("sample count", 10.5), ("sample seed", 1.9)],
-    ids=["dim", "count", "seed"],
+    [
+        ("dim", 2.7), ("sample count", 10.5), ("sample seed", 1.9),
+        ("dim", "2"), ("sample count", "3"), ("sample seed", True),
+    ],
+    ids=["dim", "count", "seed", "dim-str", "count-str", "seed-bool"],
 )
 def test_non_integral_counts_are_spec_errors(field, value):
     data = minimal_spec().to_dict()
@@ -137,7 +146,7 @@ def test_non_integral_counts_are_spec_errors(field, value):
         data["dim"] = value
     else:
         data["sample"][field.split()[1]] = value
-    with pytest.raises(SpecValidationError, match=f"{field} must be an integer, got {value}"):
+    with pytest.raises(SpecValidationError, match=f"{field} must be an integer, got {value!r}"):
         ManifoldSpec.from_dict(data)
 
 

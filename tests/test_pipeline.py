@@ -272,13 +272,35 @@ def test_report_keys_are_pinned():
     ids=["run_diagnostics", "crosscheck", "sample_points"],
 )
 @pytest.mark.parametrize(
-    "options, argument", [({"count": 2.5}, "count"), ({"count": 3, "seed": 1.9}, "seed")]
+    "options, argument",
+    [
+        ({"count": 2.5}, "count"),
+        ({"count": 3, "seed": 1.9}, "seed"),
+        # a string or a bool is not a number, even when it converts to one
+        ({"count": "3", "seed": "1"}, "count"),
+        ({"count": True}, "count"),
+        ({"count": "abc"}, "count"),
+        ({"count": 3, "seed": "1"}, "seed"),
+        ({"count": 3, "seed": False}, "seed"),
+    ],
 )
 def test_non_integral_count_and_seed_are_option_errors(entry, options, argument):
     with pytest.raises(OptionError) as err:
         entry(get_builtin("flat-cubic").spec, **options)
     assert err.value.argument == argument
     assert err.value.rule == f"must be an integer, got {options[argument]!r}"
+
+
+@pytest.mark.parametrize(
+    "entry, argument",
+    [(run_diagnostics, "tolerance"), (crosscheck, "h"), (crosscheck, "threshold")],
+)
+@pytest.mark.parametrize("value", ["abc", "1e-3", True])
+def test_string_and_bool_reals_are_option_errors(entry, argument, value):
+    with pytest.raises(OptionError) as err:
+        entry(get_builtin("flat-cubic").spec, **{argument: value})
+    assert err.value.argument == argument
+    assert err.value.rule == f"must be a number, got {value!r}"
 
 
 def test_whole_float_count_and_seed_run_like_integers():

@@ -20,12 +20,19 @@ from statmanifold import (
     random_polynomial_cubic,
 )
 from statmanifold.jets import Jet, jet_einsum, jet_space
-from statmanifold.statistical import fit_constant_curvature, scalar_relation_gap
+from statmanifold.pipeline import fit_constant_curvature, residual_table, scalar_relation_gap
 
 
 def frames(instance, count=None, seed=None):
     geom, stat, ident = evaluate_spec(instance.spec, count=count, seed=seed)
     return geom, stat, ident
+
+
+def table(instance, count=None, seed=None):
+    """The frames' stat and their residual table, identities and conditions in one dict."""
+    geom, stat, ident = frames(instance, count, seed)
+    identities, conditions = residual_table(geom, stat, ident)
+    return stat, {**identities, **conditions}
 
 
 def curvature_fit(stat):
@@ -34,14 +41,14 @@ def curvature_fit(stat):
 
 
 def test_zero_cubic_reduces_to_riemannian():
-    geom, stat, _ = frames(flat_constant_cubic(2, {}), count=10)
+    geom, stat, ident = frames(flat_constant_cubic(2, {}), count=10)
     assert np.max(np.abs(stat.K)) == 0.0
     assert np.max(np.abs(stat.T)) == 0.0
     np.testing.assert_allclose(stat.nabla, geom.gamma)
     np.testing.assert_allclose(stat.R, geom.riemann, atol=1e-15)
     np.testing.assert_allclose(stat.Rbar, geom.riemann, atol=1e-15)
     np.testing.assert_allclose(stat.L, geom.riemann, atol=1e-15)
-    assert np.max(stat.codazzi_residual()) == 0.0
+    assert np.max(residual_table(geom, stat, ident)[0]["codazzi"]) == 0.0
 
 
 def test_difference_tensor_flat_constant_cubic():
@@ -136,15 +143,15 @@ def test_centroaffine_nabla_matches_oracle_everywhere():
 
 
 def test_tchebychev_vanishes_for_unit_exponents():
-    _, stat, _ = frames(centroaffine_power_surface(1.0, 1.0))
-    assert np.max(stat.tchebychev_norm()) < 1e-12
+    _, res = table(centroaffine_power_surface(1.0, 1.0))
+    assert np.max(res["equiaffine"]) < 1e-12
 
 
 def test_codazzi_holds_for_symmetric_cubic():
     for inst in (centroaffine_power_surface(1.0, 2.0), random_polynomial_cubic(2, 2, seed=4)):
-        _, stat, _ = frames(inst, count=50)
-        assert np.max(stat.codazzi_residual()) < 1e-10
-        assert np.max(stat.cubic_is_nabla_g_residual()) < 1e-10
+        _, res = table(inst, count=50)
+        assert np.max(res["codazzi"]) < 1e-10
+        assert np.max(res["cubic_form_is_nabla_g"]) < 1e-10
 
 
 def test_codazzi_negative_control():
@@ -160,11 +167,11 @@ def test_codazzi_negative_control():
 
 def test_duality_and_remark_formulae():
     for inst in (centroaffine_power_surface(1.0, 2.0), random_polynomial_cubic(2, 2, seed=1)):
-        _, stat, _ = frames(inst, count=40)
-        assert np.max(stat.duality_residual()) < 1e-10
-        assert np.max(stat.levi_civita_mean_residual()) < 1e-12
-        assert np.max(stat.curvature_conjugation_residual()) < 1e-10
-        assert np.max(stat.interchange_sum_residual()) < 1e-10
+        _, res = table(inst, count=40)
+        assert np.max(res["conjugate_duality"]) < 1e-10
+        assert np.max(res["levi_civita_mean"]) < 1e-12
+        assert np.max(res["curvature_conjugation"]) < 1e-10
+        assert np.max(res["curvature_interchange_sum"]) < 1e-10
 
 
 def test_conjugation_involution():
@@ -176,13 +183,12 @@ def test_conjugation_involution():
 
 
 def test_conjugate_symmetry_three_residuals_flag_together():
-    _, stat, _ = frames(centroaffine_power_surface(1.0, 2.0))
-    r_l, r_rbar, alt = stat.conjugate_symmetry_residuals()
-    assert max(np.max(r_l), np.max(r_rbar), np.max(alt)) < 1e-8
+    names = ("r_minus_l", "r_minus_rbar", "alt_dk")
+    _, res = table(centroaffine_power_surface(1.0, 2.0))
+    assert max(np.max(res[name]) for name in names) < 1e-8
 
-    _, stat, _ = frames(random_polynomial_cubic(2, 2, seed=2), count=50)
-    r_l, r_rbar, alt = stat.conjugate_symmetry_residuals()
-    assert min(np.max(r_l), np.max(r_rbar), np.max(alt)) > 1e-3
+    _, res = table(random_polynomial_cubic(2, 2, seed=2), count=50)
+    assert min(np.max(res[name]) for name in names) > 1e-3
 
 
 def test_constant_curvature_centroaffine():
@@ -231,9 +237,9 @@ def test_ricci_symmetry_equivalence_on_instances():
         (flat_constant_cubic(3, {"111": 1.0, "123": 0.5}), True),
         (random_polynomial_cubic(2, 2, seed=6), False),
     ):
-        _, stat, _ = frames(inst, count=40)
-        ric = np.max(stat.ricci_asymmetry_residual())
-        eq5 = np.max(stat.tchebychev_closedness_residual())
+        _, res = table(inst, count=40)
+        ric = np.max(res["ric_symmetric"])
+        eq5 = np.max(res["tchebychev_closed"])
         if symmetric:
             assert ric < 1e-9 and eq5 < 1e-9
         else:
@@ -250,9 +256,9 @@ def test_volume_form_routes():
         (flat_constant_cubic(2, {"111": 2.0}), False),
         (random_polynomial_cubic(2, 2, seed=13), False),
     ):
-        _, stat, _ = frames(inst, count=40)
-        assert np.max(stat.volume_form_dual_residual()) < 1e-9
-        parallel = np.max(stat.volume_form_parallel_residual())
+        _, res = table(inst, count=40)
+        assert np.max(res["tchebychev_dual_via_volume_form"]) < 1e-9
+        parallel = np.max(res["volume_form_parallel"])
         if equiaffine:
             assert parallel < 1e-9
         else:
@@ -262,9 +268,9 @@ def test_volume_form_routes():
 def test_parallel_tchebychev_criterion_hypotheses():
     # flat log-coordinates make Ric^g vanish on the power surface, so the
     # converse criterion applies and forces the parallel Tchebychev field
-    _, stat, _ = frames(centroaffine_power_surface(1.0, 2.0), count=30)
-    assert np.max(np.abs(stat.ricci_g_tt())) < 1e-10
-    assert np.max(stat.tchebychev_operator_norm()) < 1e-8
+    _, res = table(centroaffine_power_surface(1.0, 2.0), count=30)
+    assert np.max(np.abs(res["ricci_tt"])) < 1e-10
+    assert np.max(res["parallel_tchebychev_criterion"]) < 1e-8
 
 
 def test_trace_identity_factor_is_one_half():
@@ -277,16 +283,16 @@ def test_trace_identity_factor_is_one_half():
 
 def test_scalar_relation_on_constant_curvature_instances():
     for inst in (centroaffine_power_surface(1.0, 2.0), centroaffine_power_surface(2.0, 3.0)):
-        _, stat, _ = frames(inst)
+        stat, res = table(inst)
         lam, residual = curvature_fit(stat)
         assert np.max(residual) < 1e-8
-        assert np.max(scalar_relation_gap(lam, stat.geometry.dim, stat.scalar_sum())) < 1e-6
+        assert np.max(scalar_relation_gap(lam, stat.geometry.dim, res["scalar_sum"])) < 1e-6
 
 
 def test_scalar_relation_flat_families():
     # flat metric (rho-hat = 0) with constant K: whenever the constant-curvature
-    # fit is valid, lambda m(m-1) = g(T,T) - g(K,K); in particular a valid
-    # lambda = 0 fit forces g(T,T) = g(K,K)
+    # fit is valid, lambda m(m-1) = g(T,T) - g(K,K), the scalar sum; in particular
+    # a valid lambda = 0 fit forces g(T,T) = g(K,K)
     rng = np.random.default_rng(21)
     seen_constant = seen_flat_curvature = 0
     samples = [{"111": 2.0}]  # single diagonal component: R = 0 exactly
@@ -296,16 +302,15 @@ def test_scalar_relation_flat_families():
         )
     for cubic in samples:
         inst = flat_constant_cubic(2, cubic)
-        _, stat, _ = frames(inst, count=10)
+        stat, res = table(inst, count=10)
+        assert np.max(np.abs(stat.geometry.scalar)) == 0.0
         lam, residual = curvature_fit(stat)
-        gtt = stat.metric_inner_tt()
-        gkk = stat.metric_inner_kk()
         if np.max(residual) <= 1e-6 * (1.0 + abs(lam)):
             seen_constant += 1
-            np.testing.assert_allclose(lam * 2.0, gtt - gkk, atol=1e-8)
+            np.testing.assert_allclose(lam * 2.0, res["scalar_sum"], atol=1e-8)
             if abs(lam) < 1e-9:
                 seen_flat_curvature += 1
-                np.testing.assert_allclose(gtt, gkk, atol=1e-8)
+                np.testing.assert_allclose(res["scalar_sum"], 0.0, atol=1e-8)
     assert seen_constant >= 1  # the search must actually find such instances
     assert seen_flat_curvature >= 1
 
@@ -344,10 +349,10 @@ def test_laplacian_cubic_identity():
     # harmonic-potential cubic: hypotheses hold with nonvanishing terms
     from statmanifold import evaluate_spec as _eval
 
-    _, stat, _ = _eval(harmonic_potential_instance())
-    assert np.max(stat.tchebychev_norm()) < 1e-12  # equiaffine
-    r_l, _, _ = stat.conjugate_symmetry_residuals()
-    assert np.max(r_l) < 1e-10  # conjugate symmetric
+    geom, stat, ident = _eval(harmonic_potential_instance())
+    _, res = residual_table(geom, stat, ident)
+    assert np.max(res["equiaffine"]) < 1e-12
+    assert np.max(res["r_minus_l"]) < 1e-10  # conjugate symmetric
     terms = stat.laplacian_cubic_terms()
     assert np.max(np.abs(terms["laplacian"])) > 1.0
     assert np.max(np.abs(terms["gradient_term"])) > 1.0
@@ -356,17 +361,17 @@ def test_laplacian_cubic_identity():
 
 def test_t1_t2_and_geodesic_potential():
     # parallel T: both semi-equiaffine expressions vanish
-    geom, stat, _ = frames(flat_constant_cubic(2, {"111": 2.0}), count=20)
+    stat, res = table(flat_constant_cubic(2, {"111": 2.0}), count=20)
     assert np.max(np.abs(stat.t1_vector())) < 1e-10
     assert np.max(np.abs(stat.t2_vector())) < 1e-10
-    residual, rho = stat.geodesic_potential_check()
-    assert np.max(residual) < 1e-10
+    assert np.max(res["geodesic_potential"]) < 1e-10
+    _, rho = stat.geodesic_potential_check()
     np.testing.assert_allclose(rho, 0.0, atol=1e-12)
 
     # centroaffine: T is nonzero yet both residuals vanish
-    geom, stat, _ = frames(centroaffine_power_surface(1.0, 2.0))
-    assert np.max(stat.tchebychev_norm()) > 0.1
-    assert np.max(stat.tchebychev_operator_norm()) < 1e-8
+    stat, res = table(centroaffine_power_surface(1.0, 2.0))
+    assert np.max(res["equiaffine"]) > 0.1
+    assert np.max(res["parallel_tchebychev_criterion"]) < 1e-8
     assert np.max(np.abs(stat.t1_vector())) < 1e-8
     assert np.max(np.abs(stat.t2_vector())) < 1e-8
 
@@ -405,4 +410,4 @@ def test_metric_inner_kk_matches_the_value_contraction():
     g, ginv, k = geom.g, geom.ginv, stat.K
     expected = np.einsum("pkl,pia,pjb,pkij,plab->p", g, ginv, ginv, k, k, optimize="greedy")
     assert np.min(expected) > 1e-3  # K does not vanish anywhere in the sample
-    np.testing.assert_allclose(stat.metric_inner_kk(), expected, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(stat.kk_jets.value, expected, rtol=1e-12, atol=0)

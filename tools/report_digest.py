@@ -9,8 +9,8 @@ Each case prints one line: its label, the sha256 of its report JSON without
 every builtin, the two random negative controls (m = 2, 3), the m = 6
 constant cubic at 100 sample points, the m = 8 constant cubic at 20 (276
 points with its corners), the curved m = 8 chart (the stereographic sphere
-with the cubic of ``random_polynomial_cubic(8, 1, 1)``) at 20 and sphere-m3
-at 10000, all at seed 1.
+with the cubic of ``random_polynomial_cubic(8, 1, 1)``) at 20, sphere-m3
+at 10000 and ``NON_EINSTEIN_M3``, all at seed 1.
 SRC is a directory holding the ``statmanifold`` package.  Given two, each is
 run in its own process; the script lists the cases that differ, each with
 every JSON leaf that differs (both values and, for numbers, their absolute
@@ -26,6 +26,43 @@ import sys
 from pathlib import Path
 
 SEED = 1
+
+# A curved m = 3 chart whose metric is not Einstein, with the cubic of
+# ``random_polynomial_cubic(3, 2, 1)`` written out: every other case has an Einstein
+# Levi-Civita Ricci, on which index orders of Ricci contractions agree.
+NON_EINSTEIN_M3 = {
+    "name": "non-einstein-m3",
+    "dim": 3,
+    "coordinates": ["x1", "x2", "x3"],
+    "metric": {
+        "11": "1 + 0.3*x2*x2", "22": "1 + 0.2*x3*x3", "33": "1 + 0.1*x1*x1",
+        "12": "0.1*x3", "13": "0", "23": "0",
+    },
+    "cubic": {
+        "111": "0.011822 + 0.450464*x1 + -0.35584*x2 + 0.448649*x3 + -0.188169*x1*x1 + "
+            "-0.076674*x1*x2 + 0.327703*x1*x3 + -0.090801*x2*x2 + 0.049594*x2*x3 + -0.472441*x3*x3",
+        "112": "0.253513 + 0.038143*x1 + -0.170268*x2 + 0.288429*x3 + -0.196805*x1*x1 + "
+            "-0.046502*x1*x2 + -0.365958*x1*x3 + -0.096887*x2*x2 + -0.296545*x2*x3 + -0.237687*x3*x3",
+        "113": "0.250365 + -0.219591*x1 + -0.014809*x2 + 0.480737*x3 + 0.461657*x1*x1 + "
+            "0.22479*x1*x2 + 0.041227*x1*x3 + -0.223109*x2*x2 + -0.339348*x2*x3 + 0.469925*x3*x3",
+        "122": "0.016069 + -0.384134*x1 + 0.12349*x2 + 0.276683*x3 + 0.113003*x1*x1 + "
+            "0.417298*x1*x2 + -0.460407*x1*x3 + 0.028589*x2*x2 + -0.040664*x2*x3 + -0.43765*x3*x3",
+        "123": "0.141328 + 0.352633*x1 + 0.092941*x2 + -0.239903*x3 + 0.339882*x1*x1 + "
+            "0.009496*x1*x2 + 0.010889*x1*x3 + 0.25303*x2*x2 + -0.352078*x2*x3 + 0.319627*x3*x3",
+        "133": "0.183287 + 0.287097*x1 + -0.308384*x2 + 0.302364*x3 + -0.308676*x1*x1 + "
+            "-0.418447*x1*x2 + 0.355227*x1*x3 + 0.361283*x2*x2 + 0.376537*x2*x3 + -0.02809*x3*x3",
+        "222": "-0.225952 + -0.492908*x1 + 0.145721*x2 + 0.219909*x3 + 0.335569*x1*x1 + "
+            "-0.218122*x1*x2 + -0.284782*x1*x3 + 0.139331*x2*x2 + 0.305055*x2*x3 + 0.463671*x3*x3",
+        "223": "-0.349475 + -0.017788*x1 + 0.394716*x2 + -0.077283*x3 + 0.089502*x1*x1 + "
+            "-0.475509*x1*x2 + 0.17346*x1*x3 + 0.419089*x2*x2 + 0.326825*x2*x3 + 0.38552*x3*x3",
+        "233": "0.160355 + -0.254448*x1 + 0.268517*x2 + -0.288325*x3 + 0.331275*x1*x1 + "
+            "-0.437282*x1*x2 + 0.325488*x1*x3 + -0.335493*x2*x2 + -0.124853*x2*x3 + -0.183262*x3*x3",
+        "333": "0.191337 + -0.321428*x1 + -0.103744*x2 + -0.494175*x3 + -0.237505*x1*x1 + "
+            "-0.078811*x1*x2 + -0.394079*x1*x3 + 0.13316*x2*x2 + -0.119576*x2*x3 + 0.225294*x3*x3",
+    },
+    "sample": {"box": {x: [-1.0, 1.0] for x in ("x1", "x2", "x3")}, "count": 20},
+}
+
 HERE = Path(__file__).resolve().parent
 DEFAULT_SRC = HERE.parent / "src"
 
@@ -43,6 +80,7 @@ def cases(sm):
     curved.cubic = sm.random_polynomial_cubic(8, 1, 1).spec.cubic
     yield "sphere-m8-polynomial-cubic", curved, 20
     yield "sphere-m3-10000", sm.get_builtin("sphere-m3").spec, 10000
+    yield "non-einstein-m3", sm.ManifoldSpec.from_dict(NON_EINSTEIN_M3), None
 
 
 def sha256(text):
