@@ -31,7 +31,7 @@ from .expr import (
     to_source,
 )
 from .geometry import DOWN, UP, GeometryFrame, MetricNotPositiveDefinite
-from .jets import Jet, JetDomainError, coordinate_jets, jet_space
+from .jets import Jet, JetDomainError, jet_space
 from .manifold import CompiledManifold, ManifoldSpec, SampleSpec, SpecValidationError
 from .maps import IdentityMapReport
 from .pipeline import (
@@ -69,7 +69,6 @@ __all__ = [
     "UP",
     "builtin_names",
     "centroaffine_power_surface",
-    "coordinate_jets",
     "crosscheck",
     "cubic_from_difference",
     "eval_jet",

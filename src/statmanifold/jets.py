@@ -329,14 +329,6 @@ class Jet:
         return self.compose(derivs)
 
 
-def coordinate_jets(points, order):
-    """Variable jets for each chart coordinate; ``points`` is (m,) or (N, m)."""
-    points = np.asarray(points, dtype=float)
-    m = points.shape[-1]
-    space = jet_space(m, order)
-    return [Jet.variable(space, v, points[..., v]) for v in range(m)]
-
-
 # -- jet tensors: a Jet whose batch shape ends in the tensor axes ------------
 
 

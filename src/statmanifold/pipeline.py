@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import numbers
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -48,6 +48,10 @@ DEFAULT_TOLERANCE = 1e-8
 FD_TOLERANCE = 1e-4
 FD_STEP = 1e-3
 CONSTANT_CURVATURE_SCALE = 1e-6
+# least tolerance of difftension: tau-hat and (tau + tau-bar)/2 are sums of the same
+# Gamma and K arrays, so their difference is rounding noise (up to about 2e-15 on the
+# builtins), which a tolerance of 0 would report as a defect
+DIFFTENSION_FLOOR = 1e-12
 # tolerance of the conditional relations between curvature scalars
 RELATION_TOLERANCE = 1e-6
 # points per frame in run_diagnostics and crosscheck: large enough that numpy
@@ -209,18 +213,21 @@ def residual_table(geom, stat, ident):
     conditional checks, each named after the flag or check it decides where one
     exists, and the signed per-point values ``ricci_tt`` (Ric^g(T, T)) and
     ``scalar_sum`` (rho-hat + g(T,T) - g(K,K)).  ``laplacian_cubic_form`` is
-    already |.| of a scalar; every other entry is reduced by :func:`_peak` as
-    soon as it is formed, so no unreduced tensor outlives its entry.
+    already |.| of a scalar and ``conjugate_symmetric`` is the per-point max of
+    the three conjugate-symmetry residuals; every other entry is reduced by
+    :func:`_peak` as soon as it is formed, so no unreduced tensor outlives its
+    entry.
     """
     g, dg, t, tch = geom.g, geom.dg, stat.T, stat.tch
     # sum_a coeff(nabla)^a_Xa - d_X log sqrt(det g): eta by a route independent of the
     # metric contraction of K; its norm |nabla omega_g| / omega_g vanishes iff equiaffine
     volume = np.einsum("paxa->px", stat.nabla) - 0.5 * np.einsum("pij,pijx->px", geom.ginv, dg)
     grad = geom.gradient_field(eval_jet(_probe(geom.dim), geom.points, 3))
+    nabla_g = metric_derivative(g, dg, stat.nabla)
     identities = {
         # (nabla_X g)(Y,Z) = (nabla_Y g)(X,Z), and nabla g = C, with the direction last
-        "codazzi": _peak(_asymmetry(metric_derivative(g, dg, stat.nabla), 1, 3)),
-        "cubic_form_is_nabla_g": _peak(metric_derivative(g, dg, stat.nabla) - stat.C),
+        "codazzi": _peak(_asymmetry(nabla_g, 1, 3)),
+        "cubic_form_is_nabla_g": _peak(nabla_g - stat.C),
         # C(X,Y,Z) = -2 g(K_X Y, Z)
         "cubic_form_roundtrip": _peak(cubic_from_difference(g, stat.K) - stat.C),
         # X g(Y,Z) = g(nabla_X Y, Z) + g(Y, nabla-bar_X Z)
@@ -262,12 +269,16 @@ def residual_table(geom, stat, ident):
         "main1_identity_b": _peak((ident.tau2 + ident.taubar2) + 2.0 * ident.t2),
         "tchebychev_dual_via_volume_form": _peak(volume - stat.eta),
     }
-    conditions = {
-        # R = L, R = R-bar and nabla^g K totally symmetric: the conjugate-symmetry
-        # residuals, which vanish together
+    # R = L, R = R-bar and nabla^g K totally symmetric: the conjugate-symmetry
+    # residuals, which vanish together
+    conjugate = {
         "r_minus_l": _peak(stat.R - stat.L),
         "r_minus_rbar": _peak(stat.R - stat.Rbar),
         "alt_dk": _peak(_asymmetry(stat.dK, 2, 4)),
+    }
+    conditions = {
+        **conjugate,
+        "conjugate_symmetric": np.maximum.reduce(list(conjugate.values())),
         # Ric is symmetric iff g(nabla^g T, .) is: the pair of ricci_symmetry_equivalence
         "ric_symmetric": _peak(_asymmetry(stat.ric, 1, 2)),
         "tchebychev_closed": _peak(_asymmetry(np.einsum("pky,pkx->pxy", g, tch), 1, 2)),
@@ -338,15 +349,13 @@ def band(value, tolerance):
     return FALSE
 
 
-def band_agreement(a, b, tolerance):
-    """Whether two residuals raise the same flag: consistent, inconsistent or inconclusive."""
+def band_agreement(a, b, tolerance, labels=("consistent", "inconsistent")):
+    """Whether two residuals raise the same flag: ``labels[0]`` if they do,
+    ``labels[1]`` if they do not, inconclusive if either lies in the band."""
     a_state, b_state = band(a, tolerance), band(b, tolerance)
     if INCONCLUSIVE in (a_state, b_state):
         return INCONCLUSIVE
-    return "consistent" if a_state == b_state else "inconsistent"
-
-
-_AGREEMENT_STATUS = {"consistent": PASS, "inconsistent": FAIL, INCONCLUSIVE: INCONCLUSIVE}
+    return labels[a_state != b_state]
 
 
 def run_diagnostics(spec: ManifoldSpec, tolerance=DEFAULT_TOLERANCE, count=None, seed=None):
@@ -354,7 +363,9 @@ def run_diagnostics(spec: ManifoldSpec, tolerance=DEFAULT_TOLERANCE, count=None,
 
     Frames are built block by block (BLOCK_POINTS points each); every max,
     argmax, flag and the constant-curvature fit reduce concatenated per-point
-    values, so they do not depend on the block size.
+    values, so they do not depend on the block size.  Every check is one
+    per-point residual reduced by :func:`_check`, which reports the point that
+    drove it; the status is given where the tolerance alone does not decide it.
     """
     start = time.perf_counter()
     tol = _require_real("tolerance", tolerance)
@@ -364,66 +375,66 @@ def run_diagnostics(spec: ManifoldSpec, tolerance=DEFAULT_TOLERANCE, count=None,
     res = _per_point(points, lambda block: _block_residuals(compiled, block))
 
     checks = {
-        name: _check(points, residual, max(tol, 1e-12) if name == "difftension" else tol)
+        name: _check(points, residual, max(tol, DIFFTENSION_FLOOR) if name == "difftension" else tol)
         for name, residual in res["identities"].items()
     }
     cond = res["conditions"]
     peak = {name: float(np.max(residual)) for name, residual in cond.items()}
-    conj = np.maximum(np.maximum(cond["r_minus_l"], cond["r_minus_rbar"]), cond["alt_dk"])
     lam, cc_residual = fit_constant_curvature(res["fit"])
     cc_max = float(np.max(cc_residual))
     cc_flag = cc_max <= CONSTANT_CURVATURE_SCALE * (1.0 + abs(lam))
-    ric_asym, t_norm = peak["ric_symmetric"], peak["equiaffine"]
 
     flags = {
         "codazzi": checks["codazzi"].status == PASS,
-        "ric_symmetric": ric_asym <= tol,
-        "conjugate_symmetric": float(np.max(conj)) <= tol,
-        "equiaffine": t_norm <= tol,
+        "ric_symmetric": peak["ric_symmetric"] <= tol,
+        "conjugate_symmetric": peak["conjugate_symmetric"] <= tol,
+        "equiaffine": peak["equiaffine"] <= tol,
         "semi_equiaffine": peak["semi_equiaffine"] <= tol,
         "constant_curvature": cc_flag,
     }
 
-    def conditional(residual, tolerance, applicable):
-        return _check(points, residual, tolerance, None if applicable else NOT_APPLICABLE)
-
-    def agreement(a, b):
-        """Two residuals that must raise the same flag, reported at the first point."""
-        status = _AGREEMENT_STATUS[band_agreement(a, b, tol)]
-        return CheckResult(max(a, b), points[0].tolist(), status)
-
     # the symmetry of Ric and the closedness of g(T, .) must flag together
-    checks["ricci_symmetry_equivalence"] = agreement(ric_asym, peak["tchebychev_closed"])
-
-    # the three conjugate-symmetry residuals must agree at the flag level
-    states = {band(peak[name], tol) for name in ("r_minus_l", "r_minus_rbar", "alt_dk")}
+    checks["ricci_symmetry_equivalence"] = _check(
+        points, np.maximum(cond["ric_symmetric"], cond["tchebychev_closed"]), tol,
+        band_agreement(peak["ric_symmetric"], peak["tchebychev_closed"], tol, (PASS, FAIL)),
+    )
+    # the three conjugate-symmetry residuals must not flag both true and false
     checks["conjugate_symmetry_residuals"] = _check(
-        points, conj, tol, PASS if len(states - {INCONCLUSIVE}) <= 1 else FAIL
+        points, cond["conjugate_symmetric"], tol,
+        FAIL
+        if {TRUE, FALSE} <= {band(peak[n], tol) for n in ("r_minus_l", "r_minus_rbar", "alt_dk")}
+        else PASS,
     )
-
     # equiaffine iff the metric volume form is nabla-parallel
-    checks["equiaffine_volume_form_equivalence"] = agreement(t_norm, peak["volume_form_parallel"])
+    checks["equiaffine_volume_form_equivalence"] = _check(
+        points, np.maximum(cond["equiaffine"], cond["volume_form_parallel"]), tol,
+        band_agreement(peak["equiaffine"], peak["volume_form_parallel"], tol, (PASS, FAIL)),
+    )
+    # conditional identities, not-applicable where their hypotheses fail:
+    # name -> (residual, tolerance, whether the hypotheses hold)
+    hypotheses = {
+        # semi-equiaffine, symmetric Ric and Ric^g(T,T) <= 0 together force nabla^g T = 0
+        "parallel_tchebychev_criterion": (
+            cond["parallel_tchebychev_criterion"], tol,
+            flags["semi_equiaffine"] and flags["ric_symmetric"] and peak["ricci_tt"] <= tol,
+        ),
+        "scalar_curvature_relation": (
+            scalar_relation_gap(lam, spec.dim, cond["scalar_sum"]), RELATION_TOLERANCE, cc_flag
+        ),
+        "laplacian_cubic_form": (
+            cond["laplacian_cubic_form"], RELATION_TOLERANCE,
+            flags["conjugate_symmetric"]
+            and band(peak["parallel_tchebychev_criterion"], tol) != FALSE,
+        ),
+        "geodesic_potential": (
+            cond["geodesic_potential"], tol,
+            not flags["equiaffine"] and peak["geodesic_potential"] <= tol,
+        ),
+    }
+    for name, (residual, tolerance, holds) in hypotheses.items():
+        checks[name] = _check(points, residual, tolerance, None if holds else NOT_APPLICABLE)
 
-    # parallel-T criterion: semi-equiaffine, symmetric Ric, Ric^g(T,T) <= 0
-    # together force nabla^g T = 0
-    checks["parallel_tchebychev_criterion"] = conditional(
-        cond["parallel_tchebychev_criterion"],
-        tol,
-        flags["semi_equiaffine"] and flags["ric_symmetric"] and peak["ricci_tt"] <= tol,
-    )
-    checks["scalar_curvature_relation"] = conditional(
-        scalar_relation_gap(lam, spec.dim, cond["scalar_sum"]), RELATION_TOLERANCE, cc_flag
-    )
-    checks["laplacian_cubic_form"] = conditional(
-        cond["laplacian_cubic_form"],
-        RELATION_TOLERANCE,
-        flags["conjugate_symmetric"] and band(peak["parallel_tchebychev_criterion"], tol) != FALSE,
-    )
-    checks["geodesic_potential"] = conditional(
-        cond["geodesic_potential"], tol, t_norm > tol and peak["geodesic_potential"] <= tol
-    )
-
-    report = DiagnosticsReport(
+    return DiagnosticsReport(
         name=spec.name,
         spec=spec.to_dict(),
         spec_hash=spec.content_hash(),
@@ -438,10 +449,8 @@ def run_diagnostics(spec: ManifoldSpec, tolerance=DEFAULT_TOLERANCE, count=None,
             "is_constant": cc_flag,
         },
         main1_flag_equivalence=band_agreement(peak["semi_equiaffine"], peak["bitension"], tol),
-        runtime_seconds=0.0,
+        runtime_seconds=time.perf_counter() - start,
     )
-    report.runtime_seconds = time.perf_counter() - start
-    return report
 
 
 # -- finite-difference crosscheck ----------------------------------------------
@@ -452,7 +461,7 @@ class CrosscheckReport:
     name: str
     h: float
     threshold: float
-    deviations: dict = field(default_factory=dict)
+    deviations: dict
 
     @property
     def max_deviation(self):
@@ -488,9 +497,8 @@ def crosscheck(spec: ManifoldSpec, h=FD_STEP, threshold=FD_TOLERANCE, count=None
     compiled = spec.compile()
     points = _shrink_box(spec, h).sample_points(count, seed)
     deviations = _per_point(points, lambda block: _crosscheck_block(compiled, block, h))
-    report = CrosscheckReport(name=spec.name, h=h, threshold=threshold)
-    report.deviations = {name: float(np.max(dev)) for name, dev in deviations.items()}
-    return report
+    deviations = {name: float(np.max(dev)) for name, dev in deviations.items()}
+    return CrosscheckReport(name=spec.name, h=h, threshold=threshold, deviations=deviations)
 
 
 def _crosscheck_block(compiled, points, h):
@@ -531,6 +539,7 @@ def _crosscheck_block(compiled, points, h):
 
 
 def _shrink_box(spec, h):
+    """``spec`` on its sample box shrunk by 2h on each side; every other field is shared."""
     shrunk_box = {}
     for name, (lo, hi) in spec.sample.box.items():
         if hi - lo <= 4.0 * h:
@@ -540,9 +549,7 @@ def _shrink_box(spec, h):
                 f"({hi - lo:g}), got {h:g}",
             )
         shrunk_box[name] = (lo + 2.0 * h, hi - 2.0 * h)
-    clone = ManifoldSpec.from_dict(spec.to_dict())
-    clone.sample.box = shrunk_box
-    return clone
+    return replace(spec, sample=replace(spec.sample, box=shrunk_box))
 
 
 def _tchebychev_values(compiled, points):

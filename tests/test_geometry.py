@@ -1,7 +1,9 @@
 """Riemannian kernel: Christoffel symbols, curvature, Laplacians, oracles."""
 
+import importlib.util
 import sys
 from collections import Counter
+from pathlib import Path
 
 import closed_forms
 import numpy as np
@@ -25,8 +27,26 @@ from statmanifold import (
 )
 from statmanifold import geometry, maps, pipeline, statistical
 from statmanifold.geometry import UP, covariant_derivative_jets, jet_matrix_inverse
-from statmanifold.jets import Jet, coordinate_jets, jet_einsum, jet_partial, jet_space
+from statmanifold.jets import Jet, jet_einsum, jet_partial, jet_space
 from statmanifold.pipeline import crosscheck
+
+
+def _load_report_digest():
+    """``tools/report_digest.py``, loaded by path, since ``tools`` is not a package."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "report_digest.py"
+    module_spec = importlib.util.spec_from_file_location("report_digest", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
+
+
+report_digest = _load_report_digest()
+
+
+def coordinate_variables(points, order):
+    """Variable jets of the chart coordinates at ``points`` (N, m)."""
+    space = jet_space(points.shape[-1], order)
+    return [Jet.variable(space, v, points[:, v]) for v in range(space.dim)]
 
 
 def stack(jets):
@@ -93,18 +113,9 @@ def test_first_bianchi_and_metricity():
 
 
 def non_einstein_m3_spec():
-    """A curved 3-d metric that is not Einstein, with a polynomial cubic form."""
-    return ManifoldSpec(
-        name="non-einstein-m3",
-        dim=3,
-        coordinates=["x1", "x2", "x3"],
-        metric={
-            "11": "1 + 0.3*x2*x2", "22": "1 + 0.2*x3*x3", "33": "1 + 0.1*x1*x1",
-            "12": "0.1*x3", "13": "0", "23": "0",
-        },
-        cubic=random_polynomial_cubic(3, 2, seed=1).spec.cubic,
-        sample=SampleSpec(box={f"x{i}": (-1.0, 1.0) for i in (1, 2, 3)}, count=20),
-    )
+    """A curved 3-d metric that is not Einstein, with a polynomial cubic form: the
+    ``non-einstein-m3`` case of the report digest, built from the digest's literal."""
+    return ManifoldSpec.from_dict(report_digest.NON_EINSTEIN_M3)
 
 
 def test_ricci_is_the_orthonormal_frame_trace():
@@ -160,6 +171,23 @@ def test_report_on_the_non_einstein_chart():
     assert fd.passed and fd.max_deviation < 1e-6
 
 
+def test_agreement_checks_report_the_point_that_drove_them():
+    # each flag-agreement check reduces the per-point max of its two residuals, so its
+    # argmax point is where that max peaks, not the first sample point
+    spec = non_einstein_m3_spec()
+    report = run_diagnostics(spec)
+    points = spec.sample_points()
+    _, conditions = pipeline.residual_table(*evaluate_spec(spec))
+    for name, pair in (
+        ("ricci_symmetry_equivalence", ("ric_symmetric", "tchebychev_closed")),
+        ("equiaffine_volume_form_equivalence", ("equiaffine", "volume_form_parallel")),
+    ):
+        driver = np.maximum(*(conditions[condition] for condition in pair))
+        assert np.argmax(driver) != 0, name
+        assert report.checks[name].argmax_point == points[np.argmax(driver)].tolist(), name
+        assert report.checks[name].max_residual == float(np.max(driver)), name
+
+
 def test_geometry_frame_rejects_indefinite_metric():
     space = jet_space(2, 2)
     coeff = np.zeros((1, 2, 2, space.ncoeff))
@@ -180,14 +208,14 @@ def test_covariant_derivative_of_constant_field_flat():
 def test_divergence_of_radial_field():
     inst = flat_constant_cubic(3, {})
     geom, _, _ = evaluate_spec(inst.spec, count=10)
-    v = stack(coordinate_jets(geom.points, 3))
+    v = stack(coordinate_variables(geom.points, 3))
     np.testing.assert_allclose(geom.divergence(v).value, 3.0, atol=1e-13)
 
 
 def test_scalar_laplacian_of_linear_function_flat():
     inst = flat_constant_cubic(2, {})
     geom, _, _ = evaluate_spec(inst.spec, count=10)
-    coords = coordinate_jets(geom.points, 3)
+    coords = coordinate_variables(geom.points, 3)
     f = 2.0 * coords[0] - 7.0 * coords[1] + 3.0
     np.testing.assert_allclose(geom.laplacian_scalar(f), 0.0, atol=1e-13)
 
@@ -233,7 +261,7 @@ def covariant_derivative_components(values, jacobian, coeff, variance):
 def test_numeric_covariant_derivative_matches_jet_route():
     inst = sphere_stereographic(2, 1.0)
     geom, _, _ = evaluate_spec(inst.spec, count=20)
-    coords = coordinate_jets(geom.points, 3)
+    coords = coordinate_variables(geom.points, 3)
     v = stack([coords[0] * coords[1], (coords[0] + coords[1]).sin()])
     jet_route = geom.nabla(v, ("up",)).value
     numeric = covariant_derivative_components(v.value, v.gradient(), geom.gamma, ("up",))

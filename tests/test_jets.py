@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import statmanifold
-from statmanifold import Jet, JetDomainError, coordinate_jets, jet_space
+from statmanifold import Jet, JetDomainError, jet_space
 from statmanifold.jets import jet_einsum, jet_partial
 
 
@@ -185,11 +185,13 @@ def test_from_derivatives_roundtrip():
     np.testing.assert_allclose(jet.hessian(), hessian)
 
 
-def test_coordinate_jets_batched():
+def test_variable_jets_batched():
     pts = np.array([[1.0, 2.0], [3.0, 4.0]])
-    x1, x2 = coordinate_jets(pts, 2)
+    space = jet_space(2, 2)
+    x1, x2 = (Jet.variable(space, v, pts[:, v]) for v in range(2))
     np.testing.assert_allclose(x1.value, [1.0, 3.0])
     np.testing.assert_allclose(x2.gradient(), [[0.0, 1.0], [0.0, 1.0]])
+    np.testing.assert_allclose(x1.hessian(), np.zeros((2, 2, 2)))
 
 
 def test_jet_einsum_matches_numeric_einsum():

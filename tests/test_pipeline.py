@@ -310,3 +310,14 @@ def test_whole_float_count_and_seed_run_like_integers():
     for report in reports:
         report.runtime_seconds = 0.0
     assert reports[0].to_json() == reports[1].to_json()
+
+
+def test_difftension_tolerance_has_a_floor():
+    # difftension compares sums of the same tension fields, so it is rounding noise;
+    # at tolerance 0 it passes under the floor while identities with real residuals fail
+    report = run_diagnostics(get_builtin("centroaffine").spec, tolerance=0.0, count=10, seed=1)
+    difftension = report.checks["difftension"]
+    assert 0.0 < difftension.max_residual <= pipeline.DIFFTENSION_FLOOR
+    assert difftension.status == "pass"
+    assert report.failed_checks and "difftension" not in report.failed_checks
+    assert pipeline.DIFFTENSION_FLOOR == 1e-12

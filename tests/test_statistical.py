@@ -17,6 +17,7 @@ from statmanifold import (
     evaluate_spec,
     flat_constant_cubic,
     get_builtin,
+    hyperbolic_ball,
     random_polynomial_cubic,
 )
 from statmanifold.jets import Jet, jet_einsum, jet_space
@@ -271,6 +272,19 @@ def test_parallel_tchebychev_criterion_hypotheses():
     _, res = table(centroaffine_power_surface(1.0, 2.0), count=30)
     assert np.max(np.abs(res["ricci_tt"])) < 1e-10
     assert np.max(res["parallel_tchebychev_criterion"]) < 1e-8
+
+
+def test_ricci_tt_keeps_its_sign():
+    # the parallel_tchebychev_criterion gate asks Ric^g(T,T) <= 0, so the entry is the
+    # signed value, not a |.| peak: on the hyperbolic plane Ric^g = -g, so Ric^g(T,T) is
+    # -g(T,T), which is negative wherever T is not 0
+    spec = hyperbolic_ball(2).spec
+    spec.cubic = {"111": "1.0"}
+    geom, stat, ident = evaluate_spec(spec, count=20, seed=1)
+    _, conditions = residual_table(geom, stat, ident)
+    g_tt = np.einsum("pij,pi,pj->p", geom.g, stat.T, stat.T)
+    assert np.min(g_tt) > 1e-4
+    np.testing.assert_allclose(conditions["ricci_tt"], -g_tt, rtol=1e-12, atol=0)
 
 
 def test_trace_identity_factor_is_one_half():
