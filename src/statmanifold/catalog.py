@@ -97,19 +97,11 @@ def flat_constant_cubic(dim=2, cubic=None):
     The Tchebychev field T^k = -1/2 sum_i C_iik is constant, nabla^g T = 0,
     and the structure is semi-equiaffine; it descends to the standard torus.
     """
-    if not 2 <= dim <= MAX_DIM:
-        raise ValueError(f"dim must be in 2..{MAX_DIM}")
     if cubic is None:
         cubic = {"111": 2.0}
     cubic = {key: float(value) for key, value in cubic.items()}
-    coords = [f"x{i}" for i in range(1, dim + 1)]
-    spec = ManifoldSpec(
-        name=f"flat-constant-cubic-m{dim}",
-        dim=dim,
-        coordinates=coords,
-        metric=_diagonal_metric(dim, "1"),
-        cubic={key: repr(value) for key, value in cubic.items()},
-        sample=SampleSpec(box={name: (-1.0, 1.0) for name in coords}),
+    spec = _chart(
+        f"flat-constant-cubic-m{dim}", dim, "1", {key: repr(value) for key, value in cubic.items()}
     )
 
     full = np.zeros((dim, dim, dim))
@@ -131,24 +123,26 @@ def flat_constant_cubic(dim=2, cubic=None):
     )
 
 
-def _diagonal_metric(dim, entry):
-    """Metric components with ``entry`` on the diagonal and 0 off it."""
+def _chart(name, dim, diagonal, cubic=None, half_width=1.0, parameters=None):
+    """Spec on the coordinates x1..x{dim}, 2 <= dim <= MAX_DIM, with ``diagonal`` on
+    the metric's diagonal and 0 off it, sampled on the box [-half_width, half_width]^dim."""
+    if not 2 <= dim <= MAX_DIM:
+        raise ValueError(f"dim must be in 2..{MAX_DIM}")
+    coords = [f"x{i}" for i in range(1, dim + 1)]
     pairs = combinations_with_replacement(range(dim), 2)
-    return {component_key((i, j)): entry if i == j else "0" for i, j in pairs}
+    return ManifoldSpec(
+        name=name, dim=dim, coordinates=coords, cubic=cubic or {}, parameters=parameters or {},
+        metric={component_key((i, j)): diagonal if i == j else "0" for i, j in pairs},
+        sample=SampleSpec(box={x: (-half_width, half_width) for x in coords}),
+    )
 
 
 def _conformal_instance(dim, curvature, kind, description):
     """Builtin of constant curvature c: g = 4 delta / (1 + c |x|^2)^2 on a centred box."""
-    coords = [f"x{i}" for i in range(1, dim + 1)]
-    norm = " + ".join(f"{x}*{x}" for x in coords)
-    half_width = 0.5 / np.sqrt(abs(curvature) * dim)
-    spec = ManifoldSpec(
-        name=f"{kind}-m{dim}-c{curvature:g}",
-        dim=dim,
-        coordinates=coords,
-        parameters={"c": float(curvature)},
-        metric=_diagonal_metric(dim, f"4/pow(1 + c*({norm}), 2)"),
-        sample=SampleSpec(box={name: (-half_width, half_width) for name in coords}),
+    norm = " + ".join(f"x{i}*x{i}" for i in range(1, dim + 1))
+    spec = _chart(
+        f"{kind}-m{dim}-c{curvature:g}", dim, f"4/pow(1 + c*({norm}), 2)",
+        half_width=0.5 / np.sqrt(abs(curvature) * dim), parameters={"c": float(curvature)},
     )
     return BuiltinInstance(
         spec=spec,
@@ -195,27 +189,18 @@ def random_polynomial_cubic(dim=2, degree=2, seed=0):
     neither equiaffine nor semi-equiaffine); the negative control family."""
     if degree < 0 or degree > 2:
         raise ValueError("polynomial degree must be 0, 1 or 2")
-    coords = [f"x{i}" for i in range(1, dim + 1)]
+    spec = _chart(f"flat-random-cubic-m{dim}-seed{seed}", dim, "1")
     monomials = ["1"]
     if degree >= 1:
-        monomials += coords
+        monomials += spec.coordinates
     if degree >= 2:
-        monomials += [f"{a}*{b}" for a, b in combinations_with_replacement(coords, 2)]
+        monomials += [f"{a}*{b}" for a, b in combinations_with_replacement(spec.coordinates, 2)]
     rng = np.random.default_rng(seed)
-    cubic = {}
     for combo in combinations_with_replacement(range(dim), 3):
         coeffs = AMPLITUDE * (2.0 * rng.random(len(monomials)) - 1.0)
         terms = [f"{round(float(c), 6)!r}*{mono}" if mono != "1" else f"{round(float(c), 6)!r}"
                  for c, mono in zip(coeffs, monomials)]
-        cubic[component_key(combo)] = " + ".join(terms)
-    spec = ManifoldSpec(
-        name=f"flat-random-cubic-m{dim}-seed{seed}",
-        dim=dim,
-        coordinates=coords,
-        metric=_diagonal_metric(dim, "1"),
-        cubic=cubic,
-        sample=SampleSpec(box={name: (-1.0, 1.0) for name in coords}),
-    )
+        spec.cubic[component_key(combo)] = " + ".join(terms)
     return BuiltinInstance(
         spec=spec,
         expected={"codazzi": True},

@@ -326,42 +326,39 @@ def eval_jet(node, point, order):
     the offending subexpression.
     """
     point = np.asarray(point, dtype=float)
-    space = jet_space(point.shape[-1], order)
-    batch = point.shape[:-1]
-    coords = {}  # coordinate index -> its variable jet, built on first use
+    return _eval(node, point, jet_space(point.shape[-1], order), {})
 
-    def ev(n):
-        if isinstance(n, Const):
-            return Jet.constant(space, n.value, batch)
-        if isinstance(n, Var):
-            if n.index not in coords:
-                coords[n.index] = Jet.variable(space, n.index, point[..., n.index])
-            return coords[n.index]
-        if isinstance(n, Unary):
-            return -ev(n.child)
-        if isinstance(n, Binary):
-            if n.op == "*" and isinstance(n.left, Const):
-                return ev(n.right) * n.left.value  # scales each coefficient: no jet product
-            left = ev(n.left)
-            right = ev(n.right)
-            try:
-                return _BINARY[n.op](left, right)
-            except JetDomainError as err:
-                raise _domain_error(err, n, point) from None
-        if isinstance(n, Call):
-            args = [ev(a) for a in n.args]
-            try:
-                if n.func == "pow":
-                    return args[0].powc(n.args[1].value)
-                return getattr(args[0], n.func)()
-            except JetDomainError as err:
-                raise _domain_error(err, n, point) from None
-        raise TypeError(f"not an expression node: {n!r}")
 
-    try:
-        return ev(node)
-    finally:
-        del ev  # ev refers to itself through its closure; drop the cycle now
+def _eval(n, point, space, coords):
+    """:func:`eval_jet` of the node ``n``; ``coords`` maps a coordinate index to its
+    variable jet, built on first use."""
+    if isinstance(n, Const):
+        return Jet.constant(space, n.value, point.shape[:-1])
+    if isinstance(n, Var):
+        if n.index not in coords:
+            coords[n.index] = Jet.variable(space, n.index, point[..., n.index])
+        return coords[n.index]
+    if isinstance(n, Unary):
+        return -_eval(n.child, point, space, coords)
+    if isinstance(n, Binary):
+        if n.op == "*" and isinstance(n.left, Const):
+            # scales each coefficient: no jet product
+            return _eval(n.right, point, space, coords) * n.left.value
+        left = _eval(n.left, point, space, coords)
+        right = _eval(n.right, point, space, coords)
+        try:
+            return _BINARY[n.op](left, right)
+        except JetDomainError as err:
+            raise _domain_error(err, n, point) from None
+    if isinstance(n, Call):
+        args = [_eval(a, point, space, coords) for a in n.args]
+        try:
+            if n.func == "pow":
+                return args[0].powc(n.args[1].value)
+            return getattr(args[0], n.func)()
+        except JetDomainError as err:
+            raise _domain_error(err, n, point) from None
+    raise TypeError(f"not an expression node: {n!r}")
 
 
 def _domain_error(err, node, point):

@@ -94,14 +94,18 @@ class ManifoldSpec:
     def from_dict(cls, data):
         try:
             sample = data.get("sample") or {}
-            box = {name: (float(lo), float(hi)) for name, (lo, hi) in sample.get("box", {}).items()}
+            parameters = data.get("parameters") or {}
+            box = {
+                name: tuple(require_real(f"sample box for {name!r}", b) for b in (lo, hi))
+                for name, (lo, hi) in sample.get("box", {}).items()
+            }
             spec = cls(
                 name=str(data.get("name", "unnamed")),
                 dim=_integral("dim", data["dim"]),
                 coordinates=list(data["coordinates"]),
                 metric=dict(data["metric"]),
                 cubic=dict(data.get("cubic", {})),
-                parameters={k: float(v) for k, v in (data.get("parameters") or {}).items()},
+                parameters={k: require_real(f"parameter {k!r}", v) for k, v in parameters.items()},
                 sample=SampleSpec(
                     box=box,
                     count=_integral("sample count", sample.get("count", SampleSpec.count)),
@@ -158,9 +162,11 @@ class ManifoldSpec:
             if name in seen:
                 problems.append(f"duplicate coordinate name {name!r}")
             seen.add(name)
-        for name in self.parameters:
+        for name, value in self.parameters.items():
             if not _IDENT.match(str(name)) or name in FUNCTIONS or name in seen:
                 problems.append(f"invalid parameter name {name!r}")
+            if not _is_real(value):
+                problems.append(f"parameter {name!r} must be a number, got {value!r}")
         if problems:
             raise SpecValidationError(problems)
 
@@ -196,7 +202,9 @@ class ManifoldSpec:
                     problems.append(f"sample box is missing coordinate {name!r}")
                 else:
                     lo, hi = self.sample.box[name]
-                    if not np.isfinite([lo, hi]).all():
+                    if not (_is_real(lo) and _is_real(hi)):
+                        problems.append(f"sample box for {name!r} must hold numbers, got {[lo, hi]!r}")
+                    elif not np.isfinite([lo, hi]).all():
                         problems.append(f"sample box for {name!r} must have finite bounds")
                     elif not lo < hi:
                         problems.append(f"sample box for {name!r} must satisfy lo < hi")
@@ -282,6 +290,22 @@ def _integral(name, value):
     if isinstance(value, bool) or not whole:
         raise OptionError(name, f"must be an integer, got {value!r}")
     return value if isinstance(value, int) else int(float(value))
+
+
+def _is_real(value):
+    """Whether ``value`` is a real number, which a string or a bool is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def require_real(name, value, bound=None):
+    """``value`` as a float; :class:`OptionError` naming it unless :func:`_is_real` and,
+    given a ``bound`` ("nonnegative" or "positive"), finite and within it."""
+    if not _is_real(value):
+        raise OptionError(name, f"must be a number, got {value!r}")
+    value = float(value)
+    if bound and not (np.isfinite(value) and (value > 0 if bound == "positive" else value >= 0)):
+        raise OptionError(name, f"must be finite and {bound}, got {value}")
+    return value
 
 
 def require_sample_options(count, seed):

@@ -102,7 +102,7 @@ class StatisticalFrame:
         lambda self: interchange_tensor(self.Rbar, self.geometry.g, self.geometry.ginv)
     )
     tch_jets = cached_property(lambda self: self.geometry.nabla(self.T_jets, (UP,)))
-    tch = property(lambda self: self.tch_jets.value)  # (N, k, direction)
+    tch = cached_property(lambda self: self.tch_jets.value)  # (N, k, direction)
     # nabla^g K is read only as values, so K enters at order 1
     dK = cached_property(
         lambda self: self.geometry.nabla(self.K_jets.truncated(1), (UP, DOWN, DOWN)).value

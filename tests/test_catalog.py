@@ -11,6 +11,7 @@ from statmanifold import (
     flat_constant_cubic,
     get_builtin,
     hyperbolic_ball,
+    random_polynomial_cubic,
     run_diagnostics,
     sphere_stereographic,
 )
@@ -93,8 +94,13 @@ def test_builtin_parameter_validation():
         sphere_stereographic(2, -1.0)
     with pytest.raises(ValueError):
         hyperbolic_ball(2, 1.0)
-    with pytest.raises(ValueError):
-        flat_constant_cubic(1)
+    # one chart builder checks dim for every family
+    for build, dim in (
+        (flat_constant_cubic, 1), (sphere_stereographic, 9),
+        (hyperbolic_ball, 1), (random_polynomial_cubic, 1),
+    ):
+        with pytest.raises(ValueError, match="dim must be in 2..8"):
+            build(dim)
     with pytest.raises(KeyError):
         get_builtin("no-such-instance")
 

@@ -3,6 +3,7 @@
 import importlib.util
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import closed_forms
@@ -168,6 +169,25 @@ def test_report_on_the_non_einstein_chart():
     }
     assert report.main1_flag_equivalence == "consistent"
     fd = crosscheck(spec)
+    assert fd.passed and fd.max_deviation < 1e-6
+
+
+@pytest.mark.parametrize("label", sorted(report_digest.ONE_FACTOR_CUBICS))
+def test_each_factor_of_the_semi_equiaffine_criterion_counts(label):
+    # exactly one of (T1) and (T2) vanishes: the flag is false and the bi-tension does
+    # not vanish, so a flag that read one factor alone would disagree with it
+    cubic = report_digest.ONE_FACTOR_CUBICS[label]
+    spec = replace(flat_constant_cubic(2).spec, name=label, cubic=cubic)
+    _, _, ident = evaluate_spec(spec, seed=1)
+    peaks = [float(np.max(np.abs(field))) for field in (ident.t1, ident.t2)]
+    expected = {"one-factor-t1-holds": [0.0, 0.998], "one-factor-t2-holds": [2.0, 0.0]}
+    assert peaks == pytest.approx(expected[label], abs=1e-3)
+    assert 0.0 in peaks
+    report = run_diagnostics(spec, seed=1)
+    assert not report.flags["semi_equiaffine"]
+    assert report.main1_flag_equivalence == "consistent"
+    assert report.exit_code() == 0, report.failed_checks
+    fd = crosscheck(spec, seed=1)
     assert fd.passed and fd.max_deviation < 1e-6
 
 

@@ -223,6 +223,47 @@ def test_compiled_cubic_is_totally_symmetric():
     assert v.shape == (pts.shape[0], 2, 2, 2)
 
 
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [
+        ("parameter", "1.0", "parameter 'a1' must be a number, got '1.0'"),
+        ("parameter", True, "parameter 'a1' must be a number, got True"),
+        ("box", [True, 3.0], "sample box for 'x1' must be a number, got True"),
+    ],
+    ids=["parameter-str", "parameter-bool", "box-bool"],
+)
+def test_non_numbers_in_a_spec_document_are_spec_errors(field, value, problem):
+    # a string or a bool is not a number, even where float() would convert it
+    data = get_builtin("centroaffine").spec.to_dict()
+    if field == "parameter":
+        data["parameters"]["a1"] = value
+    else:
+        data["sample"]["box"]["x1"] = value
+    with pytest.raises(SpecValidationError) as err:
+        ManifoldSpec.from_dict(data)
+    assert err.value.problems == [f"malformed spec object: {problem}"]
+
+
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [
+        ("parameter", "abc", "parameter 'a1' must be a number, got 'abc'"),
+        ("parameter", "1.0", "parameter 'a1' must be a number, got '1.0'"),
+        ("box", ("0.5", "3.0"), "sample box for 'x1' must hold numbers, got ['0.5', '3.0']"),
+    ],
+    ids=["parameter-str", "parameter-numeric-str", "box-str"],
+)
+def test_non_numbers_set_in_python_are_spec_errors(field, value, problem):
+    spec = get_builtin("centroaffine").spec
+    if field == "parameter":
+        spec.parameters["a1"] = value
+    else:
+        spec.sample.box["x1"] = value
+    with pytest.raises(SpecValidationError) as err:
+        spec.validate()
+    assert err.value.problems == [problem]
+
+
 def test_malformed_document_rejected():
     with pytest.raises(SpecValidationError):
         ManifoldSpec.from_dict({"name": "x"})

@@ -2,6 +2,7 @@
 bounded by the block, not the sample, and non-finite values between the probe
 points end as spec errors."""
 
+import copy
 import json
 import tracemalloc
 
@@ -179,6 +180,39 @@ def test_non_finite_frame_values_name_the_stage():
     assert [name for name, dev in report.deviations.items() if dev > report.threshold] == [
         "tchebychev_operator"
     ]
+
+
+def test_finite_gate_names_every_array_of_every_frame():
+    # the gate reads each frame's own arrays: a field added to a frame is checked too
+    spec = get_builtin("centroaffine").spec
+    points = spec.sample_points(count=5, seed=1)
+    frames = dict(zip(("geometry", "statistical", "identity map"), evaluate_spec(spec, 5, 1)))
+    held = {
+        stage: [name for name, values in vars(frame).items() if isinstance(values, np.ndarray)]
+        for stage, frame in frames.items()
+    }
+    # the arrays the gate named before it read the frames, still in their order
+    named_before = {
+        "geometry": ["ginv", "gamma", "dgamma", "riemann", "ricci"],
+        "statistical": ["K", "T", "R", "Rbar", "ric", "L", "Lbar", "tch", "dK"],
+        "identity map": ["tau2", "taubar2", "tau2_proof", "taubar2_proof", "t1", "t2"],
+    }
+    for stage, names in named_before.items():
+        assert [name for name in held[stage] if name in names] == names
+    assert {"scalar"} <= set(held["geometry"]) and {"C", "eta"} <= set(held["statistical"])
+    assert {"tau", "taubar", "tauhat"} <= set(held["identity map"])
+    for stage, frame in frames.items():
+        pipeline._require_finite(points, stage, frame)
+        for name in held[stage]:
+            broken = copy.copy(frame)
+            values = getattr(frame, name).copy()
+            values.reshape(len(points), -1)[3, -1] = np.nan
+            setattr(broken, name, values)
+            with pytest.raises(SpecValidationError) as err:
+                pipeline._require_finite(points, stage, broken)
+            assert err.value.problems == [
+                f"{stage} frame: {name} is not finite at sample point {points[3].tolist()}"
+            ]
 
 
 def test_indefinite_metric_between_probe_points_names_the_point(dented_metric):

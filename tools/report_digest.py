@@ -10,7 +10,7 @@ every builtin, the two random negative controls (m = 2, 3), the m = 6
 constant cubic at 100 sample points, the m = 8 constant cubic at 20 (276
 points with its corners), the curved m = 8 chart (the stereographic sphere
 with the cubic of ``random_polynomial_cubic(8, 1, 1)``) at 20, sphere-m3
-at 10000 and ``NON_EINSTEIN_M3``, all at seed 1.
+at 10000, ``NON_EINSTEIN_M3`` and the two ``ONE_FACTOR_CUBICS`` charts, all at seed 1.
 SRC is a directory holding the ``statmanifold`` package.  Given two, each is
 run in its own process; the script lists the cases that differ, each with
 every JSON leaf that differs (both values and, for numbers, their absolute
@@ -23,6 +23,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 SEED = 1
@@ -63,6 +64,15 @@ NON_EINSTEIN_M3 = {
     "sample": {"box": {x: [-1.0, 1.0] for x in ("x1", "x2", "x3")}, "count": 20},
 }
 
+# Cubics of the flat m = 2 chart of ``flat_constant_cubic(2)`` on which exactly one
+# factor of the (T1) and (T2) criterion holds: (T1) on the first, (T2) on the second.
+# Neither is semi-equiaffine, so a flag that reads only one factor disagrees with the
+# bi-tension on one of them.
+ONE_FACTOR_CUBICS = {
+    "one-factor-t1-holds": {"111": "-2*x1", "222": "2*x2"},
+    "one-factor-t2-holds": {"111": "-2*x2*x2"},
+}
+
 HERE = Path(__file__).resolve().parent
 DEFAULT_SRC = HERE.parent / "src"
 
@@ -81,6 +91,8 @@ def cases(sm):
     yield "sphere-m8-polynomial-cubic", curved, 20
     yield "sphere-m3-10000", sm.get_builtin("sphere-m3").spec, 10000
     yield "non-einstein-m3", sm.ManifoldSpec.from_dict(NON_EINSTEIN_M3), None
+    for label, cubic in ONE_FACTOR_CUBICS.items():
+        yield label, replace(sm.flat_constant_cubic(2).spec, name=label, cubic=cubic), None
 
 
 def sha256(text):
