@@ -123,11 +123,15 @@ def flat_constant_cubic(dim=2, cubic=None):
     )
 
 
+def _require_dim(dim):
+    if not 2 <= dim <= MAX_DIM:
+        raise ValueError(f"dim must be in 2..{MAX_DIM}")
+
+
 def _chart(name, dim, diagonal, cubic=None, half_width=1.0, parameters=None):
     """Spec on the coordinates x1..x{dim}, 2 <= dim <= MAX_DIM, with ``diagonal`` on
     the metric's diagonal and 0 off it, sampled on the box [-half_width, half_width]^dim."""
-    if not 2 <= dim <= MAX_DIM:
-        raise ValueError(f"dim must be in 2..{MAX_DIM}")
+    _require_dim(dim)
     coords = [f"x{i}" for i in range(1, dim + 1)]
     pairs = combinations_with_replacement(range(dim), 2)
     return ManifoldSpec(
@@ -139,6 +143,7 @@ def _chart(name, dim, diagonal, cubic=None, half_width=1.0, parameters=None):
 
 def _conformal_instance(dim, curvature, kind, description):
     """Builtin of constant curvature c: g = 4 delta / (1 + c |x|^2)^2 on a centred box."""
+    _require_dim(dim)  # before the box's half-width divides by it
     norm = " + ".join(f"x{i}*x{i}" for i in range(1, dim + 1))
     spec = _chart(
         f"{kind}-m{dim}-c{curvature:g}", dim, f"4/pow(1 + c*({norm}), 2)",

@@ -17,6 +17,8 @@ nabla_{e_i} e_j = coeff[k, i, j] e_k.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .jets import Jet, jet_einsum, jet_partial, jet_space
@@ -58,14 +60,14 @@ def jet_matrix_inverse(g_jets, order):
     space = jet_space(m, order)
     g = g_jets.truncated(order).coeff
     g0_inv = np.linalg.inv(g[..., 0])
-    x = np.einsum("...il,...ljc->...ijc", g0_inv, g)
+    x = (g0_inv @ g.reshape(g.shape[:-2] + (-1,))).reshape(g.shape)  # G0^{il} G_ljc
     x[..., 0] -= np.eye(m)
     series = np.zeros_like(x)
     series[..., 0] = np.eye(m)
     for k in range(1, order + 1):
         power = x if k == 1 else jet_einsum("il,lj->ij", Jet(space, power), Jet(space, x)).coeff
         series = series + (-1.0) ** k * power
-    return Jet(space, np.einsum("...ilc,...lj->...ijc", series, g0_inv))
+    return Jet(space, np.swapaxes(g0_inv, -1, -2)[..., None, :, :] @ series)  # S_ilc G0^{lj}
 
 
 def _first_kind(dg):
@@ -94,12 +96,11 @@ def christoffel_derivative_components(ginv, dg, d2g):
 
 def curvature_components(coeff, dcoeff):
     """R[p,l,i,j,k] from connection coefficients and their derivatives."""
-    return (
-        np.einsum("pljki->plijk", dcoeff)
-        - np.einsum("plikj->plijk", dcoeff)
-        + np.einsum("plia,pajk->plijk", coeff, coeff)
-        - np.einsum("plja,paik->plijk", coeff, coeff)
-    )
+    n, m = coeff.shape[:2]
+    # coeff[l,i,a] coeff[a,j,k] at [p,l,i,j,k]; the term with i and j swapped is its transpose
+    square = (coeff.reshape(n, m * m, m) @ coeff.reshape(n, m, m * m)).reshape(dcoeff.shape)
+    dsum = np.einsum("pljki->plijk", dcoeff) - np.einsum("plikj->plijk", dcoeff)
+    return dsum + square - np.swapaxes(square, 2, 3)
 
 
 def ricci_components(riemann):
@@ -202,28 +203,30 @@ class GeometryFrame:
 
     def laplacian_scalar(self, f_jet):
         """Laplace-Beltrami of a scalar jet: g^{ij}(Hess f)_ij."""
-        hess = f_jet.hessian()
-        grad = f_jet.gradient()
-        return np.einsum("pij,pij->p", self.ginv, hess) - np.einsum(
-            "pij,paij,pa->p", self.ginv, self.gamma, grad, optimize="greedy"
-        )
+        grad, n = f_jet.gradient(), self.num_points
+        gamma_grad = (grad[:, None] @ self.gamma.reshape(n, self.dim, -1))[:, 0]  # Gamma^a_ij d_a f
+        hess = f_jet.hessian().reshape(n, -1) - gamma_grad
+        return np.einsum("pi,pi->p", self.ginv.reshape(n, -1), hess)
 
     def connection_laplacian(self, vector_jets, source_coeff):
         """Connection Laplacian tr_g{(X,Y) -> nabla^g_X nabla^g_Y V - nabla^g_{D_X Y} V}
         with an arbitrary torsion-free source connection D in the correction slot.
 
         ``source_coeff`` holds the numeric coefficients of D; passing the
-        Levi-Civita coefficients gives the rough Laplacian.
+        Levi-Civita coefficients gives the rough Laplacian.  With s = nabla^g V it is
+        g^{xy} d_x s^k_y + (Gamma^k_xc g^{xy}) s^c_y - s^k_a (g^{xy} D^a_xy), O(m^3) per
+        point; the frame forms the first bracket once, and g^{-1} need not be symmetric.
         """
         s_jets = self.nabla(vector_jets, (UP,))
-        s = s_jets.value  # (N, k, y)
-        ds = s_jets.gradient()  # (N, k, y, x)
+        s, ds = s_jets.value, s_jets.gradient()  # (N, k, y), (N, k, y, x)
+        n, m = s.shape[:2]
+        ginv = self.ginv.reshape(n, m * m, 1)
         b = (
-            np.einsum("pkyx->pkxy", ds)
-            + np.einsum("pkxc,pcy->pkxy", self.gamma, s)
-            - np.einsum("paxy,pka->pkxy", source_coeff, s)
+            np.swapaxes(ds, -1, -2).reshape(n, m, m * m) @ ginv
+            + self._gamma_ginv @ s.reshape(n, m * m, 1)
+            - s @ (source_coeff.reshape(n, m, m * m) @ ginv)
         )
-        return np.einsum("pxy,pkxy->pk", self.ginv, b)
+        return b[..., 0]
 
     def rough_laplacian(self, vector_jets):
         """Trace of the second covariant derivative of a vector field."""
@@ -231,11 +234,22 @@ class GeometryFrame:
 
     def curvature_contraction(self, vector):
         """sum_i R(e_i, V)e_i as a vector: g^{ac} R[l,a,b,c] V^b."""
-        return np.einsum("pac,plabc,pb->pl", self.ginv, self.riemann, vector, optimize="greedy")
+        return (self.curvature_trace @ vector[..., None])[..., 0]
 
     def ricci_raised(self, vector):
         """sum_i Ric(e_i, V) e_i: the Ricci form applied to V, index raised."""
-        return np.einsum("pka,pab,pb->pk", self.ginv, self.ricci, vector, optimize="greedy")
+        return (self.ginv @ (self.ricci @ vector[..., None]))[..., 0]
+
+    @cached_property
+    def _gamma_ginv(self):
+        """Gamma^k_xc g^{xy} at [p, k, (c, y)]: the field-free term of each connection Laplacian."""
+        gamma_ginv = np.swapaxes(self.gamma, -1, -2) @ self.ginv[:, None]
+        return gamma_ginv.reshape(self.num_points, self.dim, -1)
+
+    @cached_property
+    def curvature_trace(self):
+        """g^{ac} R[l,a,b,c] at [p, l, b]: V -> sum_i R(e_i, V)e_i as a matrix."""
+        return (self.riemann @ self.ginv[:, None, :, :, None]).sum(axis=2)[..., 0]
 
     def gradient_field(self, f_jet):
         """grad f as a jet field: g^{ki} d_i f."""

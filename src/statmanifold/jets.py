@@ -347,11 +347,11 @@ def jet_einsum(subscripts, a, b):
     The subscripts name the tensor axes at the end of each operand's batch
     shape; leading batch axes are shared.  An index is either summed (in
     both operands, not in the output) or free in exactly one operand.  The
-    result has the lower of the two orders.  Both operands are copied once
-    into coefficient-first stacks of batched (free, summed) and (summed,
-    free) matrices; each coefficient pair (i, j) -> k of the product table
-    is then one ``@`` added into coefficient k of a coefficient-first
-    accumulator.  The result is a coefficient-last view of that accumulator.
+    result has the lower of the two orders.  Both operands, whatever their strides,
+    are copied once into contiguous coefficient-first stacks of batched (free,
+    summed) and (summed, free) matrices; each coefficient pair (i, j) -> k of the
+    product table is then one ``@`` of contiguous batches added into coefficient k
+    of a coefficient-first accumulator, whose coefficient-last view is the result.
     """
     lhs, rhs = subscripts.split("->")
     sa, sb = lhs.split(",")
@@ -372,7 +372,7 @@ def jet_einsum(subscripts, a, b):
         axes = [nbatch + term.index(c) for c in rows + cols]
         x = x[..., : space.ncoeff].transpose(x.ndim - 1, *range(nbatch), *axes)
         size = [math.prod(extent[c] for c in letters) for letters in (rows, cols)]
-        return x.reshape(x.shape[: nbatch + 1] + tuple(size))
+        return np.ascontiguousarray(x.reshape(x.shape[: nbatch + 1] + tuple(size)))
 
     a = matrices(a, sa, free_a, summed)
     b = matrices(b, sb, summed, free_b)

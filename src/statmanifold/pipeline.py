@@ -269,15 +269,13 @@ def residual_table(geom, stat, ident):
         "equiaffine": _peak(t),
         "volume_form_parallel": _peak(volume),
         "parallel_tchebychev_criterion": _peak(tch),
-        "ricci_tt": np.einsum("pab,pa,pb->p", geom.ricci, t, t, optimize="greedy"),
+        "ricci_tt": (t[:, None] @ geom.ricci @ t[..., None])[:, 0, 0],
         # (T1) and (T2), and the bi-tension fields: both sides of main1_flag_equivalence
         "semi_equiaffine": np.maximum(_peak(ident.t1), _peak(ident.t2)),
         "bitension": np.maximum(_peak(ident.tau2), _peak(ident.taubar2)),
         "laplacian_cubic_form": stat.laplacian_cubic_terms()["residual"],
         "geodesic_potential": _peak(stat.geodesic_potential_check()[0]),
-        "scalar_sum": (
-            geom.scalar + np.einsum("pij,pi,pj->p", g, t, t, optimize="greedy") - stat.kk_jets.value
-        ),
+        "scalar_sum": geom.scalar + (t[:, None] @ g @ t[..., None])[:, 0, 0] - stat.kk_jets.value,
     }
     return identities, conditions
 

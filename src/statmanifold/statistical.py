@@ -50,8 +50,10 @@ def cubic_from_difference(g, difference):
 
 
 def interchange_tensor(riemann, g, ginv):
-    """Curvature interchange L: g(L(Z,W)X,Y) = g(R(X,Y)Z,W)."""
-    return np.einsum("pln,paj,pakni->plijk", ginv, g, riemann, optimize="greedy")
+    """Curvature interchange L: g(L(Z,W)X,Y) = g(R(X,Y)Z,W); L[l,i,j,k] = g^{ln} g_aj R[a,k,n,i]."""
+    n, m = g.shape[:2]
+    lowered = (np.swapaxes(g, 1, 2) @ riemann.reshape(n, m, -1)).reshape(riemann.shape)  # [p,j,k,n,i]
+    return (ginv[:, None, None] @ lowered).transpose(0, 3, 4, 1, 2)
 
 
 class StatisticalFrame:
@@ -143,21 +145,22 @@ class StatisticalFrame:
         caller's responsibility.
         """
         geom = self.geometry
-        g, ginv, riem = geom.g, geom.ginv, geom.riemann
+        g, ginv, riem, k = geom.g, geom.ginv, geom.riemann, self.K
+        n, m = k.shape[:2]
+        mm = m * m
         laplacian = geom.laplacian_scalar(self.kk_jets)
-
-        path = "greedy"
+        gk = ginv[:, None] @ k  # g^{au} K^c_uy at [p, c, a, y]
+        # F^k_xy = R^k_axc g^{au} K^c_uy - (g^{au} R^c_axu) K^k_cy - R^c_axy g^{au} K^k_uc
         f = (
-            np.einsum("pau,pkaxc,pcuy->pkxy", ginv, riem, self.K, optimize=path)
-            - np.einsum("pau,pcaxu,pkcy->pkxy", ginv, riem, self.K, optimize=path)
-            - np.einsum("pau,pcaxy,pkuc->pkxy", ginv, riem, self.K, optimize=path)
+            riem.transpose(0, 1, 3, 2, 4).reshape(n, mm, mm) @ np.swapaxes(gk, 1, 2).reshape(n, mm, m)
+            - (np.swapaxes(geom.curvature_trace, 1, 2)[:, None] @ k).reshape(n, mm, m)
+            - (np.swapaxes(gk, 2, 3).reshape(n, m, mm) @ riem.reshape(n, mm, mm)).reshape(n, mm, m)
         )
-        g_f_k = 2.0 * np.einsum(
-            "pkl,pxa,pyb,pkxy,plab->p", g, ginv, ginv, f, self.K, optimize=path
-        )
-        g_dk_dk = 2.0 * np.einsum(
-            "pkl,pia,pjb,pdc,pkijd,plabc->p", g, ginv, ginv, ginv, self.dK, self.dK, optimize=path
-        )
+        raise2 = np.einsum("pxa,pyb->pabxy", ginv, ginv).reshape(n, mm, mm)  # [p, (a, b), (x, y)]
+        lower_raise = np.einsum("pkl,pia->pkila", g, ginv).reshape(n, mm, mm)  # [p, (k, i), (l, a)]
+        dk = self.dK.reshape(n, mm, mm)
+        g_f_k = 2.0 * np.einsum("pkx,pkx->p", f.reshape(n, m, mm), g @ k.reshape(n, m, mm) @ raise2)
+        g_dk_dk = 2.0 * np.einsum("pij,pij->p", dk, lower_raise @ dk @ raise2)
         residual = np.abs(laplacian - g_f_k - g_dk_dk)
         return {
             "laplacian": laplacian,

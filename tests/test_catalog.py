@@ -95,9 +95,12 @@ def test_builtin_parameter_validation():
     with pytest.raises(ValueError):
         hyperbolic_ball(2, 1.0)
     # one chart builder checks dim for every family
+    # 0 and -1 reach the conformal charts' box half-width, 0.5 / sqrt(|c| dim), only after the check
     for build, dim in (
         (flat_constant_cubic, 1), (sphere_stereographic, 9),
         (hyperbolic_ball, 1), (random_polynomial_cubic, 1),
+        (sphere_stereographic, 0), (sphere_stereographic, -1),
+        (hyperbolic_ball, 0), (hyperbolic_ball, -1),
     ):
         with pytest.raises(ValueError, match="dim must be in 2..8"):
             build(dim)

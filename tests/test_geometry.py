@@ -1,6 +1,7 @@
 """Riemannian kernel: Christoffel symbols, curvature, Laplacians, oracles."""
 
 import importlib.util
+import json
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -42,6 +43,34 @@ def _load_report_digest():
 
 
 report_digest = _load_report_digest()
+
+
+def test_report_digest_counts_non_numeric_leaves_apart(monkeypatch, capsys):
+    # a status, a flag and main1_flag_equivalence are not numbers; residuals and points are
+    assert report_digest.numeric(1, 0.5) and report_digest.numeric(0.0, -2)
+    for a, b in ((True, False), (1, True), ("pass", "fail"), (None, 0.5), ([1.0], [1.0, 2.0])):
+        assert not report_digest.numeric(a, b)
+    before = {
+        "checks": {"codazzi": {"status": "pass", "max_residual": 1e-15, "argmax_point": [0.1, 0.2]}},
+        "flags": {"equiaffine": True},
+        "main1_flag_equivalence": "consistent",
+    }
+    after = {
+        "checks": {"codazzi": {"status": "fail", "max_residual": 2e-15, "argmax_point": [0.1, -0.2]}},
+        "flags": {"equiaffine": False},
+        "main1_flag_equivalence": "inconsistent",
+    }
+    texts = {
+        "a": {"case": (json.dumps(before), "{}"), "same": ("{}", "{}")},
+        "b": {"case": (json.dumps(after), json.dumps({"passed": False})), "same": ("{}", "{}")},
+    }
+    monkeypatch.setattr(report_digest, "texts_in_process", lambda src: texts[src.name])
+    assert report_digest.main(["a", "b"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [
+        "1 cases identical, 1 differ",
+        "differing leaves: 4 non-numeric (statuses, flags), 2 numeric",
+    ]
 
 
 def coordinate_variables(points, order):
@@ -384,6 +413,123 @@ def test_jet_matrix_inverse_consistency():
     coeff = product.coeff.copy()
     coeff[..., 0] -= np.eye(2)
     assert np.max(np.abs(coeff)) < 1e-12
+
+
+def assert_relative(actual, expected, rtol=1e-12):
+    """max |actual - expected| <= rtol * max |expected|: agreement up to rounding."""
+    assert actual.shape == expected.shape
+    assert np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(expected))
+
+
+def non_einstein_frames(count=30):
+    """Geometry and statistical frames of ``non_einstein_m3_spec`` with nothing
+    computed on first read yet, so a test may replace their arrays first."""
+    spec = non_einstein_m3_spec()
+    compiled, points = spec.compile(), spec.sample_points(count=count, seed=1)
+    geom = GeometryFrame(points, compiled.metric_jets(points, 3))
+    return geom, statistical.StatisticalFrame(geom, compiled.cubic_jets(points, 2))
+
+
+@pytest.mark.parametrize("arrays", ["chart", "random"])
+def test_batched_kernels_match_their_einsum_definitions(arrays):
+    # oracle: each kernel's einsum definition; the random arrays include a g^{-1}
+    # that is not symmetric, so a kernel that transposes it shows
+    geom, stat = non_einstein_frames()
+    source, vector = stat.bar, stat.T
+    if arrays == "random":
+        rng = np.random.default_rng(20)
+        for name in ("ginv", "gamma", "riemann"):
+            setattr(geom, name, rng.standard_normal(getattr(geom, name).shape))
+        source, vector = rng.standard_normal(source.shape), rng.standard_normal(vector.shape)
+        assert np.max(np.abs(geom.ginv - np.swapaxes(geom.ginv, 1, 2))) > 0.5
+    ginv = geom.ginv
+    s_jets = geom.nabla(stat.T_jets, (UP,))
+    s, ds = s_jets.value, s_jets.gradient()
+    b = (
+        np.einsum("pkyx->pkxy", ds)
+        + np.einsum("pkxc,pcy->pkxy", geom.gamma, s)
+        - np.einsum("paxy,pka->pkxy", source, s)
+    )
+    for _ in range(2):  # the second call reads the frame's shared contractions
+        assert_relative(
+            geom.connection_laplacian(stat.T_jets, source), np.einsum("pxy,pkxy->pk", ginv, b)
+        )
+        assert_relative(
+            geom.curvature_contraction(vector),
+            np.einsum("pac,plabc,pb->pl", ginv, geom.riemann, vector),
+        )
+    assert_relative(geom.ricci_raised(vector), np.einsum("pka,pab,pb->pk", ginv, geom.ricci, vector))
+    f = eval_jet(parse_expression("x1*x2*x2 + x3*x1*x1*x1", ["x1", "x2", "x3"]), geom.points, 3)
+    assert_relative(
+        geom.laplacian_scalar(f),
+        np.einsum("pij,pij->p", ginv, f.hessian())
+        - np.einsum("pij,paij,pa->p", ginv, geom.gamma, f.gradient()),
+    )
+
+
+@pytest.mark.parametrize("arrays", ["chart", "random"])
+def test_curvature_components_match_their_einsum_definition(arrays):
+    geom, stat = non_einstein_frames()
+    coeff, dcoeff = stat.nabla, stat.dnabla
+    if arrays == "random":
+        rng = np.random.default_rng(21)
+        coeff, dcoeff = rng.standard_normal(coeff.shape), rng.standard_normal(dcoeff.shape)
+    expected = (
+        np.einsum("pljki->plijk", dcoeff)
+        - np.einsum("plikj->plijk", dcoeff)
+        + np.einsum("plia,pajk->plijk", coeff, coeff)
+        - np.einsum("plja,paik->plijk", coeff, coeff)
+    )
+    assert_relative(geometry.curvature_components(coeff, dcoeff), expected)
+
+
+@pytest.mark.parametrize("arrays", ["chart", "random"])
+def test_statistical_kernels_match_their_einsum_definitions(arrays):
+    geom, stat = non_einstein_frames()
+    if arrays == "random":
+        rng = np.random.default_rng(23)
+        for frame, names in ((geom, ("g", "ginv", "riemann")), (stat, ("K", "dK"))):
+            for name in names:
+                setattr(frame, name, rng.standard_normal(getattr(frame, name).shape))
+    g, ginv, riem, k, dk = geom.g, geom.ginv, geom.riemann, stat.K, stat.dK
+    assert_relative(
+        statistical.interchange_tensor(riem, g, ginv),
+        np.einsum("pln,paj,pakni->plijk", ginv, g, riem),
+    )
+    f = (
+        np.einsum("pau,pkaxc,pcuy->pkxy", ginv, riem, k)
+        - np.einsum("pau,pcaxu,pkcy->pkxy", ginv, riem, k)
+        - np.einsum("pau,pcaxy,pkuc->pkxy", ginv, riem, k)
+    )
+    terms = stat.laplacian_cubic_terms()
+    assert_relative(
+        terms["curvature_term"], 2.0 * np.einsum("pkl,pxa,pyb,pkxy,plab->p", g, ginv, ginv, f, k)
+    )
+    assert_relative(
+        terms["gradient_term"],
+        2.0 * np.einsum("pkl,pia,pjb,pdc,pkijd,plabc->p", g, ginv, ginv, ginv, dk, dk),
+    )
+
+
+def test_jet_matrix_inverse_matches_the_einsum_neumann_series():
+    # oracle: the same series with both raises by G0^{-1} written as einsums, on a
+    # two-axis batch of random matrices that are neither symmetric nor contiguous
+    rng = np.random.default_rng(22)
+    m, order = 3, 3
+    space = jet_space(m, order)
+    coeff = 0.3 * rng.standard_normal((2, 4, m, m, space.ncoeff + 5))[..., : space.ncoeff]
+    coeff[..., 0] += 2.0 * np.eye(m)
+    g = Jet(space, coeff)
+    g0_inv = np.linalg.inv(coeff[..., 0])
+    x = np.einsum("...il,...ljc->...ijc", g0_inv, coeff)
+    x[..., 0] -= np.eye(m)
+    series, power = -x, x
+    series[..., 0] += np.eye(m)
+    for k in range(2, order + 1):
+        power = jet_einsum("il,lj->ij", Jet(space, power), Jet(space, x)).coeff
+        series = series + (-1.0) ** k * power
+    expected = np.einsum("...ilc,...lj->...ijc", series, g0_inv)
+    assert_relative(jet_matrix_inverse(g, order).coeff, expected)
 
 
 def test_fd_crosscheck_christoffel_curvature_laplacian():

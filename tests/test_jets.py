@@ -238,6 +238,34 @@ def test_jet_einsum_matches_component_products(subscripts):
         )
 
 
+def test_jet_einsum_on_non_contiguous_operands():
+    # jet_einsum copies its operands into contiguous stacks; oracle: at each point,
+    # the product table's coefficient pairs (i, j) -> k, one numeric einsum each
+    rng = np.random.default_rng(17)
+    m, n = 3, 4
+    space, high = jet_space(m, 2), jet_space(m, 3)
+    # a truncated prefix: the coefficient axis of an order-3 jet, sliced
+    prefix = Jet(high, rng.standard_normal((n, m, m, high.ncoeff))).truncated(2)
+    # a transposed view: the two tensor axes swapped in place
+    transposed = Jet(space, np.swapaxes(rng.standard_normal((n, m, m, space.ncoeff)), 1, 2))
+    # a broadcast batch: one point's coefficients seen at every point, stride 0
+    broadcast = Jet(space, np.broadcast_to(rng.standard_normal((m, space.ncoeff)), (n, m, space.ncoeff)))
+    assert not any(op.coeff.flags.c_contiguous for op in (prefix, transposed, broadcast))
+    ti, tj, tk, _ = space.product_table()
+    for subscripts, a, b in (
+        ("ia,aj->ij", prefix, transposed),
+        ("ji,j->i", transposed, broadcast),
+        ("ja,a->j", prefix, broadcast),
+    ):
+        out = jet_einsum(subscripts, a, b)
+        assert out.order == 2
+        for p in range(n):
+            expected = np.zeros(out.coeff.shape[1:])
+            for i, j, k in zip(ti, tj, tk):
+                expected[..., k] += np.einsum(subscripts, a.coeff[p, ..., i], b.coeff[p, ..., j])
+            np.testing.assert_allclose(out.coeff[p], expected, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("high", ["a", "b"])
 def test_jet_einsum_truncates_the_higher_operand(high):
     # the covariant derivative passes its operands truncated to the output order;

@@ -14,7 +14,10 @@ at 10000, ``NON_EINSTEIN_M3`` and the two ``ONE_FACTOR_CUBICS`` charts, all at s
 SRC is a directory holding the ``statmanifold`` package.  Given two, each is
 run in its own process; the script lists the cases that differ, each with
 every JSON leaf that differs (both values and, for numbers, their absolute
-difference), and exits 1 if there are any, 0 if every digest agrees.
+difference), and exits 1 if there are any, 0 if every digest agrees.  Its last
+line counts the differing leaves that are not numbers (check statuses, flags,
+``main1_flag_equivalence``, ``is_constant``, ``passed``) apart from the numeric
+ones, so "statuses and flags hold" is one line to read.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -134,10 +138,14 @@ def leaf_diffs(a, b, path=""):
         yield path, a, b
 
 
+def numeric(a, b):
+    """Whether both values of a leaf are numbers; a bool (a flag, ``passed``) is not."""
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+
+
 def describe(a, b):
     """Both values of a differing leaf and, for two numbers, their absolute difference."""
-    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
-    return f"{a!r} -> {b!r}" + (f" (abs diff {abs(a - b):.3e})" if numbers else "")
+    return f"{a!r} -> {b!r}" + (f" (abs diff {abs(a - b):.3e})" if numeric(a, b) else "")
 
 
 def main(argv):
@@ -152,6 +160,7 @@ def main(argv):
     first, second = (texts_in_process(Path(src).resolve()) for src in argv)
     labels = first.keys() | second.keys()
     differ = sorted(label for label in labels if first.get(label) != second.get(label))
+    leaves = Counter()  # numeric(a, b) -> differing leaves
     for label in differ:
         print(f"differs: {label}")
         if label not in first or label not in second:
@@ -159,8 +168,10 @@ def main(argv):
             continue
         for kind, a, b in zip(("report", "crosscheck"), first[label], second[label]):
             for path, x, y in leaf_diffs(json.loads(a), json.loads(b)):
+                leaves[numeric(x, y)] += 1
                 print(f"  {kind} {path}: {describe(x, y)}")
     print(f"{len(labels) - len(differ)} cases identical, {len(differ)} differ")
+    print(f"differing leaves: {leaves[False]} non-numeric (statuses, flags), {leaves[True]} numeric")
     return 1 if differ else 0
 
 
