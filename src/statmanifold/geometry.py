@@ -70,30 +70,6 @@ def jet_matrix_inverse(g_jets, order):
     return Jet(space, np.swapaxes(g0_inv, -1, -2)[..., None, :, :] @ series)  # S_ilc G0^{lj}
 
 
-def _first_kind(dg):
-    """[p, l, i, j, ...] = d_i g_jl + d_j g_il - d_l g_ij from dg[p, a, b, c, ...] = d_c g_ab;
-    trailing axes, such as a second derivative's, ride along."""
-    return (
-        np.einsum("pjli...->plij...", dg)
-        + np.einsum("pilj...->plij...", dg)
-        - np.einsum("pijl...->plij...", dg)
-    )
-
-
-def christoffel_components(ginv, dg):
-    """Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)."""
-    return 0.5 * np.einsum("pkl,plij->pkij", ginv, _first_kind(dg))
-
-
-def christoffel_derivative_components(ginv, dg, d2g):
-    """d_d Gamma^k_ij from metric derivatives; d2g[p,a,b,u,v] = d_u d_v g_ab."""
-    dginv = -np.einsum("pka,pabd,pbl->pkld", ginv, dg, ginv, optimize="greedy")
-    return 0.5 * (
-        np.einsum("pkld,plij->pkijd", dginv, _first_kind(dg))
-        + np.einsum("pkl,plijd->pkijd", ginv, _first_kind(d2g))
-    )
-
-
 def curvature_components(coeff, dcoeff):
     """R[p,l,i,j,k] from connection coefficients and their derivatives."""
     n, m = coeff.shape[:2]

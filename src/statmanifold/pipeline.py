@@ -29,13 +29,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .expr import central_differences, eval_jet, fd_jet, parse_expression
-from .geometry import (
-    GeometryFrame,
-    christoffel_components,
-    christoffel_derivative_components,
-    curvature_components,
-    metric_derivative,
-)
+from .geometry import GeometryFrame, metric_derivative
 from .manifold import (
     ManifoldSpec, OptionError, SpecValidationError, require_real, require_sample_options,
 )
@@ -464,12 +458,12 @@ def _relative(a, b):
 
 
 def crosscheck(spec: ManifoldSpec, h=FD_STEP, threshold=FD_TOLERANCE, count=None, seed=None):
-    """Check every jet-differentiated quantity against central differences.
+    """Check the jet route's Christoffel symbols, curvature tensor, scalar Laplacian
+    of a smooth probe and Tchebychev operator against central differences.
 
     The sample box is shrunk by 2h on each side so the stencil stays inside
-    the domain; Christoffel symbols, the curvature tensor, the scalar
-    Laplacian of a smooth probe, and the Tchebychev operator are each
-    recomputed from finite-difference derivative estimates and compared,
+    the domain.  :func:`_fd_route` recomputes the four from order-0 values of
+    the spec alone, with its own g^{-1} and formulas, and they are compared
     block by block as in :func:`run_diagnostics`.
     """
     h = require_real("h", h, "positive")
@@ -487,35 +481,54 @@ def _crosscheck_block(compiled, points, h):
     # Gamma and R read the order-1 Gamma to first derivatives, the Laplacian
     # reads values and nabla^g T is read as values: metric 2, cubic 1, probe 2
     geometry, stat = _frames(compiled, points, 2, 1, reads=("tch",))
+    probe = _probe(compiled.spec.dim)
+    jet = {
+        "christoffel": geometry.gamma,
+        "curvature": geometry.riemann,
+        "scalar_laplacian": geometry.laplacian_scalar(eval_jet(probe, points, 2)),
+        "tchebychev_operator": stat.tch,
+    }
+    fd = _fd_route(compiled, points, h, probe)
+    return {name: _relative(value, fd[name]) for name, value in jet.items()}
 
-    # finite-difference metric derivatives: the metric as one tensor on the stacked stencil
-    _, dg_fd, d2g_fd = central_differences(
+
+def _fd_route(compiled, points, h, probe):
+    """Gamma, R, the scalar Laplacian of ``probe`` and nabla^g T under the crosscheck's
+    names, from central differences of order-0 values only: the oracle builds no frame
+    and calls no geometry kernel, so it shares no formula with the jet route."""
+    # the metric as one tensor on the stacked stencil; its centre value gives g^{-1}
+    g, dg, d2g = central_differences(
         lambda q: compiled.metric_jets(q, 0, "stencil").value, points, h
     )
-    ginv = geometry.ginv
-    gamma_fd = christoffel_components(ginv, dg_fd)
-    dgamma_fd = christoffel_derivative_components(ginv, dg_fd, d2g_fd)
-    riemann_fd = curvature_components(gamma_fd, dgamma_fd)
-
-    # scalar Laplacian of the probe: fd Hessian/gradient against the jet route
-    probe = _probe(compiled.spec.dim)
-    lap_jet = geometry.laplacian_scalar(eval_jet(probe, points, 2))
+    ginv = np.linalg.inv(g)
+    # first-kind brackets d_i g_jl + d_j g_il - d_l g_ij at [p, l, i, j] from d_c g_ab at
+    # [p, a, b, c], and their derivatives from d_u d_v g_ab at [p, a, b, u, v]
+    first, dfirst = (
+        np.einsum("pjli...->plij...", x) + np.einsum("pilj...->plij...", x)
+        - np.einsum("pijl...->plij...", x)
+        for x in (dg, d2g)
+    )
+    # d_d g^{kl} = -g^{ka} (d_d g_ab) g^{bl}
+    dginv = -np.einsum("pka,pabd,pbl->pkld", ginv, dg, ginv, optimize="greedy")
+    gamma = 0.5 * np.einsum("pkl,plij->pkij", ginv, first)
+    dgamma = 0.5 * (
+        np.einsum("pkld,plij->pkijd", dginv, first) + np.einsum("pkl,plijd->pkijd", ginv, dfirst)
+    )
+    # R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_ia Gamma^a_jk - Gamma^l_ja Gamma^a_ik:
+    # a[l, i, j, k] = d_i Gamma^l_jk + Gamma^l_ia Gamma^a_jk minus its i <-> j transpose
+    a = np.einsum("pljki->plijk", dgamma) + np.einsum("plia,pajk->plijk", gamma, gamma)
+    riemann = a - np.swapaxes(a, 2, 3)
     probe_fd = fd_jet(probe, points, 2, h)
-    lap_fd = np.einsum("pij,pij->p", ginv, probe_fd.hessian()) - np.einsum(
-        "pij,paij,pa->p", ginv, gamma_fd, probe_fd.gradient(), optimize="greedy"
+    laplacian = np.einsum("pij,pij->p", ginv, probe_fd.hessian()) - np.einsum(
+        "pij,paij,pa->p", ginv, gamma, probe_fd.gradient(), optimize="greedy"
     )
-
-    # Tchebychev operator: fd derivatives of the T field (order-0 evaluations)
-    t_values, t_jacobian_fd, _ = central_differences(
-        lambda q: _tchebychev_values(compiled, q), points, h, order=1
-    )
-    tch_fd = t_jacobian_fd + np.einsum("pkda,pa->pkd", gamma_fd, t_values)
-
+    # nabla^g T from fd derivatives of the T field (order-0 evaluations)
+    t, dt, _ = central_differences(lambda q: _tchebychev_values(compiled, q), points, h, order=1)
     return {
-        "christoffel": _relative(geometry.gamma, gamma_fd),
-        "curvature": _relative(geometry.riemann, riemann_fd),
-        "scalar_laplacian": _relative(lap_jet, lap_fd),
-        "tchebychev_operator": _relative(stat.tch, tch_fd),
+        "christoffel": gamma,
+        "curvature": riemann,
+        "scalar_laplacian": laplacian,
+        "tchebychev_operator": dt + np.einsum("pkda,pa->pkd", gamma, t),
     }
 
 

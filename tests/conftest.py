@@ -1,9 +1,11 @@
 """Shared fixtures."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from statmanifold import ManifoldSpec, flat_constant_cubic, get_builtin
+from statmanifold import ManifoldSpec, flat_constant_cubic, geometry, get_builtin
 from statmanifold.pipeline import FD_STEP, _shrink_box
 
 
@@ -56,3 +58,30 @@ def dented_metric():
         return (x1 - 0.31) ** 2 + (x2 - 0.52) ** 2 < np.log(3.0) / 200.0
 
     return spec, inside
+
+
+@pytest.fixture
+def rebind(monkeypatch):
+    """rebind(fn, replacement) binds ``replacement`` in every statmanifold module that
+    holds ``fn`` under any name, so that the patch acts like an edit of ``fn``'s source."""
+
+    def rebind(fn, replacement):
+        for name, module in list(sys.modules.items()):
+            if name == "statmanifold" or name.startswith("statmanifold."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, replacement)
+
+    return rebind
+
+
+@pytest.fixture
+def flipped_curvature(rebind):
+    """Mutates ``curvature_components`` to add the i <-> j transpose of its
+    Gamma.Gamma term instead of subtracting it."""
+    original = geometry.curvature_components
+
+    def flipped(coeff, dcoeff):
+        return original(coeff, dcoeff) + 2.0 * np.einsum("plja,paik->plijk", coeff, coeff)
+
+    rebind(original, flipped)

@@ -1,15 +1,14 @@
 """Riemannian kernel: Christoffel symbols, curvature, Laplacians, oracles."""
 
-import importlib.util
 import json
 import sys
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 
 import closed_forms
 import numpy as np
 import pytest
+import report_digest
 
 from statmanifold import (
     GeometryFrame,
@@ -31,18 +30,6 @@ from statmanifold import geometry, maps, pipeline, statistical
 from statmanifold.geometry import UP, covariant_derivative_jets, jet_matrix_inverse
 from statmanifold.jets import Jet, jet_einsum, jet_partial, jet_space
 from statmanifold.pipeline import crosscheck
-
-
-def _load_report_digest():
-    """``tools/report_digest.py``, loaded by path, since ``tools`` is not a package."""
-    path = Path(__file__).resolve().parents[1] / "tools" / "report_digest.py"
-    module_spec = importlib.util.spec_from_file_location("report_digest", path)
-    module = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(module)
-    return module
-
-
-report_digest = _load_report_digest()
 
 
 def test_report_digest_counts_non_numeric_leaves_apart(monkeypatch, capsys):

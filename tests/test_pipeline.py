@@ -6,8 +6,10 @@ import copy
 import json
 import tracemalloc
 
+import closed_forms
 import numpy as np
 import pytest
+import report_digest
 
 from statmanifold import (
     ManifoldSpec,
@@ -24,7 +26,7 @@ from statmanifold import (
     run_diagnostics,
     statistical,
 )
-from statmanifold import expr, manifold
+from statmanifold import expr, geometry, manifold
 from statmanifold.manifold import OptionError
 
 
@@ -261,6 +263,60 @@ def test_each_crosscheck_stencil_is_one_call(monkeypatch):
     # 7 for the frames, 3 for the metric stencil, 7 for T's stencil (metric and
     # cubic at order 0) and 2 for the probe (its jet and its fd stencil)
     assert len(calls) == 7 + 3 + 7 + 2
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ManifoldSpec.from_dict(report_digest.NON_EINSTEIN_M3), get_builtin("sphere-m3").spec],
+    ids=lambda s: s.name,
+)
+def test_crosscheck_catches_a_flipped_curvature_term(flipped_curvature, spec):
+    # the fd route forms R by its own formula, so the jet route's R alone moves;
+    # an fd route that shared curvature_components moved alike and passed (1.4e-10)
+    report = crosscheck(spec, seed=1)
+    assert report.deviations["curvature"] > report.threshold
+    assert not report.passed
+
+
+def test_crosscheck_catches_a_scaled_metric_inverse(rebind):
+    # the fd route inverts its own stencil-centre metric, so a g^{-1} error of the jet
+    # route shows in Gamma and in the Laplacian; a shared g^{-1} hid it (about 1e-6)
+    original = geometry.jet_matrix_inverse
+
+    def scaled(g_jets, order):
+        inverse = original(g_jets, order)
+        inverse.coeff[..., 0] *= 1.001
+        return inverse
+
+    rebind(original, scaled)
+    report = crosscheck(get_builtin("sphere-m3").spec, seed=1)
+    for name in ("christoffel", "scalar_laplacian"):
+        assert report.deviations[name] > report.threshold, name
+
+
+@pytest.mark.parametrize(
+    ("name", "field"),
+    [("centroaffine", "christoffel"), ("sphere-m3", "curvature"), ("hyperbolic-m2", "curvature")],
+)
+def test_fd_route_meets_the_closed_forms_without_a_frame(monkeypatch, name, field):
+    def unexpected(*args):
+        raise AssertionError("the fd route builds no frame")
+
+    for frame in (geometry.GeometryFrame, statistical.StatisticalFrame):
+        monkeypatch.setattr(frame, "__init__", unexpected)
+    spec = get_builtin(name).spec
+    points = pipeline._shrink_box(spec, pipeline.FD_STEP).sample_points(seed=1)
+    fd = pipeline._fd_route(spec.compile(), points, pipeline.FD_STEP, pipeline._probe(spec.dim))
+    forms = closed_forms.CLOSED_FORMS[name](spec)
+    if field == "christoffel":
+        expected = forms["christoffel"](points)
+    else:
+        # constant curvature c: R^l_ijk = c (g_jk delta^l_i - g_ik delta^l_j)
+        g, eye = forms["metric"](points), np.eye(spec.dim)
+        expected = spec.parameters["c"] * (
+            np.einsum("pjk,li->plijk", g, eye) - np.einsum("pik,lj->plijk", g, eye)
+        )
+    assert np.max(pipeline._relative(expected, fd[field])) <= pipeline.FD_TOLERANCE
 
 
 def _sphere_with_polynomial_cubic():

@@ -10,7 +10,8 @@ every builtin, the two random negative controls (m = 2, 3), the m = 6
 constant cubic at 100 sample points, the m = 8 constant cubic at 20 (276
 points with its corners), the curved m = 8 chart (the stereographic sphere
 with the cubic of ``random_polynomial_cubic(8, 1, 1)``) at 20, sphere-m3
-at 10000, ``NON_EINSTEIN_M3`` and the two ``ONE_FACTOR_CUBICS`` charts, all at seed 1.
+at 10000, ``NON_EINSTEIN_M3``, ``DIAGONAL_NON_EINSTEIN_M3`` and the two
+``ONE_FACTOR_CUBICS`` charts, all at seed 1.
 SRC is a directory holding the ``statmanifold`` package.  Given two, each is
 run in its own process; the script lists the cases that differ, each with
 every JSON leaf that differs (both values and, for numbers, their absolute
@@ -68,6 +69,32 @@ NON_EINSTEIN_M3 = {
     "sample": {"box": {x: [-1.0, 1.0] for x in ("x1", "x2", "x3")}, "count": 20},
 }
 
+# A curved m = 3 chart whose metric is diagonal and not Einstein, with the cubic of
+# ``random_polynomial_cubic(3, 1, 1)`` written out: a non-Einstein chart on which a
+# symbolic oracle (sympy) takes about a second, where ``NON_EINSTEIN_M3`` takes 49 s.
+DIAGONAL_NON_EINSTEIN_M3 = {
+    "name": "diagonal-non-einstein-m3",
+    "dim": 3,
+    "coordinates": ["x1", "x2", "x3"],
+    "metric": {
+        "11": "1 + 0.3*x2*x2", "22": "1 + 0.2*x3*x3", "33": "1",
+        "12": "0", "13": "0", "23": "0",
+    },
+    "cubic": {
+        "111": "0.011822 + 0.450464*x1 + -0.35584*x2 + 0.448649*x3",
+        "112": "-0.188169 + -0.076674*x1 + 0.327703*x2 + -0.090801*x3",
+        "113": "0.049594 + -0.472441*x1 + 0.253513*x2 + 0.038143*x3",
+        "122": "-0.170268 + 0.288429*x1 + -0.196805*x2 + -0.046502*x3",
+        "123": "-0.365958 + -0.096887*x1 + -0.296545*x2 + -0.237687*x3",
+        "133": "0.250365 + -0.219591*x1 + -0.014809*x2 + 0.480737*x3",
+        "222": "0.461657 + 0.22479*x1 + 0.041227*x2 + -0.223109*x3",
+        "223": "-0.339348 + 0.469925*x1 + 0.016069*x2 + -0.384134*x3",
+        "233": "0.12349 + 0.276683*x1 + 0.113003*x2 + 0.417298*x3",
+        "333": "-0.460407 + 0.028589*x1 + -0.040664*x2 + -0.43765*x3",
+    },
+    "sample": {"box": {x: [-1.0, 1.0] for x in ("x1", "x2", "x3")}, "count": 20},
+}
+
 # Cubics of the flat m = 2 chart of ``flat_constant_cubic(2)`` on which exactly one
 # factor of the (T1) and (T2) criterion holds: (T1) on the first, (T2) on the second.
 # Neither is semi-equiaffine, so a flag that reads only one factor disagrees with the
@@ -95,6 +122,7 @@ def cases(sm):
     yield "sphere-m8-polynomial-cubic", curved, 20
     yield "sphere-m3-10000", sm.get_builtin("sphere-m3").spec, 10000
     yield "non-einstein-m3", sm.ManifoldSpec.from_dict(NON_EINSTEIN_M3), None
+    yield "diagonal-non-einstein-m3", sm.ManifoldSpec.from_dict(DIAGONAL_NON_EINSTEIN_M3), None
     for label, cubic in ONE_FACTOR_CUBICS.items():
         yield label, replace(sm.flat_constant_cubic(2).spec, name=label, cubic=cubic), None
 
