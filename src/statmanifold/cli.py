@@ -7,7 +7,7 @@ Subcommands::
     statmanifold list
     statmanifold crosscheck <spec.json> [--h H] [--threshold T] [--samples N] [--seed S]
 
-Exit codes: 0 all applicable checks pass, 2 some check fails, 3 spec error.
+Exit codes: 0 all applicable checks pass, 2 some check fails, 3 spec error or bad usage.
 """
 
 from __future__ import annotations
@@ -54,7 +54,10 @@ _FLAGS = dict(tolerance="--tol", count="--samples", seed="--seed", h="--h", thre
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as err:  # argparse's usage error exits 2, which here means a failed check
+        return 3 if err.code == 2 else err.code
     try:
         if args.command == "run":
             return _run(args)

@@ -403,18 +403,15 @@ def central_differences(fn, point, h, order=2):
 
 
 def fd_jet(node, point, order, h):
-    """Central-difference estimate of the jet, for cross-checking only.
+    """The (value, gradient, Hessian) arrays of :func:`central_differences`, for
+    cross-checking only; orders 1 (Hessian None) and 2.
 
-    Supports orders 1 and 2 and evaluates the whole stencil in one order-0
-    :func:`eval_jet` call; the point must sit inside the expression's domain
-    with margin at least ``2h`` in every coordinate, otherwise the stencil
-    evaluation raises the usual domain error.
+    The whole stencil is one order-0 :func:`eval_jet` call; the point must sit
+    inside the expression's domain with margin at least ``2h`` in every
+    coordinate, otherwise the stencil evaluation raises the usual domain error.
     """
     if order not in (1, 2):
         raise ValueError("fd_jet supports orders 1 and 2")
     if not 0 < h < np.inf:
         raise ValueError("fd step must be finite and positive")
-    value, gradient, hessian = central_differences(
-        lambda q: eval_jet(node, q, 0).value, point, h, order
-    )
-    return Jet.from_derivatives(np.shape(point)[-1], order, value, gradient, hessian)
+    return central_differences(lambda q: eval_jet(node, q, 0).value, point, h, order)

@@ -10,7 +10,8 @@ A jet tensor is a ``Jet`` whose batch shape ends in the tensor axes: the
 metric on N points has coefficients ``(N, m, m, ncoeff)``, so ``.value`` is
 ``(N, m, m)`` and ``.gradient()`` appends the derivative axis last.
 ``jet_einsum`` is the one contraction of jet tensors, and ``jet_partial``
-gathers all first partials at once.
+gathers all first partials at once through ``JetSpace.partial_table``, the one
+derivative table; the Hessian is two first partials.
 
 Conventions:
 
@@ -98,30 +99,17 @@ class JetSpace:
         return np.array(ti), np.array(tj), np.array(tk), scatter
 
     @cache
-    def derivative_table(self, var):
-        """(src, factor) mapping coefficients onto the order-1 lower space."""
+    def partial_table(self):
+        """(src, factor), each (dim, ncoeff of the order-1 lower space): coefficient q of
+        the partial along variable d is ``factor[d, q] * coeff[src[d, q]]``."""
         lower = jet_space(self.dim, self.order - 1)
-        src = np.empty(lower.ncoeff, dtype=int)
-        fac = np.empty(lower.ncoeff)
-        for q, e in enumerate(lower.exponents):
-            bumped = tuple(x + (1 if v == var else 0) for v, x in enumerate(e))
-            src[q] = self.position[bumped]
-            fac[q] = e[var] + 1
-        return src, fac
-
-    @cache
-    def hessian_slots(self):
-        m = self.dim
-        pos = np.empty((m, m), dtype=int)
-        fac = np.empty((m, m))
-        for i in range(m):
-            for j in range(m):
-                e = [0] * m
-                e[i] += 1
-                e[j] += 1
-                pos[i, j] = self.position[tuple(e)]
-                fac[i, j] = 2.0 if i == j else 1.0
-        return pos, fac
+        src = np.empty((self.dim, lower.ncoeff), dtype=int)
+        factor = np.empty((self.dim, lower.ncoeff))
+        for d in range(self.dim):
+            for q, e in enumerate(lower.exponents):
+                src[d, q] = self.position[tuple(x + (v == d) for v, x in enumerate(e))]
+                factor[d, q] = e[d] + 1
+        return src, factor
 
 
 @cache
@@ -158,21 +146,6 @@ class Jet:
             coeff[..., 1 + var] = 1.0
         return cls(space, coeff)
 
-    @classmethod
-    def from_derivatives(cls, dim, order, value, gradient=None, hessian=None):
-        """Build a jet from derivative values (not Taylor coefficients)."""
-        space = jet_space(dim, order)
-        value = np.asarray(value, dtype=float)
-        coeff = np.zeros(value.shape + (space.ncoeff,))
-        coeff[..., 0] = value
-        if order >= 1:
-            coeff[..., 1 : 1 + dim] = np.asarray(gradient, dtype=float)
-        if order >= 2 and hessian is not None:
-            pos, fac = space.hessian_slots()
-            i, j = np.triu_indices(dim)
-            coeff[..., pos[i, j]] = np.asarray(hessian, dtype=float)[..., i, j] / fac[i, j]
-        return cls(space, coeff)
-
     # -- accessors ---------------------------------------------------------
 
     @property
@@ -199,8 +172,7 @@ class Jet:
     def hessian(self):
         if self.order < 2:
             raise ValueError("hessian requires a jet of order >= 2")
-        pos, fac = self.space.hessian_slots()
-        return self.coeff[..., pos] * fac
+        return jet_partial(jet_partial(self)).value
 
     def truncated(self, order):
         if order > self.order:
@@ -334,11 +306,10 @@ class Jet:
 
 def jet_partial(jet):
     """All first partial derivatives; appends the derivative axis last, drops one order."""
-    space = jet.space
-    src, fac = map(np.array, zip(*(space.derivative_table(d) for d in range(space.dim))))
+    src, factor = jet.space.partial_table()
     partials = jet.coeff[..., src]
-    partials *= fac
-    return Jet(jet_space(space.dim, space.order - 1), partials)
+    partials *= factor
+    return Jet(jet_space(jet.dim, jet.order - 1), partials)
 
 
 def jet_einsum(subscripts, a, b):

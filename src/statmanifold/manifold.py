@@ -92,12 +92,14 @@ class ManifoldSpec:
 
     @classmethod
     def from_dict(cls, data):
+        _require_object("the top level of the spec", data)
+        sample = _require_object("sample", data.get("sample") or {})
+        parameters = _require_object("parameters", data.get("parameters") or {})
+        box = _require_object("sample box", sample.get("box", {}))
         try:
-            sample = data.get("sample") or {}
-            parameters = data.get("parameters") or {}
             box = {
                 name: tuple(require_real(f"sample box for {name!r}", b) for b in (lo, hi))
-                for name, (lo, hi) in sample.get("box", {}).items()
+                for name, (lo, hi) in box.items()
             }
             spec = cls(
                 name=str(data.get("name", "unnamed")),
@@ -186,6 +188,9 @@ class ManifoldSpec:
         asts = {}  # source -> its AST, or the ExprError it raised
         for label, table in (("metric", self.metric), ("cubic", self.cubic)):
             for key, src in table.items():
+                if not isinstance(src, str):
+                    problems.append(f"{label}[{key}] must be a string, got {src!r}")
+                    continue
                 if src not in asts:
                     try:
                         asts[src] = parse_expression(src, self.coordinates, self.parameters)
@@ -276,6 +281,13 @@ class ManifoldSpec:
 
     def compile(self):
         return self.validate()
+
+
+def _require_object(name, value):
+    """``value`` unless it is not a JSON object (a dict): then a spec error naming it."""
+    if not isinstance(value, dict):
+        raise SpecValidationError([f"{name} must be an object, got {value!r}"])
+    return value
 
 
 def _is_integer(value):

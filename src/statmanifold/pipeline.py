@@ -106,22 +106,22 @@ def _frames(
     metric = compiled.metric_jets(points, metric_order)
     cubic = compiled.cubic_jets(points, cubic_order)
     geometry = GeometryFrame(points, metric)
-    _require_finite(points, "geometry", geometry)
+    _require_finite(points, "geometry frame", vars(geometry))
     stat = StatisticalFrame(geometry, cubic)
     for name in reads:
         getattr(stat, name)
-    _require_finite(points, "statistical", stat)
+    _require_finite(points, "statistical frame", vars(stat))
     return geometry, stat
 
 
-def _require_finite(points, stage, frame):
-    """Raise a spec error at the first sample point where an array of ``frame`` is not finite."""
-    for name, values in vars(frame).items():
+def _require_finite(points, stage, arrays):
+    """Raise a spec error at the first sample point where an array in ``arrays`` is not finite."""
+    for name, values in arrays.items():
         if isinstance(values, np.ndarray):
             bad = ~np.isfinite(values.reshape(len(points), -1)).all(axis=1)
             if bad.any():
                 at = points[int(np.argmax(bad))].tolist()
-                raise SpecValidationError([f"{stage} frame: {name} is not finite at sample point {at}"])
+                raise SpecValidationError([f"{stage}: {name} is not finite at sample point {at}"])
 
 
 def _diagnostic_frames(compiled, points):
@@ -129,7 +129,7 @@ def _diagnostic_frames(compiled, points):
     orders; a value that is not finite in any of them ends as a spec error."""
     geometry, stat = _frames(compiled, points, 3, 2)
     identity = IdentityMapReport(stat)
-    _require_finite(points, "identity map", identity)
+    _require_finite(points, "identity map frame", vars(identity))
     return geometry, stat, identity
 
 
@@ -144,6 +144,14 @@ def _probe(dim):
     coordinates = [f"x{i}" for i in range(1, dim + 1)]
     squares = "".join(f" + 0.5*({x}*{x})" for x in coordinates)
     return parse_expression(f"sin({' + '.join(coordinates)}){squares}", coordinates)
+
+
+def _probe_jet(probe, points, order):
+    """The probe's jet, under the errstate and the finite gate of the spec components."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        jet = eval_jet(probe, points, order)
+    _require_finite(points, "scalar probe", {f"order-{order} jet": jet.coeff})
+    return jet
 
 
 def _check(points, residual, tolerance, status=None):
@@ -199,7 +207,7 @@ def residual_table(geom, stat, ident):
     # sum_a coeff(nabla)^a_Xa - d_X log sqrt(det g): eta by a route independent of the
     # metric contraction of K; its norm |nabla omega_g| / omega_g vanishes iff equiaffine
     volume = np.einsum("paxa->px", stat.nabla) - 0.5 * np.einsum("pij,pijx->px", geom.ginv, dg)
-    grad = geom.gradient_field(eval_jet(_probe(geom.dim), geom.points, 3))
+    grad = geom.gradient_field(_probe_jet(_probe(geom.dim), geom.points, 3))
     nabla_g = metric_derivative(g, dg, stat.nabla)
     identities = {
         # (nabla_X g)(Y,Z) = (nabla_Y g)(X,Z), and nabla g = C, with the direction last
@@ -485,7 +493,7 @@ def _crosscheck_block(compiled, points, h):
     jet = {
         "christoffel": geometry.gamma,
         "curvature": geometry.riemann,
-        "scalar_laplacian": geometry.laplacian_scalar(eval_jet(probe, points, 2)),
+        "scalar_laplacian": geometry.laplacian_scalar(_probe_jet(probe, points, 2)),
         "tchebychev_operator": stat.tch,
     }
     fd = _fd_route(compiled, points, h, probe)
@@ -518,9 +526,11 @@ def _fd_route(compiled, points, h, probe):
     # a[l, i, j, k] = d_i Gamma^l_jk + Gamma^l_ia Gamma^a_jk minus its i <-> j transpose
     a = np.einsum("pljki->plijk", dgamma) + np.einsum("plia,pajk->plijk", gamma, gamma)
     riemann = a - np.swapaxes(a, 2, 3)
-    probe_fd = fd_jet(probe, points, 2, h)
-    laplacian = np.einsum("pij,pij->p", ginv, probe_fd.hessian()) - np.einsum(
-        "pij,paij,pa->p", ginv, gamma, probe_fd.gradient(), optimize="greedy"
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, df, d2f = fd_jet(probe, points, 2, h)
+    _require_finite(points, "scalar probe", {"fd gradient": df, "fd Hessian": d2f})
+    laplacian = np.einsum("pij,pij->p", ginv, d2f) - np.einsum(
+        "pij,paij,pa->p", ginv, gamma, df, optimize="greedy"
     )
     # nabla^g T from fd derivatives of the T field (order-0 evaluations)
     t, dt, _ = central_differences(lambda q: _tchebychev_values(compiled, q), points, h, order=1)

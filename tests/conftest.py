@@ -61,6 +61,22 @@ def dented_metric():
 
 
 @pytest.fixture
+def huge_box():
+    """g = I and C_111 = 1 on the box [1e160, 2e160]^2: the spec is finite there, but
+    the scalar probe's 0.5*(x1*x1) overflows.  The spec validates."""
+    spec = ManifoldSpec.from_dict({
+        "name": "huge-box",
+        "dim": 2,
+        "coordinates": ["x1", "x2"],
+        "metric": {"11": "1", "12": "0", "22": "1"},
+        "cubic": {"111": "1"},
+        "sample": {"box": {"x1": [1e160, 2e160], "x2": [1e160, 2e160]}, "count": 5, "seed": 1},
+    })
+    spec.validate()
+    return spec
+
+
+@pytest.fixture
 def rebind(monkeypatch):
     """rebind(fn, replacement) binds ``replacement`` in every statmanifold module that
     holds ``fn`` under any name, so that the patch acts like an edit of ``fn``'s source."""

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, report determinism."""
 
+import functools
 import json
 
 import pytest
@@ -244,4 +245,67 @@ def test_run_names_the_point_where_the_metric_is_indefinite(dented_metric, tmp_p
     prefix = "error: metric is not positive definite at sample point "
     assert captured.err.startswith(prefix)
     assert inside(json.loads(captured.err[len(prefix):]))
+    assert captured.out == ""
+
+
+def _centroaffine_with(path, value):
+    """The centroaffine spec object with the entry at ``path`` (a tuple of keys) set to ``value``."""
+    payload = get_builtin("centroaffine").spec.to_dict()
+    *sections, key = path
+    functools.reduce(dict.__getitem__, sections, payload)[key] = value
+    return payload
+
+
+@pytest.mark.parametrize(
+    "body, field",
+    [
+        ([1, 2], "the top level of the spec"),
+        ("x", "the top level of the spec"),
+        (None, "the top level of the spec"),
+        (_centroaffine_with(("sample",), [1]), "sample must be an object"),
+        (_centroaffine_with(("parameters",), [1]), "parameters must be an object"),
+        (_centroaffine_with(("sample", "box"), [[0, 1]]), "sample box must be an object"),
+        (_centroaffine_with(("cubic", "111"), 2.5), "cubic[111] must be a string, got 2.5"),
+        (_centroaffine_with(("metric", "11"), ["1"]), "metric[11] must be a string, got ['1']"),
+    ],
+)
+def test_malformed_spec_json_is_a_spec_error(tmp_path, capsys, body, field):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(body))
+    assert main(["run", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert field in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "{spec}", "--samples", "abc"],
+        ["run", "{spec}", "--tol", "x"],
+        ["crosscheck", "{spec}", "--h", "abc"],
+        ["run", "{spec}", "--no-such-option"],
+        ["run"],
+        ["no-such-command"],
+    ],
+    ids=["samples", "tol", "h", "unknown-option", "missing-spec", "unknown-command"],
+)
+def test_a_malformed_command_line_exits_3(centroaffine_spec, capsys, args):
+    # exit 2 means that a check failed; argparse's own usage error would exit 2
+    assert main([arg.format(spec=centroaffine_spec) for arg in args]) == 3
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
+
+
+def test_help_still_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["run", "crosscheck"])
+def test_an_overflowing_probe_is_a_spec_error(huge_box, tmp_path, capsys, command):
+    path = tmp_path / "huge.json"
+    huge_box.save(path)
+    assert main([command, str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "scalar probe: order-" in captured.err and "jet is not finite at sample point [" in captured.err
     assert captured.out == ""

@@ -118,11 +118,11 @@ def test_eval_jet_matches_fd_on_corpus():
         ast = parse_expression(src, ["x1", "x2"])
         pts = lo + (hi - lo) * rng.random((100, 2))
         jet = eval_jet(ast, pts, 2)
-        fd = fd_jet(ast, pts, 2, 1e-4)
+        _, fd_gradient, fd_hessian = fd_jet(ast, pts, 2, 1e-4)
         scale = 1.0 + np.abs(jet.gradient())
-        assert np.max(np.abs(jet.gradient() - fd.gradient()) / scale) < 1e-4
+        assert np.max(np.abs(jet.gradient() - fd_gradient) / scale) < 1e-4
         scale = 1.0 + np.abs(jet.hessian())
-        assert np.max(np.abs(jet.hessian() - fd.hessian()) / scale) < 1e-4
+        assert np.max(np.abs(jet.hessian() - fd_hessian) / scale) < 1e-4
 
 
 def test_eval_jet_leibniz_rule():
@@ -140,12 +140,12 @@ def test_eval_jet_leibniz_rule():
 
 def test_fd_first_derivative_examples():
     ast = parse_expression("x1*x1", ["x1"])
-    fd = fd_jet(ast, np.array([3.0]), 1, 1e-3)
-    assert abs(fd.gradient()[0] - 6.0) < 1e-6
+    _, gradient, _ = fd_jet(ast, np.array([3.0]), 1, 1e-3)
+    assert abs(gradient[0] - 6.0) < 1e-6
 
     ast = parse_expression("1/x1", ["x1"])
-    fd = fd_jet(ast, np.array([2.0]), 2, 1e-3)
-    assert abs(fd.hessian()[0, 0] - 0.25) < 1e-4
+    _, _, hessian = fd_jet(ast, np.array([2.0]), 2, 1e-3)
+    assert abs(hessian[0, 0] - 0.25) < 1e-4
 
 
 def test_fd_exact_on_quadratics():
@@ -153,8 +153,8 @@ def test_fd_exact_on_quadratics():
     ast = parse_expression("3*x1*x1 - 2*x1*x2 + x2 - 7", ["x1", "x2"])
     pts = np.array([[0.4, -1.2]])
     jet = eval_jet(ast, pts, 1)
-    fd = fd_jet(ast, pts, 1, 1e-2)
-    np.testing.assert_allclose(fd.gradient(), jet.gradient(), atol=1e-11)
+    _, gradient, _ = fd_jet(ast, pts, 1, 1e-2)
+    np.testing.assert_allclose(gradient, jet.gradient(), atol=1e-11)
 
 
 def test_central_differences_evaluate_each_stencil_point_once():
@@ -211,6 +211,19 @@ def test_domain_error_names_subexpression():
     ast = parse_expression("log(x1)", ["x1"])
     with pytest.raises(EvalDomainError):
         eval_jet(ast, np.array([-2.0]), 1)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_fd_jet_is_central_differences_of_the_values(order):
+    ast = parse_expression("sin(x1*x2) + exp(x2/3)", ["x1", "x2"])
+    pts = 0.2 + np.random.default_rng(4).random((6, 2))
+    got = fd_jet(ast, pts, order, 1e-3)
+    want = central_differences(lambda q: eval_jet(ast, q, 0).value, pts, 1e-3, order)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    if order == 1:
+        assert got[2] is None and want[2] is None
+    else:
+        assert np.array_equal(got[2], want[2])
 
 
 def test_fd_step_validation():

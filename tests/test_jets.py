@@ -173,18 +173,6 @@ def test_powc_is_the_power_rule_bit_for_bit(exponent, order):
     assert x.powc(exponent).coeff.tobytes() == x.compose(derivs).coeff.tobytes()
 
 
-def test_from_derivatives_roundtrip():
-    rng = np.random.default_rng(3)
-    value = rng.standard_normal(5)
-    gradient = rng.standard_normal((5, 2))
-    hessian = rng.standard_normal((5, 2, 2))
-    hessian = hessian + np.swapaxes(hessian, -1, -2)
-    jet = Jet.from_derivatives(2, 2, value, gradient, hessian)
-    np.testing.assert_allclose(jet.value, value)
-    np.testing.assert_allclose(jet.gradient(), gradient)
-    np.testing.assert_allclose(jet.hessian(), hessian)
-
-
 def test_variable_jets_batched():
     pts = np.array([[1.0, 2.0], [3.0, 4.0]])
     space = jet_space(2, 2)
@@ -326,3 +314,24 @@ def test_import_needs_numpy_only():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_hessian_is_the_taylor_definition(dim, order):
+    # c_a = D_a f / a!: the Hessian is 2 c_ii on the diagonal and c_ij off it
+    def expected(jet):
+        space, eye = jet.space, np.eye(dim, dtype=int)
+        hessian = np.empty(jet.batch_shape + (dim, dim))
+        for i in range(dim):
+            for j in range(dim):
+                c = jet.coeff[..., space.position[tuple(eye[i] + eye[j])]]
+                hessian[..., i, j] = 2.0 * c if i == j else c
+        return hessian
+
+    space = jet_space(dim, order)
+    tensor = Jet(space, np.random.default_rng(dim).standard_normal((4, 2, 3, space.ncoeff)))
+    assert np.array_equal(tensor.hessian(), expected(tensor))
+    if order == 3:
+        partial = jet_partial(tensor)
+        assert np.array_equal(partial.hessian(), expected(partial))

@@ -184,6 +184,28 @@ def test_non_finite_frame_values_name_the_stage():
     ]
 
 
+def test_an_overflowing_probe_is_named_not_reported(huge_box):
+    # the probe is evaluated as the spec components are: no overflow warning, and a
+    # spec error in place of a report with a NaN residual
+    point = huge_box.sample_points(seed=1)[0].tolist()
+    for call, order in ((run_diagnostics, 3), (crosscheck, 2)):
+        with pytest.raises(SpecValidationError) as err:
+            call(huge_box, seed=1)
+        assert err.value.problems == [
+            f"scalar probe: order-{order} jet is not finite at sample point {point}"
+        ]
+
+
+def test_an_overflowing_fd_stencil_of_the_probe_is_named(huge_box):
+    # near 1.25e154 the probe's jets are finite, but 2 f in its fd Hessian overflows
+    huge_box.sample.box = {x: (1.2e154, 1.3e154) for x in huge_box.coordinates}
+    assert run_diagnostics(huge_box, seed=1).exit_code() == 0
+    point = pipeline._shrink_box(huge_box, pipeline.FD_STEP).sample_points(seed=1)[0].tolist()
+    with pytest.raises(SpecValidationError) as err:
+        crosscheck(huge_box, seed=1)
+    assert err.value.problems == [f"scalar probe: fd Hessian is not finite at sample point {point}"]
+
+
 def test_finite_gate_names_every_array_of_every_frame():
     # the gate reads each frame's own arrays: a field added to a frame is checked too
     spec = get_builtin("centroaffine").spec
@@ -204,14 +226,14 @@ def test_finite_gate_names_every_array_of_every_frame():
     assert {"scalar"} <= set(held["geometry"]) and {"C", "eta"} <= set(held["statistical"])
     assert {"tau", "taubar", "tauhat"} <= set(held["identity map"])
     for stage, frame in frames.items():
-        pipeline._require_finite(points, stage, frame)
+        pipeline._require_finite(points, f"{stage} frame", vars(frame))
         for name in held[stage]:
             broken = copy.copy(frame)
             values = getattr(frame, name).copy()
             values.reshape(len(points), -1)[3, -1] = np.nan
             setattr(broken, name, values)
             with pytest.raises(SpecValidationError) as err:
-                pipeline._require_finite(points, stage, broken)
+                pipeline._require_finite(points, f"{stage} frame", vars(broken))
             assert err.value.problems == [
                 f"{stage} frame: {name} is not finite at sample point {points[3].tolist()}"
             ]
