@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .jets import Jet, jet_einsum, jet_partial, jet_space
+from .jets import Jet, coefficient_major, jet_einsum, jet_partial, jet_space
 
 UP = "up"
 DOWN = "down"
@@ -58,16 +58,16 @@ def jet_matrix_inverse(g_jets, order):
     """
     m = g_jets.dim
     space = jet_space(m, order)
-    g = g_jets.truncated(order).coeff
-    g0_inv = np.linalg.inv(g[..., 0])
-    x = (g0_inv @ g.reshape(g.shape[:-2] + (-1,))).reshape(g.shape)  # G0^{il} G_ljc
+    g = np.moveaxis(g_jets.truncated(order).coeff, -1, 0)  # coefficient-first
+    g0_inv = np.linalg.inv(g[0])
+    x = np.moveaxis(g0_inv @ g, 0, -1)  # G0^{il} G_ljc, coefficient-major like every jet below
     x[..., 0] -= np.eye(m)
     series = np.zeros_like(x)
     series[..., 0] = np.eye(m)
     for k in range(1, order + 1):
         power = x if k == 1 else jet_einsum("il,lj->ij", Jet(space, power), Jet(space, x)).coeff
         series = series + (-1.0) ** k * power
-    return Jet(space, np.swapaxes(g0_inv, -1, -2)[..., None, :, :] @ series)  # S_ilc G0^{lj}
+    return Jet(space, np.moveaxis(np.moveaxis(series, -1, 0) @ g0_inv, 0, -1))  # S_ilc G0^{lj}
 
 
 def curvature_components(coeff, dcoeff):
@@ -143,7 +143,8 @@ class GeometryFrame:
         # first-kind symbols d_i g_jl + d_j g_il - d_l g_ij; dg holds d_c g_ab in slot [a, b, c]
         dg = jet_partial(metric_jets)
         jli, ilj, ijl = (np.einsum(f"...{t}c->...lijc", dg.coeff) for t in ("jli", "ilj", "ijl"))
-        first_kind = Jet(dg.space, jli + ilj - ijl)
+        first_kind = Jet(dg.space, coefficient_major(dg.coeff.shape))
+        np.subtract(np.add(jli, ilj, out=first_kind.coeff), ijl, out=first_kind.coeff)
         self.gamma_jets = 0.5 * jet_einsum("kl,lij->kij", self.ginv_jets, first_kind)
         self.gamma = self.gamma_jets.value
         self.dgamma = self.gamma_jets.gradient()

@@ -8,7 +8,9 @@ arithmetic is vectorized over the batch.
 
 A jet tensor is a ``Jet`` whose batch shape ends in the tensor axes: the
 metric on N points has coefficients ``(N, m, m, ncoeff)``, so ``.value`` is
-``(N, m, m)`` and ``.gradient()`` appends the derivative axis last.
+``(N, m, m)`` and ``.gradient()`` appends the derivative axis last.  The frames'
+jet tensors are coefficient-major: ``coeff`` views an ``(ncoeff, N, m, m)`` array,
+so ``.value`` and every coefficient are contiguous and a truncation is a prefix.
 ``jet_einsum`` is the one contraction of jet tensors, and ``jet_partial``
 gathers all first partials at once through ``JetSpace.partial_table``, the one
 derivative table; the Hessian is two first partials.
@@ -304,53 +306,64 @@ class Jet:
 # -- jet tensors: a Jet whose batch shape ends in the tensor axes ------------
 
 
+def coefficient_major(shape):
+    """An empty array of ``shape`` (..., ncoeff), the coefficient axis outermost in memory."""
+    return np.moveaxis(np.empty(shape[-1:] + shape[:-1]), 0, -1)
+
+
 def jet_partial(jet):
-    """All first partial derivatives; appends the derivative axis last, drops one order."""
+    """All first partials, coefficient-major; appends the derivative axis last, drops one order."""
     src, factor = jet.space.partial_table()
-    partials = jet.coeff[..., src]
-    partials *= factor
-    return Jet(jet_space(jet.dim, jet.order - 1), partials)
+    partials = np.moveaxis(jet.coeff, -1, 0)[src.T]  # (lower ncoeff, dim, *batch)
+    partials *= factor.T.reshape(factor.T.shape + (1,) * (partials.ndim - 2))
+    return Jet(jet_space(jet.dim, jet.order - 1), np.moveaxis(partials, (0, 1), (-1, -2)))
+
+
+def _matrices(x, term, rows, cols, size):
+    """``x`` (ncoeff, *batch, *term axes) as (ncoeff, *batch, rows, cols) matrices of ``size``:
+    a view if ``term`` is rows + cols, a transposed view if it is cols + rows, else a copy."""
+    lead = x.shape[: x.ndim - len(term)]
+    if term == cols + rows:
+        return x.reshape(lead + size[::-1]).swapaxes(-1, -2)
+    if term != rows + cols:
+        axes = [len(lead) + term.index(c) for c in rows + cols]
+        x = np.ascontiguousarray(x.transpose(*range(len(lead)), *axes))
+    return x.reshape(lead + size)
 
 
 def jet_einsum(subscripts, a, b):
     """Two-operand einsum of jet tensors (explicit ``->`` form); the one jet contraction.
 
-    The subscripts name the tensor axes at the end of each operand's batch
-    shape; leading batch axes are shared.  An index is either summed (in
-    both operands, not in the output) or free in exactly one operand.  The
-    result has the lower of the two orders.  Both operands, whatever their strides,
-    are copied once into contiguous coefficient-first stacks of batched (free,
-    summed) and (summed, free) matrices; each coefficient pair (i, j) -> k of the
-    product table is then one ``@`` of contiguous batches added into coefficient k
-    of a coefficient-first accumulator, whose coefficient-last view is the result.
+    The subscripts name the tensor axes at the end of each operand's batch shape, each
+    at most once; leading batch axes broadcast.  An index is either summed (in both
+    operands, not in the output) or free in exactly one operand.  The result has the
+    lower of the two orders and is coefficient-major.  Each operand is read
+    coefficient-first as batched matrices, (free, summed) for ``a`` and (summed, free)
+    for ``b``: a view when its subscripts list its axes in that order, a transposed view
+    when in the reverse, and a copy only when neither fits, as in ``"aib,bja->ij"``.
+    Each product-table pair (i, j) -> k is one ``@`` added into coefficient k.
     """
-    lhs, rhs = subscripts.split("->")
-    sa, sb = lhs.split(",")
-    summed = [c for c in sa if c in sb]
-    free_a = [c for c in sa if c not in sb]
-    free_b = [c for c in sb if c not in sa]
+    lhs, arrow, rhs = subscripts.partition("->")
+    terms = lhs.split(",")
+    if not arrow or len(terms) != 2 or any(len(set(t)) < len(t) for t in terms):
+        raise ValueError(f"malformed jet subscripts {subscripts!r}")
+    sa, sb = terms
+    summed = "".join(c for c in sa if c in sb)
+    free_a, free_b = ("".join(c for c in s if c not in t) for s, t in ((sa, sb), (sb, sa)))
     if sorted(rhs) != sorted(free_a + free_b):
         raise ValueError(f"unsupported jet product {subscripts!r}")
     space = jet_space(a.dim, min(a.order, b.order))
-    extent = {}
-
-    def matrices(jet, term, rows, cols):
-        x = jet.coeff
-        nbatch = x.ndim - 1 - len(term)
-        if nbatch < 0:
-            raise ValueError(f"subscripts {subscripts!r} do not match the operand ranks")
-        extent.update(zip(term, x.shape[nbatch:-1]))
-        axes = [nbatch + term.index(c) for c in rows + cols]
-        x = x[..., : space.ncoeff].transpose(x.ndim - 1, *range(nbatch), *axes)
-        size = [math.prod(extent[c] for c in letters) for letters in (rows, cols)]
-        return np.ascontiguousarray(x.reshape(x.shape[: nbatch + 1] + tuple(size)))
-
-    a = matrices(a, sa, free_a, summed)
-    b = matrices(b, sb, summed, free_b)
-    batch = np.broadcast_shapes(a.shape[1:-2], b.shape[1:-2])
+    x, y = (np.moveaxis(op.coeff[..., : space.ncoeff], -1, 0) for op in (a, b))
+    if x.ndim <= len(sa) or y.ndim <= len(sb):
+        raise ValueError(f"subscripts {subscripts!r} do not match the operand ranks")
+    extent = dict(zip(sa, x.shape[x.ndim - len(sa) :])) | dict(zip(sb, y.shape[y.ndim - len(sb) :]))
+    size = {s: math.prod(extent[c] for c in s) for s in (summed, free_a, free_b)}
+    x = _matrices(x, sa, free_a, summed, (size[free_a], size[summed]))
+    y = _matrices(y, sb, summed, free_b, (size[summed], size[free_b]))
+    batch = np.broadcast_shapes(x.shape[1:-2], y.shape[1:-2])
     acc = np.zeros((space.ncoeff, *batch, *(extent[c] for c in free_a + free_b)))
     ti, tj, tk, _ = space.product_table()
     for i, j, k in zip(ti, tj, tk):
-        acc[k] += (a[i] @ b[j]).reshape(acc.shape[1:])
+        acc[k] += (x[i] @ y[j]).reshape(acc.shape[1:])
     out_axes = [1 + len(batch) + (free_a + free_b).index(c) for c in rhs]
     return Jet(space, acc.transpose(*range(1, len(batch) + 1), *out_axes, 0))

@@ -363,8 +363,8 @@ class CompiledManifold:
         return self._tensor_jets("cubic", points, order, kind)
 
     def _tensor_jets(self, label, points, order, kind):
-        rows = self.rows(label, points, order, kind)
-        return Jet(jet_space(self.spec.dim, order), np.take(rows, self.index[label], axis=-2))
+        rows = np.moveaxis(self.rows(label, points, order, kind), -1, 0)  # coefficient-major gather
+        return Jet(jet_space(self.spec.dim, order), np.moveaxis(np.take(rows, self.index[label], -1), 0, -1))
 
     def rows(self, label, points, order, kind):
         """Each distinct source of the ``label`` tensor evaluated once on a batch

@@ -19,12 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import jet_einsum
+from .jets import Jet, coefficient_major, jet_einsum
 from .statistical import StatisticalFrame
-
-def _tension(geom, source_jets):
-    """Tension of id:(M,g,D)->(M,g,nabla^g), tr_g(nabla^g - D), at the order of D's jets."""
-    return jet_einsum("ij,kij->k", geom.ginv_jets, geom.gamma_jets - source_jets)
 
 
 class IdentityMapReport:
@@ -34,18 +30,23 @@ class IdentityMapReport:
         self.stat = stat
         geom = stat.geometry
 
-        # the frame keeps the dual connections at order 1; tau and tau-bar are
-        # differentiated twice, so their order-2 connections live only here
-        gamma, k = geom.gamma_jets, stat.K_jets
-        self.tau_jets = _tension(geom, gamma + k)
-        self.taubar_jets = _tension(geom, gamma - k)
+        # tau and tau-bar, tr_g(nabla^g - D) for D = Gamma +- K, in one contraction; they are
+        # differentiated twice, so these order-2 connections live only here, not in the frame
+        gamma, k = geom.gamma_jets.coeff, stat.K_jets.coeff
+        diffs = coefficient_major((2, *gamma.shape))
+        for diff, ufunc in zip(diffs, (np.add, np.subtract)):
+            np.subtract(gamma, ufunc(gamma, k, out=diff), out=diff)  # Gamma - (Gamma +- K)
+        tensions = jet_einsum("ij,kij->k", geom.ginv_jets, Jet(geom.gamma_jets.space, diffs))
+        self.tau_jets, self.taubar_jets = (Jet(tensions.space, c) for c in tensions.coeff)
         self.tau = self.tau_jets.value
         self.taubar = self.taubar_jets.value
         # hat tension of id:(M,g,nabla^g)->(M,g,nabla^g); only its values are used
-        self.tauhat = _tension(geom, gamma.truncated(0)).value
+        hat = geom.gamma_jets - geom.gamma_jets.truncated(0)
+        self.tauhat = jet_einsum("ij,kij->k", geom.ginv_jets, hat).value
 
         # general route: bi-tension from the connection-Laplacian formula
-        trace_k_jets = jet_einsum("ij,kij->k", geom.ginv_jets, stat.K_jets)
+        # only the value of its divergence is read, so tr_g K is formed at order 1
+        trace_k_jets = jet_einsum("ij,kij->k", geom.ginv_jets, stat.K_jets.truncated(1))
         div_trace_k = geom.divergence(trace_k_jets).value
         self.tau2 = (
             geom.connection_laplacian(self.tau_jets, stat.bar)

@@ -26,7 +26,7 @@ from statmanifold import (
     run_diagnostics,
     sphere_stereographic,
 )
-from statmanifold import geometry, maps, pipeline, statistical
+from statmanifold import geometry, jets, maps, pipeline, statistical
 from statmanifold.geometry import UP, covariant_derivative_jets, jet_matrix_inverse
 from statmanifold.jets import Jet, jet_einsum, jet_partial, jet_space
 from statmanifold.pipeline import crosscheck
@@ -547,8 +547,8 @@ def test_each_covariant_derivative_is_computed_once_per_frame(monkeypatch):
 
 
 def test_jet_contractions_per_block(monkeypatch):
-    # one raise for Gamma, two contractions for g(K, K) and no unused power of
-    # X in g^{-1}: 19 per diagnose block and 4 per crosscheck block
+    # one raise for Gamma, two contractions for g(K, K), one for both tensions and
+    # no unused power of X in g^{-1}: 18 per diagnose block and 4 per crosscheck block
     calls = []
 
     def counted(*args):
@@ -559,10 +559,40 @@ def test_jet_contractions_per_block(monkeypatch):
         monkeypatch.setattr(module, "jet_einsum", counted)
     spec = get_builtin("flat-cubic").spec
     run_diagnostics(spec, count=10)  # one block
-    assert len(calls) == 19
+    assert len(calls) == 18
     calls.clear()
     crosscheck(spec, count=10)
     assert len(calls) == 4
+
+
+def test_jet_einsum_copies_only_the_operands_no_view_fits(monkeypatch):
+    # the frames' jets are coefficient-major, so an operand is a view of its jet unless
+    # its subscripts list the summed axes apart: both operands of g(K, K) ("aib,bja")
+    # and the K operand of the first covariant slot of nabla^g K ("adB,AaC")
+    copied = []
+
+    def counted(x, term, rows, cols, size):
+        out = matrices(x, term, rows, cols, size)
+        if not np.may_share_memory(out, x):
+            copied.append(term)
+        return out
+
+    matrices = jets._matrices
+    monkeypatch.setattr(jets, "_matrices", counted)
+    run_diagnostics(get_builtin("sphere-m3").spec, count=10)  # one block
+    assert sorted(copied) == ["AaC", "aib", "bja"]
+
+
+def test_frame_jets_are_coefficient_major():
+    # the coefficient axis has the largest stride, so every coefficient is one block
+    geom, stat, ident = evaluate_spec(non_einstein_m3_spec(), count=10, seed=1)
+    fields = {
+        "g": geom.g_jets, "ginv": geom.ginv_jets, "gamma": geom.gamma_jets, "C": stat.C_jets,
+        "K": stat.K_jets, "T": stat.T_jets, "tau": ident.tau_jets, "taubar": ident.taubar_jets,
+    }
+    for name, jet in fields.items():
+        strides = jet.coeff.strides
+        assert jet.coeff.shape[-1] > 1 and strides[-1] == max(strides), name
 
 
 def test_repeated_nabla_returns_the_same_read_only_jet():

@@ -254,6 +254,46 @@ def test_jet_einsum_on_non_contiguous_operands():
             np.testing.assert_allclose(out.coeff[p], expected, rtol=0, atol=1e-12)
 
 
+def _coefficient_major(array):
+    # the same coefficients, stored with the coefficient axis outermost
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(array, -1, 0)), 0, -1)
+
+
+@pytest.mark.parametrize("layouts", ["major-major", "last-last", "major-last", "last-major"])
+@pytest.mark.parametrize(
+    "subscripts",
+    [
+        "kl,lij->kij",  # both operands (free, summed) and (summed, free): views
+        "ij,kij->k",  # b listed (free, summed): a transposed view
+        "kl,ijl->kij",  # b transposed, as in K = g^-1 C
+        "adB,AaC->ABCd",  # a transposed, b fits neither: a copy
+        "aib,bja->ij",  # neither operand fits: two copies
+        "ia,kaj->kij",  # b fits neither: a copy
+    ],
+)
+def test_jet_einsum_matches_the_product_table_reference(subscripts, layouts):
+    # oracle: the product table's coefficient pairs (i, j) -> k, one numpy einsum each,
+    # on order-3 operands whose leading batch axes, (2, 1) and (3,), broadcast to (2, 3)
+    rng = np.random.default_rng(23)
+    m, space = 3, jet_space(3, 3)
+    lhs, rhs = subscripts.split("->")
+    operands = []
+    for term, batch, layout in zip(lhs.split(","), ((2, 1), (3,)), layouts.split("-")):
+        coeff = rng.standard_normal(batch + (m,) * len(term) + (space.ncoeff,))
+        # coefficient-last is how eval_jet stores a jet; the frames store theirs coefficient-major
+        operands.append(Jet(space, _coefficient_major(coeff) if layout == "major" else coeff))
+    a, b = operands
+    out = jet_einsum(subscripts, a, b)
+    assert out.order == 3 and out.batch_shape == (2, 3) + (m,) * len(rhs)
+    assert out.coeff.strides[-1] == max(out.coeff.strides)
+    ti, tj, tk, _ = space.product_table()
+    batched = f"...{lhs}->...{rhs}".replace(",", ",...")
+    expected = np.zeros(out.coeff.shape)
+    for i, j, k in zip(ti, tj, tk):
+        expected[..., k] += np.einsum(batched, a.coeff[..., i], b.coeff[..., j])
+    assert np.max(np.abs(out.coeff - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
 @pytest.mark.parametrize("high", ["a", "b"])
 def test_jet_einsum_truncates_the_higher_operand(high):
     # the covariant derivative passes its operands truncated to the output order;
@@ -285,6 +325,17 @@ def test_jet_einsum_rejects_bad_subscripts(subscripts, ranks, message):
     space = jet_space(2, 1)
     a, b = (Jet(space, np.ones((2,) * rank + (space.ncoeff,))) for rank in ranks)
     with pytest.raises(ValueError, match=message):
+        jet_einsum(subscripts, a, b)
+
+
+@pytest.mark.parametrize(
+    "subscripts, ranks", [("ij,jk", (2, 2)), ("ii,i->", (2, 1)), ("ij,jj->i", (2, 2))]
+)
+def test_jet_einsum_names_malformed_subscripts(subscripts, ranks):
+    # a missing "->" or an index repeated inside one operand
+    space = jet_space(2, 1)
+    a, b = (Jet(space, np.ones((2,) * rank + (space.ncoeff,))) for rank in ranks)
+    with pytest.raises(ValueError, match=f"malformed jet subscripts {subscripts!r}"):
         jet_einsum(subscripts, a, b)
 
 

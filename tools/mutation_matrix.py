@@ -97,6 +97,10 @@ MUTATIONS = [
      "-geom.connection_laplacian(stat.T_jets, stat.nabla)",
      "tau2 proof route: nabla for nabla-bar"),
     ("src/statmanifold/jets.py",
+     "return x.reshape(lead + size[::-1]).swapaxes(-1, -2)",
+     "return x.reshape(lead + size)",
+     "jet_einsum: transposed operand view read without its swapaxes"),
+    ("src/statmanifold/jets.py",
      "factor[d, q] = e[d] + 1",
      "factor[d, q] = 1 + (e[d] > 0)",
      "partial_table: factor 2 for 3 on squared exponents"),
