@@ -31,6 +31,7 @@ _LEVELS = ("+-", "*/")
 # deepest tree accepted: folding, rendering and evaluation recurse once per level
 MAX_DEPTH = 200
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9]*")  # coordinate, parameter and function names
 
 
 class ExprError(ValueError):
@@ -104,7 +105,7 @@ class Call:
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z][A-Za-z0-9]*)"
+    rf"|(?P<ident>{IDENTIFIER.pattern})"
     r"|(?P<op>[+\-*/(),])"
 )
 
@@ -211,12 +212,13 @@ class _Parser:
                 offset,
             )
         if func == "pow":
-            exponent = _fold_constant(args[1])
+            at = args[1].span[0]
+            try:
+                exponent = _fold_constant(args[1])
+            except ZeroDivisionError:
+                raise EvalDomainError(f"pow exponent divides by zero at offset {at}", args[1]) from None
             if exponent is None:
-                raise NonConstantExponentError(
-                    f"pow exponent must be a constant at offset {args[1].span[0]}",
-                    args[1].span[0],
-                )
+                raise NonConstantExponentError(f"pow exponent must be a constant at offset {at}", at)
             args[1] = Const(exponent, args[1].span)
         return Call(func, tuple(args), span)
 
@@ -375,6 +377,11 @@ def _domain_error(err, node, point):
     )
 
 
+def usable_fd_step(h):
+    """The rule of a central-difference step: finite, positive, and h * h (a divisor) not 0."""
+    return 0 < h < np.inf and h * h > 0
+
+
 def central_differences(fn, point, h, order=2):
     """(value, gradient, Hessian) of ``fn`` at ``point`` by central differences.
 
@@ -412,6 +419,6 @@ def fd_jet(node, point, order, h):
     """
     if order not in (1, 2):
         raise ValueError("fd_jet supports orders 1 and 2")
-    if not 0 < h < np.inf:
-        raise ValueError("fd step must be finite and positive")
+    if not usable_fd_step(h):
+        raise ValueError("fd step must be finite and positive, and its square must not be 0")
     return central_differences(lambda q: eval_jet(node, q, 0).value, point, h, order)

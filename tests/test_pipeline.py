@@ -224,7 +224,7 @@ def test_finite_gate_names_every_array_of_every_frame():
     for stage, names in named_before.items():
         assert [name for name in held[stage] if name in names] == names
     assert {"scalar"} <= set(held["geometry"]) and {"C", "eta"} <= set(held["statistical"])
-    assert {"tau", "taubar", "tauhat"} <= set(held["identity map"])
+    assert {"tau", "taubar"} <= set(held["identity map"])
     for stage, frame in frames.items():
         pipeline._require_finite(points, f"{stage} frame", vars(frame))
         for name in held[stage]:
@@ -255,6 +255,17 @@ def test_too_large_h_is_named():
     assert str(err.value) == (
         "h must be less than a quarter of the width of the sample box for 'x1' (2.5), got 1"
     )
+
+
+def test_h_whose_square_underflows_is_named():
+    # the fd Hessian divides by h * h; at 1e-162 it is 0 and every quotient NaN
+    spec = get_builtin("sphere-m2").spec
+    with pytest.raises(OptionError) as err:
+        crosscheck(spec, h=1e-162)
+    assert err.value.argument == "h"
+    assert err.value.rule == "must be finite and positive, and its square must not be 0, got 1e-162"
+    # 2e-162 squares to a subnormal: it runs, and the stencil collapses, so the check fails
+    assert not crosscheck(spec, h=2e-162, count=5).passed
 
 
 def test_crosscheck_builds_only_what_it_compares(monkeypatch):

@@ -20,6 +20,9 @@ same runs on an unmutated copy, each mutation gets one row of a markdown table:
 * the tier-1 tests that fail, by test function with the number of its
   failing parameter sets; more than five functions are listed below the table.
 
+After the table come the diagnose checks that no mutation run turns to ``fail``
+in any case: over the whole list, the checks that no mutation can catch.
+
 A case that raises is listed with its exception type.  The script writes
 nothing in the checkout, and prints its wall time last.
 """
@@ -96,6 +99,14 @@ MUTATIONS = [
      "-geom.connection_laplacian(stat.T_jets, stat.bar)",
      "-geom.connection_laplacian(stat.T_jets, stat.nabla)",
      "tau2 proof route: nabla for nabla-bar"),
+    ("src/statmanifold/maps.py",
+     "(np.add, np.subtract)",
+     "(np.add, np.add)",
+     "tensions: both from Gamma - (Gamma + K)"),
+    ("src/statmanifold/maps.py",
+     "(np.add, np.subtract)",
+     "(np.subtract, np.add)",
+     "tensions: tau and tau-bar swapped"),
     ("src/statmanifold/jets.py",
      "return x.reshape(lead + size[::-1]).swapaxes(-1, -2)",
      "return x.reshape(lead + size)",
@@ -216,9 +227,14 @@ def main(argv):
           "| crosscheck above threshold | tier-1 failures |")
     print("| --- | --- | --- | --- | --- |")
     failures = {}
+    caught = set()  # checks some mutation turns to fail
     for mutation in chosen:
         mutated, failing = run_copy(mutation)
         moved = changes(base, mutated)
+        caught.update(
+            name for label, result in mutated.items() for name, status in result["checks"].items()
+            if status == "fail" and base[label]["checks"].get(name) != "fail"
+        )
         failures[mutation[3]] = failing
         # a long list of failing tests is given below the table
         tests = listing(failing) if len(failing) <= 5 else f"{len(failing)} test functions"
@@ -228,6 +244,8 @@ def main(argv):
     for label, failing in failures.items():
         if len(failing) > 5:
             print(f"{label}: {listing(failing)}")
+    checks = {name for result in base.values() for name in result["checks"]}
+    print(f"checks no mutation turns to fail: {', '.join(sorted(checks - caught)) or '-'}")
     print(f"wall time {time.perf_counter() - start:.0f} s for {len(chosen)} mutations")
     return 0
 
