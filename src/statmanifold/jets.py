@@ -53,6 +53,12 @@ class JetDomainError(ValueError):
         self.where = where
 
 
+def _require_domain(bad, message):
+    """Raise JetDomainError(message, bad) if the mask ``bad`` marks any entry."""
+    if np.any(bad):
+        raise JetDomainError(message, bad)
+
+
 def _exponent_vectors(dim, order):
     exps = []
     for degree in range(order + 1):
@@ -233,7 +239,7 @@ class Jet:
     # -- composition with elementary functions -----------------------------
 
     def compose(self, derivatives):
-        """Evaluate phi(self) given ``derivatives[k] = phi^(k)(self.value)``."""
+        """Evaluate phi(self) given ``derivatives[k] = phi^(k)(self.value)``, read for k <= order."""
         order = self.order
         perturbation = Jet(self.space, self.coeff.copy())
         perturbation.coeff[..., 0] = 0.0
@@ -253,49 +259,35 @@ class Jet:
 
     def log(self):
         v = self.value
-        bad = v <= 0
-        if np.any(bad):
-            raise JetDomainError("log of a non-positive value", bad)
-        derivs = [np.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3]
-        return self.compose(derivs[: self.order + 1])
+        _require_domain(v <= 0, "log of a non-positive value")
+        return self.compose([np.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3])
 
     def sin(self):
-        v = self.value
-        s, c = np.sin(v), np.cos(v)
-        return self.compose([s, c, -s, -c][: self.order + 1])
+        s, c = np.sin(self.value), np.cos(self.value)
+        return self.compose([s, c, -s, -c])
 
     def cos(self):
-        v = self.value
-        s, c = np.sin(v), np.cos(v)
-        return self.compose([c, -s, -c, s][: self.order + 1])
+        s, c = np.sin(self.value), np.cos(self.value)
+        return self.compose([c, -s, -c, s])
 
     def sqrt(self):
         v = self.value
-        bad = v <= 0
-        if np.any(bad):
-            raise JetDomainError("sqrt of a non-positive value", bad)
+        _require_domain(v <= 0, "sqrt of a non-positive value")
         r = np.sqrt(v)
-        derivs = [r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v)]
-        return self.compose(derivs[: self.order + 1])
+        return self.compose([r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v)])
 
     def reciprocal(self):
         v = self.value
-        bad = v == 0
-        if np.any(bad):
-            raise JetDomainError("division by zero", bad)
-        derivs = [1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4]
-        return self.compose(derivs[: self.order + 1])
+        _require_domain(v == 0, "division by zero")
+        return self.compose([1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4])
 
     def powc(self, exponent):
         """Power with a constant exponent e: phi^(k)(v) = e (e - 1) ... (e - k + 1) v^(e - k)."""
-        exponent = float(exponent)
-        v = self.value
+        exponent, v = float(exponent), self.value
         if exponent.is_integer():
-            bad, message = (v == 0) & (exponent < 0), "zero base with a negative exponent"
+            _require_domain((v == 0) & (exponent < 0), "zero base with a negative exponent")
         else:
-            bad, message = v <= 0, "non-integer power of a non-positive base"
-        if np.any(bad):
-            raise JetDomainError(message, bad)
+            _require_domain(v <= 0, "non-integer power of a non-positive base")
         derivs, falling = [], 1.0
         for k in range(self.order + 1):
             derivs.append(np.zeros_like(v) if falling == 0 else falling * np.power(v, exponent - k))

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -89,10 +89,19 @@ class ManifoldSpec:
 
     @classmethod
     def from_dict(cls, data):
-        _require_object("the top level of the spec", data)
-        sample = _require_object("sample", data.get("sample") or {})
+        # only the keys that to_dict writes, in the shapes it writes them
+        top, inner = {"schema", *(f.name for f in fields(cls))}, {f.name for f in fields(SampleSpec)}
+        _require_object("the top level of the spec", data, top)
+        sample = _require_object("sample", data.get("sample") or {}, inner)
         parameters = _require_object("parameters", data.get("parameters") or {})
         box = _require_object("sample box", sample.get("box", {}))
+        for name in ("metric", "cubic"):
+            _require_object(name, data.get(name, {}))
+        schema = data.get("schema", SCHEMA_VERSION)
+        if isinstance(schema, bool) or schema != SCHEMA_VERSION:
+            raise SpecValidationError([f"schema must be {SCHEMA_VERSION}, got {schema!r}"])
+        if not isinstance(data.get("coordinates", []), list):
+            raise SpecValidationError([f"coordinates must be an array, got {data['coordinates']!r}"])
         try:
             box = {
                 name: tuple(require_real(f"sample box for {name!r}", b) for b in (lo, hi))
@@ -280,10 +289,14 @@ class ManifoldSpec:
         return self.validate()
 
 
-def _require_object(name, value):
-    """``value`` unless it is not a JSON object (a dict): then a spec error naming it."""
+def _require_object(name, value, keys=None):
+    """``value`` unless it is not a JSON object (a dict) or has a key outside ``keys``,
+    if given: then a spec error naming it, or each such key."""
     if not isinstance(value, dict):
         raise SpecValidationError([f"{name} must be an object, got {value!r}"])
+    unknown = [key for key in value if keys is not None and key not in keys]
+    if unknown:
+        raise SpecValidationError([f"unknown key {key!r} in {name}" for key in unknown])
     return value
 
 
@@ -308,11 +321,11 @@ def _is_real(value):
 
 def require_real(name, value, bound=None):
     """``value`` as a float; :class:`OptionError` naming it unless :func:`_is_real` and,
-    given a ``bound`` ("nonnegative" or "positive"), finite and within it."""
+    given ``bound="nonnegative"``, finite and >= 0."""
     if not _is_real(value):
         raise OptionError(name, f"must be a number, got {value!r}")
     value = float(value)
-    if bound and not (np.isfinite(value) and (value > 0 if bound == "positive" else value >= 0)):
+    if bound and not (np.isfinite(value) and value >= 0):
         raise OptionError(name, f"must be finite and {bound}, got {value}")
     return value
 
@@ -351,11 +364,11 @@ class CompiledManifold:
             for entry in np.ndindex(index.shape):
                 index[entry] = row.get(components.get(component_key(entry)), 0)
 
-    def metric_jets(self, points, order=3, kind="sample"):
+    def metric_jets(self, points, order, kind="sample"):
         """The metric as one jet tensor: coefficients (*batch, m, m, ncoeff)."""
         return self._tensor_jets("metric", points, order, kind)
 
-    def cubic_jets(self, points, order=3, kind="sample"):
+    def cubic_jets(self, points, order, kind="sample"):
         """The cubic form as one jet tensor: coefficients (*batch, m, m, m, ncoeff)."""
         return self._tensor_jets("cubic", points, order, kind)
 

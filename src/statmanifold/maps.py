@@ -4,7 +4,7 @@ id:(M,g,nabla) -> (M,g,nabla^g) and id:(M,g,nabla-bar) -> (M,g,nabla^g).
 Both tensions come from their trace definition tau = tr_g{(X,Y) -> nabla^u id_* Y -
 id_* nabla_X Y}, here tr_g(Gamma - (Gamma +- K)); that of id:(M,g,nabla^g) ->
 (M,g,nabla^g), tr_g(nabla^g - nabla^g), is zero by definition and not formed.
-Two routes of the bi-tension are kept deliberately separate and compared:
+Two routes of the bi-tension, both reading the frame's T = tr_g K, are compared:
 
 * the general route uses the connection-Laplacian formula (the target is
   Riemannian, so its difference tensor vanishes and its interchange tensor is R^g);
@@ -40,10 +40,9 @@ class IdentityMapReport:
         self.tau = self.tau_jets.value
         self.taubar = self.taubar_jets.value
 
-        # general route: bi-tension from the connection-Laplacian formula
-        # only the value of its divergence is read, so tr_g K is formed at order 1
-        trace_k_jets = jet_einsum("ij,kij->k", geom.ginv_jets, stat.K_jets.truncated(1))
-        div_trace_k = geom.divergence(trace_k_jets).value
+        # general route: bi-tension from the connection-Laplacian formula; tr_g K is the
+        # frame's T, and only the value of its divergence is read, so T enters at order 1
+        div_trace_k = geom.divergence(stat.T_jets.truncated(1)).value
         self.tau2 = (
             geom.connection_laplacian(self.tau_jets, stat.bar)
             + div_trace_k[:, None] * self.tau

@@ -90,20 +90,14 @@ class DiagnosticsReport:
         return 0
 
 
-def _frames(
-    compiled, points, metric_order, cubic_order, reads=("R", "Rbar", "ric", "L", "Lbar", "tch", "dK")
-):
-    """Geometry and statistical frames at the caller's jet orders.
-
-    The diagnostics take d Gamma, so they need the metric to order 3
-    (GeometryFrame keeps g^{-1} one order lower), and differentiate C and
-    everything built from it (K, T, the tension fields, g(K, K)) at most
-    twice, so C to order 2.  The statistical fields named in ``reads`` are
-    computed in that order.  A value that is not finite in an array either frame
-    holds ends as a spec error.
+def _frames(compiled, points, order, reads=("R", "Rbar", "ric", "L", "Lbar", "tch", "dK")):
+    """Geometry and statistical frames with the metric at jet ``order`` and C one lower:
+    K = -1/2 g^{-1} C can use no more of C than g^{-1}, one order below the metric,
+    carries.  The diagnostics differentiate Gamma, so they take order 3.  The statistical
+    fields named in ``reads`` are computed in that order.  A value that is not finite in
+    an array either frame holds ends as a spec error.
     """
-    metric = compiled.metric_jets(points, metric_order)
-    cubic = compiled.cubic_jets(points, cubic_order)
+    metric, cubic = compiled.metric_jets(points, order), compiled.cubic_jets(points, order - 1)
     geometry = GeometryFrame(points, metric)
     _require_finite(points, "geometry frame", vars(geometry))
     stat = StatisticalFrame(geometry, cubic)
@@ -126,7 +120,7 @@ def _require_finite(points, stage, arrays):
 def _diagnostic_frames(compiled, points):
     """Geometry, statistical and identity-map frames at the diagnostics' jet
     orders; a value that is not finite in any of them ends as a spec error."""
-    geometry, stat = _frames(compiled, points, 3, 2)
+    geometry, stat = _frames(compiled, points, 3)
     identity = IdentityMapReport(stat)
     _require_finite(points, "identity map frame", vars(identity))
     return geometry, stat, identity
@@ -489,8 +483,8 @@ def crosscheck(spec: ManifoldSpec, h=FD_STEP, threshold=FD_TOLERANCE, count=None
 def _crosscheck_block(compiled, points, h):
     """Per-point relative deviations of the jet route from the fd route on one block."""
     # Gamma and R read the order-1 Gamma to first derivatives, the Laplacian
-    # reads values and nabla^g T is read as values: metric 2, cubic 1, probe 2
-    geometry, stat = _frames(compiled, points, 2, 1, reads=("tch",))
+    # reads values and nabla^g T is read as values: metric 2 (so cubic 1), probe 2
+    geometry, stat = _frames(compiled, points, 2, reads=("tch",))
     probe = _probe(compiled.spec.dim)
     jet = {
         "christoffel": geometry.gamma,

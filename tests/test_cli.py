@@ -292,6 +292,17 @@ def test_malformed_spec_json_is_a_spec_error(tmp_path, capsys, body, field):
     assert field in captured.err and captured.out == ""
 
 
+def test_a_misspelled_spec_key_is_a_spec_error(tmp_path, capsys):
+    # "cubics" would otherwise drop the cubic form and report the Riemannian structure
+    payload = get_builtin("centroaffine").spec.to_dict()
+    payload["cubics"] = payload.pop("cubic")
+    path = tmp_path / "misspelled.json"
+    path.write_text(json.dumps(payload))
+    assert main(["run", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "unknown key 'cubics' in the top level of the spec" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize(
     "args",
     [

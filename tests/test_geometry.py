@@ -547,8 +547,9 @@ def test_each_covariant_derivative_is_computed_once_per_frame(monkeypatch):
 
 
 def test_jet_contractions_per_block(monkeypatch):
-    # one raise for Gamma, two contractions for g(K, K), one for both tensions and
-    # no unused power of X in g^{-1}: 17 per diagnose block and 4 per crosscheck block
+    # one raise for Gamma, two contractions for g(K, K), one for both tensions, tr_g K
+    # read as the frame's T and no unused power of X in g^{-1}: 16 per diagnose block
+    # and 4 per crosscheck block
     calls = []
 
     def counted(*args):
@@ -559,7 +560,7 @@ def test_jet_contractions_per_block(monkeypatch):
         monkeypatch.setattr(module, "jet_einsum", counted)
     spec = get_builtin("flat-cubic").spec
     run_diagnostics(spec, count=10)  # one block
-    assert len(calls) == 17
+    assert len(calls) == 16
     calls.clear()
     crosscheck(spec, count=10)
     assert len(calls) == 4

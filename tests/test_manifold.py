@@ -264,6 +264,27 @@ def test_non_numbers_set_in_python_are_spec_errors(field, value, problem):
     assert err.value.problems == [problem]
 
 
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (lambda d: d.update(cubics=d.pop("cubic")), "unknown key 'cubics' in the top level of the spec"),
+        (lambda d: d["sample"].update(cuont=d["sample"].pop("count")), "unknown key 'cuont' in sample"),
+        (lambda d: d.update(schema=7), "schema must be 1, got 7"),
+        (lambda d: d.update(schema=True), "schema must be 1, got True"),
+        (lambda d: d.update(coordinates="x1x2"), "coordinates must be an array, got 'x1x2'"),
+        (lambda d: d.update(metric=[list(p) for p in d["metric"].items()]), "metric must be an object, got [["),
+        (lambda d: d.update(cubic=[list(p) for p in d["cubic"].items()]), "cubic must be an object, got [["),
+    ],
+    ids=["top-level-key", "sample-key", "schema", "schema-bool", "coordinates-str", "metric-pairs", "cubic-pairs"],
+)
+def test_spec_documents_hold_only_the_keys_and_shapes_to_dict_writes(edit, problem):
+    data = get_builtin("centroaffine").spec.to_dict()
+    edit(data)
+    with pytest.raises(SpecValidationError) as err:
+        ManifoldSpec.from_dict(data)
+    assert len(err.value.problems) == 1 and err.value.problems[0].startswith(problem)
+
+
 def test_malformed_document_rejected():
     with pytest.raises(SpecValidationError):
         ManifoldSpec.from_dict({"name": "x"})

@@ -362,17 +362,28 @@ def _sphere_with_polynomial_cubic():
     "spec", [_sphere_with_polynomial_cubic(), get_builtin("centroaffine").spec], ids=lambda s: s.name
 )
 def test_crosscheck_orders_give_the_compared_quantities(spec):
-    # metric 2 and cubic 1 against the diagnostics' 3 and 2, in the crosscheck's own measure
+    # order 2 (metric 2, cubic 1) against the diagnostics' 3 (metric 3, cubic 2), in the
+    # crosscheck's own measure
     compiled = spec.compile()
     points = spec.sample_points(seed=1)
-    low_geometry, low_stat = pipeline._frames(compiled, points, 2, 1, reads=("tch",))
-    geometry, stat = pipeline._frames(compiled, points, 3, 2)
+    low_geometry, low_stat = pipeline._frames(compiled, points, 2, reads=("tch",))
+    geometry, stat = pipeline._frames(compiled, points, 3)
     for low, full in (
         (low_geometry.gamma, geometry.gamma),
         (low_geometry.riemann, geometry.riemann),
         (low_stat.tch, stat.tch),
     ):
         assert np.max(pipeline._relative(full, low)) <= 1e-13
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_frames_take_the_cubic_form_one_order_below_the_metric(order):
+    # K = -1/2 g^{-1} C uses no more of C than g^{-1} carries
+    spec = _sphere_with_polynomial_cubic()
+    points = spec.sample_points(count=5, seed=1)
+    geometry, stat = pipeline._frames(spec.compile(), points, order, reads=())
+    assert geometry.g_jets.order == order
+    assert stat.C_jets.order == geometry.ginv_jets.order == stat.K_jets.order == order - 1
 
 
 def test_report_keys_are_pinned():

@@ -72,6 +72,10 @@ MUTATIONS = [
      "",
      "connection_laplacian: source-connection term dropped"),
     ("src/statmanifold/geometry.py",
+     "series[..., 0] = np.eye(m)",
+     "series[..., 0] = 2 * np.eye(m)",
+     "jet_matrix_inverse: value of g^-1 doubled"),
+    ("src/statmanifold/geometry.py",
      "hess = f_jet.hessian().reshape(n, -1) - gamma_grad",
      "hess = f_jet.hessian().reshape(n, -1) + gamma_grad",
      "laplacian_scalar: Gamma term added"),
@@ -88,9 +92,17 @@ MUTATIONS = [
      ".transpose(0, 3, 4, 2, 1)",
      "interchange tensor: last two slots swapped"),
     ("src/statmanifold/statistical.py",
+     "g, ginv, riem, k = geom.g, geom.ginv, geom.riemann, self.K",
+     "g, ginv, riem, k = geom.g, geom.ginv, self.R, self.K",
+     "laplacian_cubic_terms: statistical R for R^g in F"),
+    ("src/statmanifold/statistical.py",
      'np.einsum("pkd,pd->pk", self.tch, self.T)',
      'np.einsum("pdk,pd->pk", self.tch, self.T)',
      "(T2): nabla^g T transposed"),
+    ("src/statmanifold/pipeline.py",
+     '"parallel_tchebychev_criterion": _peak(tch),',
+     '"parallel_tchebychev_criterion": _peak(stat.T_jets.gradient()),',
+     "parallel_tchebychev_criterion: dT read for nabla^g T"),
     ("src/statmanifold/maps.py",
      "+ div_trace_k[:, None] * self.tau\n",
      "- div_trace_k[:, None] * self.tau\n",
