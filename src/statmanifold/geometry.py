@@ -91,16 +91,16 @@ def scalar_curvature(ricci, ginv):
 def covariant_derivative_jets(field, coeff_jets, variance):
     """Jet-level covariant derivative; appends the direction slot last.
 
-    ``field`` is a jet tensor with one ``variance`` flag per tensor axis (a
-    scalar has none) and ``coeff_jets`` the (m, m, m) connection
-    coefficients.  The result has order min(order(field) - 1, order(coeff)).
+    ``field`` is a jet tensor with one ``variance`` flag per tensor axis and ``coeff_jets``
+    the (m, m, m) connection coefficients.  The result has order order(field) - 1, cut to
+    order(coeff) unless the field is a scalar (no flag), which reads no coefficient.
     """
-    order = min(field.order - 1, coeff_jets.order)
+    order = min(field.order - 1, coeff_jets.order) if variance else field.order - 1
     out = jet_partial(field.truncated(order + 1))  # (batch, *field axes, direction)
-    gamma, f = coeff_jets.truncated(order), field.truncated(order)
     slots = "ABCDEFGH"[: len(variance)]
     for s, flag in enumerate(variance):
         gsub = f"{slots[s]}da" if flag == UP else f"ad{slots[s]}"
+        gamma, f = coeff_jets.truncated(order), field.truncated(order)
         product = jet_einsum(f"{gsub},{slots[:s]}a{slots[s + 1:]}->{slots}d", gamma, f).coeff
         if flag == UP:
             out.coeff += product
@@ -112,16 +112,14 @@ def covariant_derivative_jets(field, coeff_jets, variance):
 class GeometryFrame:
     """Levi-Civita data for a batch of chart points.
 
-    Built from metric jets of order r >= 2 (order 3 in the pipeline); exposes
-    both the numeric tensors (Christoffel symbols, curvature, Ricci, scalar
-    curvature) and the jet-level metric, inverse and Christoffel fields
-    needed to differentiate derived fields downstream.
-    The inverse and the Christoffel jets have order r - 1: Gamma is one raise by
-    g^{-1} of the first-kind symbols of dg, so it needs no more of the inverse
-    than dg carries.
+    Built from metric jets of order r >= 2 (2 in the pipeline); exposes the numeric
+    tensors (Christoffel symbols, curvature, Ricci, scalar curvature) and the jet-level
+    metric, inverse and Christoffel fields that derived fields are differentiated with.
+    Gamma, one raise by g^{-1} of the first-kind symbols of dg, has order r - 1; the
+    inverse has ``inverse_order``, r - 1 unless a reader such as K = -1/2 g^{-1} C needs more.
     """
 
-    def __init__(self, points, metric_jets):
+    def __init__(self, points, metric_jets, inverse_order=None):
         points = np.asarray(points, dtype=float)
         if points.ndim == 1:
             points = points[None, :]
@@ -136,7 +134,8 @@ class GeometryFrame:
         self.g_jets = metric_jets
         self.g = metric_jets.value
         require_positive_definite(self.g, points, "sample")
-        self.ginv_jets = jet_matrix_inverse(metric_jets, metric_jets.order - 1)
+        order = metric_jets.order - 1 if inverse_order is None else inverse_order
+        self.ginv_jets = jet_matrix_inverse(metric_jets, order)
         self.ginv = self.ginv_jets.value
         self.dg = metric_jets.gradient()
 

@@ -1,9 +1,9 @@
 """Tension and statistical bi-tension fields of the identity maps
 id:(M,g,nabla) -> (M,g,nabla^g) and id:(M,g,nabla-bar) -> (M,g,nabla^g).
 
-Both tensions come from their trace definition tau = tr_g{(X,Y) -> nabla^u id_* Y -
-id_* nabla_X Y}, here tr_g(Gamma - (Gamma +- K)); that of id:(M,g,nabla^g) ->
-(M,g,nabla^g), tr_g(nabla^g - nabla^g), is zero by definition and not formed.
+Both tensions take their values from their trace definition tau = tr_g{(X,Y) -> nabla^u
+id_* Y - id_* nabla_X Y}, here tr_g(Gamma - (Gamma +- K)), and as fields are -T and T;
+that of id:(M,g,nabla^g) -> (M,g,nabla^g), tr_g(nabla^g - nabla^g), is zero and not formed.
 Two routes of the bi-tension, both reading the frame's T = tr_g K, are compared:
 
 * the general route uses the connection-Laplacian formula (the target is
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import Jet, coefficient_major, jet_einsum
+from .jets import Jet
 from .statistical import StatisticalFrame
 
 
@@ -29,16 +29,13 @@ class IdentityMapReport:
     def __init__(self, stat: StatisticalFrame):
         geom = stat.geometry
 
-        # tau and tau-bar, tr_g(nabla^g - D) for D = Gamma +- K, in one contraction; they are
-        # differentiated twice, so these order-2 connections live only here, not in the frame
-        gamma, k = geom.gamma_jets.coeff, stat.K_jets.coeff
-        diffs = coefficient_major((2, *gamma.shape))
-        for diff, ufunc in zip(diffs, (np.add, np.subtract)):
-            np.subtract(gamma, ufunc(gamma, k, out=diff), out=diff)  # Gamma - (Gamma +- K)
-        tensions = jet_einsum("ij,kij->k", geom.ginv_jets, Jet(geom.gamma_jets.space, diffs))
-        self.tau_jets, self.taubar_jets = (Jet(tensions.space, c) for c in tensions.coeff)
-        self.tau = self.tau_jets.value
-        self.taubar = self.taubar_jets.value
+        # tau and tau-bar, tr_g(nabla^g - D) for D = Gamma +- K, on values; the bi-tension
+        # differentiates -T and T, each a Jet of its own that nabla^g forms apart from T
+        gamma, k = geom.gamma, stat.K
+        self.tau, self.taubar = (
+            np.einsum("pij,pkij->pk", geom.ginv, gamma - d) for d in (gamma + k, gamma - k)
+        )
+        self.tau_jets, self.taubar_jets = -stat.T_jets, Jet(stat.T_jets.space, stat.T_jets.coeff)
 
         # general route: bi-tension from the connection-Laplacian formula; tr_g K is the
         # frame's T, and only the value of its divergence is read, so T enters at order 1

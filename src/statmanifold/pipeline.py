@@ -91,14 +91,15 @@ class DiagnosticsReport:
 
 
 def _frames(compiled, points, order, reads=("R", "Rbar", "ric", "L", "Lbar", "tch", "dK")):
-    """Geometry and statistical frames with the metric at jet ``order`` and C one lower:
-    K = -1/2 g^{-1} C can use no more of C than g^{-1}, one order below the metric,
-    carries.  The diagnostics differentiate Gamma, so they take order 3.  The statistical
-    fields named in ``reads`` are computed in that order.  A value that is not finite in
-    an array either frame holds ends as a spec error.
+    """Geometry and statistical frames with the metric at jet order 2 (Gamma at 1, whose
+    first derivatives give R) and g^{-1} and C at ``order``, so K = -1/2 g^{-1} C and
+    T = tr_g K too: the diagnostics differentiate T twice and take 2, the crosscheck reads
+    nabla^g T as values and takes 1.  The statistical fields named in ``reads`` are
+    computed in that order.  A value that is not finite in an array either frame holds
+    ends as a spec error.
     """
-    metric, cubic = compiled.metric_jets(points, order), compiled.cubic_jets(points, order - 1)
-    geometry = GeometryFrame(points, metric)
+    metric, cubic = compiled.metric_jets(points, 2), compiled.cubic_jets(points, order)
+    geometry = GeometryFrame(points, metric, order)
     _require_finite(points, "geometry frame", vars(geometry))
     stat = StatisticalFrame(geometry, cubic)
     for name in reads:
@@ -120,7 +121,7 @@ def _require_finite(points, stage, arrays):
 def _diagnostic_frames(compiled, points):
     """Geometry, statistical and identity-map frames at the diagnostics' jet
     orders; a value that is not finite in any of them ends as a spec error."""
-    geometry, stat = _frames(compiled, points, 3)
+    geometry, stat = _frames(compiled, points, 2)
     identity = IdentityMapReport(stat)
     _require_finite(points, "identity map frame", vars(identity))
     return geometry, stat, identity
@@ -285,19 +286,18 @@ def _block_residuals(compiled, points):
     return {"identities": identities, "conditions": conditions, "fit": (stat.R, geometry.g.copy())}
 
 
-def fit_constant_curvature(blocks):
+def fit_constant_curvature(blocks, points=None):
     """Least-squares fit of R against lambda (g(Y,Z)X - g(X,Z)Y).
 
-    ``blocks`` lists (riemann, g) pairs of consecutive point batches.  Returns
-    (lambda, per-point max residual over all blocks); the fit pools every
-    component at every point.  R.M and M.M are summed per point, block by
-    block, and the per-point sums once over the sample, so no temporary spans
+    ``blocks`` lists (riemann, g) pairs of consecutive batches of the sample ``points``.
+    Returns (lambda, per-point max residual over all blocks); the fit pools every component
+    at every point.  R.M and M.M are summed per point, block by block, and the per-point sums,
+    each gated as finite where ``points`` are given, once over the sample: no temporary spans
     more than one block and lambda does not depend on where blocks split.
     """
-    m = blocks[0][1].shape[-1]
-    if m < 2:
+    eye = np.eye(blocks[0][1].shape[-1])
+    if len(eye) < 2:
         raise ValueError("constant curvature requires dimension >= 2")
-    eye = np.eye(m)
 
     def model(g):
         return np.einsum("pjk,li->plijk", g, eye) - np.einsum("pik,lj->plijk", g, eye)
@@ -305,9 +305,13 @@ def fit_constant_curvature(blocks):
     sums = ([], [])  # R.M and M.M of each point, block by block
     for riemann, g in blocks:
         block_model = model(g)
-        sums[0].append(np.sum(riemann * block_model, axis=(1, 2, 3, 4)))
-        sums[1].append(np.sum(block_model * block_model, axis=(1, 2, 3, 4)))
-    numerator, denom = (float(np.sum(np.concatenate(parts))) for parts in sums)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums[0].append(np.sum(riemann * block_model, axis=(1, 2, 3, 4)))
+            sums[1].append(np.sum(block_model * block_model, axis=(1, 2, 3, 4)))
+    sums = {"R.M": np.concatenate(sums[0]), "M.M": np.concatenate(sums[1])}
+    if points is not None:
+        _require_finite(points, "constant-curvature fit", sums)
+    numerator, denom = (float(np.sum(parts)) for parts in sums.values())
     lam = numerator / denom
     return lam, np.concatenate([_peak(riemann - lam * model(g)) for riemann, g in blocks])
 
@@ -357,7 +361,7 @@ def run_diagnostics(spec: ManifoldSpec, tolerance=DEFAULT_TOLERANCE, count=None,
     }
     cond = res["conditions"]
     peak = {name: float(np.max(residual)) for name, residual in cond.items()}
-    lam, cc_residual = fit_constant_curvature(res["fit"])
+    lam, cc_residual = fit_constant_curvature(res["fit"], points)
     cc_max = float(np.max(cc_residual))
     cc_flag = cc_max <= CONSTANT_CURVATURE_SCALE * (1.0 + abs(lam))
 
@@ -483,8 +487,8 @@ def crosscheck(spec: ManifoldSpec, h=FD_STEP, threshold=FD_TOLERANCE, count=None
 def _crosscheck_block(compiled, points, h):
     """Per-point relative deviations of the jet route from the fd route on one block."""
     # Gamma and R read the order-1 Gamma to first derivatives, the Laplacian
-    # reads values and nabla^g T is read as values: metric 2 (so cubic 1), probe 2
-    geometry, stat = _frames(compiled, points, 2, reads=("tch",))
+    # reads values and nabla^g T is read as values: metric 2, g^{-1} and cubic 1, probe 2
+    geometry, stat = _frames(compiled, points, 1, reads=("tch",))
     probe = _probe(compiled.spec.dim)
     jet = {
         "christoffel": geometry.gamma,

@@ -327,6 +327,18 @@ def test_help_still_exits_0(capsys):
     assert "usage:" in capsys.readouterr().out
 
 
+def test_an_overflowing_constant_curvature_fit_is_a_spec_error(tmp_path, capsys):
+    # M.M of the fit overflowed to inf: lambda read -0.0 and three identities were blamed
+    spec = ManifoldSpec.from_dict(get_builtin("centroaffine").spec.to_dict())
+    spec.metric["11"] = "1e200*x1"
+    path = tmp_path / "huge-metric.json"
+    spec.save(path)
+    assert main(["run", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "constant-curvature fit: M.M is not finite at sample point [" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["run", "crosscheck"])
 def test_an_overflowing_probe_is_a_spec_error(huge_box, tmp_path, capsys, command):
     path = tmp_path / "huge.json"

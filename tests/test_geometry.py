@@ -26,7 +26,7 @@ from statmanifold import (
     run_diagnostics,
     sphere_stereographic,
 )
-from statmanifold import geometry, jets, maps, pipeline, statistical
+from statmanifold import geometry, jets, pipeline, statistical
 from statmanifold.geometry import UP, covariant_derivative_jets, jet_matrix_inverse
 from statmanifold.jets import Jet, jet_einsum, jet_partial, jet_space
 from statmanifold.pipeline import crosscheck
@@ -342,8 +342,8 @@ def skewed_metric_with_polynomial_cubic():
 )
 def test_gamma_and_kk_jets_match_the_formulas_they_replace(spec):
     # reference: Gamma as three raised first-kind terms, and g(K, K) as
-    # -1/2 C_kij g^ia g^jb K^k_ab; every jet coefficient up to order 2 agrees
-    # to rounding on a curved chart with a non-constant C
+    # -1/2 C_kij g^ia g^jb K^k_ab; every jet coefficient (Gamma to order 1,
+    # g(K, K) to order 2) agrees to rounding on a curved chart with a non-constant C
     geom, stat, _ = evaluate_spec(spec, count=20)
     ginv, dg = geom.ginv_jets, jet_partial(geom.g_jets)
     gamma = 0.5 * (
@@ -354,8 +354,8 @@ def test_gamma_and_kk_jets_match_the_formulas_they_replace(spec):
     k_up = jet_einsum("jb,kib->kij", ginv, jet_einsum("ia,kaj->kij", ginv, stat.K_jets))
     kk = jet_einsum("kij,kij->", -0.5 * stat.C_jets, k_up)
     assert np.max(np.abs(stat.C_jets.gradient())) > 0.1
-    for new, old in ((geom.gamma_jets, gamma), (stat.kk_jets, kk)):
-        assert new.order == old.order == 2
+    for new, old, order in ((geom.gamma_jets, gamma, 1), (stat.kk_jets, kk, 2)):
+        assert new.order == old.order == order
         assert np.max(np.abs(old.truncated(1).coeff[..., 1:])) > 0.1  # not constant
         scale = np.max(np.abs(old.coeff))
         np.testing.assert_allclose(new.coeff, old.coeff, rtol=0, atol=1e-14 * scale)
@@ -368,7 +368,7 @@ def test_metric_is_levi_civita_parallel_at_jet_level(spec):
     geom, _, _ = evaluate_spec(spec, count=20)
     nabla_g = geom.nabla(geom.g_jets, ("down", "down"))
     assert np.max(np.abs(geom.gamma)) > 0.1
-    assert nabla_g.order == 2
+    assert nabla_g.order == 1
     assert np.max(np.abs(nabla_g.truncated(1).coeff)) < 1e-12
     assert np.max(np.abs(nabla_g.coeff)) < 1e-12
 
@@ -376,17 +376,28 @@ def test_metric_is_levi_civita_parallel_at_jet_level(spec):
 def test_jet_order_budget():
     inst = centroaffine_power_surface(2.0, 3.0)
     geom, stat, _ = evaluate_spec(inst.spec, count=20)
-    assert geom.g_jets.order == 3
-    for name in ("ginv_jets", "gamma_jets"):
-        assert getattr(geom, name).order == 2, name
+    assert geom.g_jets.order == geom.ginv_jets.order == 2
+    assert geom.gamma_jets.order == 1
     for name in ("C_jets", "K_jets", "T_jets"):
         assert getattr(stat, name).order == 2, name
-    # the order-2 inverse is the order-<=2 part of the order-3 inverse
-    full = jet_matrix_inverse(geom.g_jets, 3)
+    # the order-2 inverse of the order-2 metric is the order-<=2 part of the
+    # order-3 inverse of the order-3 metric
+    full = jet_matrix_inverse(inst.spec.compile().metric_jets(geom.points, 3), 3)
     assert full.order == 3
     np.testing.assert_allclose(
         geom.ginv_jets.coeff, full.truncated(2).coeff, rtol=0, atol=1e-12
     )
+
+
+def test_a_scalar_covariant_derivative_is_its_partial_at_the_scalar_order():
+    # a scalar reads no connection coefficient, so an order-1 Gamma does not cut its
+    # derivative: the order-3 probe keeps an order-2 gradient field
+    geom, _, _ = evaluate_spec(get_builtin("sphere-m3").spec, count=10)
+    f = eval_jet(parse_expression("x1*x2*x2 + sin(x3)", ["x1", "x2", "x3"]), geom.points, 3)
+    assert geom.gamma_jets.order == 1
+    df = covariant_derivative_jets(f, geom.gamma_jets, ())
+    assert df.order == 2
+    assert np.array_equal(df.coeff, jet_partial(f).coeff)
 
 
 def test_jet_matrix_inverse_consistency():
@@ -547,20 +558,20 @@ def test_each_covariant_derivative_is_computed_once_per_frame(monkeypatch):
 
 
 def test_jet_contractions_per_block(monkeypatch):
-    # one raise for Gamma, two contractions for g(K, K), one for both tensions, tr_g K
-    # read as the frame's T and no unused power of X in g^{-1}: 16 per diagnose block
-    # and 4 per crosscheck block
+    # one raise for Gamma, two contractions for g(K, K), the tensions on values and
+    # their jets as -T and T, tr_g K read as the frame's T and no unused power of X in
+    # g^{-1}: 15 per diagnose block and 4 per crosscheck block
     calls = []
 
     def counted(*args):
         calls.append(args[0])
         return jet_einsum(*args)
 
-    for module in (geometry, statistical, maps):
+    for module in (geometry, statistical):
         monkeypatch.setattr(module, "jet_einsum", counted)
     spec = get_builtin("flat-cubic").spec
     run_diagnostics(spec, count=10)  # one block
-    assert len(calls) == 16
+    assert len(calls) == 15
     calls.clear()
     crosscheck(spec, count=10)
     assert len(calls) == 4

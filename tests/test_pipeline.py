@@ -362,12 +362,12 @@ def _sphere_with_polynomial_cubic():
     "spec", [_sphere_with_polynomial_cubic(), get_builtin("centroaffine").spec], ids=lambda s: s.name
 )
 def test_crosscheck_orders_give_the_compared_quantities(spec):
-    # order 2 (metric 2, cubic 1) against the diagnostics' 3 (metric 3, cubic 2), in the
-    # crosscheck's own measure
+    # order 1 (metric 2, g^{-1} and cubic 1) against the diagnostics' 2 (metric 2,
+    # g^{-1} and cubic 2), in the crosscheck's own measure
     compiled = spec.compile()
     points = spec.sample_points(seed=1)
-    low_geometry, low_stat = pipeline._frames(compiled, points, 2, reads=("tch",))
-    geometry, stat = pipeline._frames(compiled, points, 3)
+    low_geometry, low_stat = pipeline._frames(compiled, points, 1, reads=("tch",))
+    geometry, stat = pipeline._frames(compiled, points, 2)
     for low, full in (
         (low_geometry.gamma, geometry.gamma),
         (low_geometry.riemann, geometry.riemann),
@@ -376,14 +376,41 @@ def test_crosscheck_orders_give_the_compared_quantities(spec):
         assert np.max(pipeline._relative(full, low)) <= 1e-13
 
 
-@pytest.mark.parametrize("order", [2, 3])
-def test_frames_take_the_cubic_form_one_order_below_the_metric(order):
-    # K = -1/2 g^{-1} C uses no more of C than g^{-1} carries
+def test_blocks_ask_for_the_metric_and_the_cubic_form_at_their_orders(monkeypatch):
+    # a diagnose block takes both at order 2 and a crosscheck block at 2 and 1, besides
+    # the fd route's order-0 stencil values; an order-3 metric would show here
+    calls = []
+
+    def spy(label):
+        original = getattr(manifold.CompiledManifold, f"{label}_jets")
+
+        def counted(self, points, order, kind="sample"):
+            calls.append((label, order, kind))
+            return original(self, points, order, kind)
+
+        return counted
+
+    for label in ("metric", "cubic"):
+        monkeypatch.setattr(manifold.CompiledManifold, f"{label}_jets", spy(label))
+    spec = get_builtin("flat-cubic").spec
+    run_diagnostics(spec, count=10)  # one block
+    assert calls == [("metric", 2, "sample"), ("cubic", 2, "sample")]
+    calls.clear()
+    crosscheck(spec, count=10)
+    assert calls == [
+        ("metric", 2, "sample"), ("cubic", 1, "sample"),
+        ("metric", 0, "stencil"), ("metric", 0, "stencil"), ("cubic", 0, "stencil"),
+    ]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_frames_take_the_inverse_metric_and_the_cubic_form_at_one_order(order):
+    # K = -1/2 g^{-1} C uses no more of C than g^{-1} carries; Gamma needs only the order-2 metric
     spec = _sphere_with_polynomial_cubic()
     points = spec.sample_points(count=5, seed=1)
     geometry, stat = pipeline._frames(spec.compile(), points, order, reads=())
-    assert geometry.g_jets.order == order
-    assert stat.C_jets.order == geometry.ginv_jets.order == stat.K_jets.order == order - 1
+    assert geometry.g_jets.order == 2
+    assert stat.C_jets.order == geometry.ginv_jets.order == stat.K_jets.order == order
 
 
 def test_report_keys_are_pinned():

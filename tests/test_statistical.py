@@ -20,7 +20,7 @@ from statmanifold import (
     hyperbolic_ball,
     random_polynomial_cubic,
 )
-from statmanifold.jets import Jet, jet_einsum, jet_space
+from statmanifold.jets import Jet, jet_space
 from statmanifold.pipeline import fit_constant_curvature, residual_table, scalar_relation_gap
 
 
@@ -403,15 +403,16 @@ def test_frame_arrays_at_reduced_order_equal_the_full_order_ones():
     assert np.array_equal(stat.dK, dk.value)
     gamma, k = geom.gamma_jets, stat.K_jets
     for name, full in (("nabla", gamma + k), ("bar", gamma - k)):
-        assert full.order == 2
+        assert full.order == 1
         assert np.array_equal(getattr(stat, name), full.value), name
         assert np.array_equal(getattr(stat, "d" + name), full.gradient()), name
 
-    tau = jet_einsum("ij,kij->k", geom.ginv_jets, gamma - (gamma + k))
-    taubar = jet_einsum("ij,kij->k", geom.ginv_jets, gamma - (gamma - k))
+    # tau and tau-bar: the trace definition on values, and -T and T as jets
+    for value, d in ((ident.tau, gamma.value + k.value), (ident.taubar, gamma.value - k.value)):
+        assert np.array_equal(value, np.einsum("pij,pkij->pk", geom.ginv, gamma.value - d))
     assert ident.tau_jets.order == ident.taubar_jets.order == 2
-    assert np.array_equal(ident.tau_jets.coeff, tau.coeff)
-    assert np.array_equal(ident.taubar_jets.coeff, taubar.coeff)
+    assert np.array_equal(ident.tau_jets.coeff, -stat.T_jets.coeff)
+    assert np.array_equal(ident.taubar_jets.coeff, stat.T_jets.coeff)
 
 
 def test_metric_inner_kk_matches_the_value_contraction():

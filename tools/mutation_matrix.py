@@ -112,13 +112,17 @@ MUTATIONS = [
      "-geom.connection_laplacian(stat.T_jets, stat.nabla)",
      "tau2 proof route: nabla for nabla-bar"),
     ("src/statmanifold/maps.py",
-     "(np.add, np.subtract)",
-     "(np.add, np.add)",
+     "for d in (gamma + k, gamma - k)",
+     "for d in (gamma + k, gamma + k)",
      "tensions: both from Gamma - (Gamma + K)"),
     ("src/statmanifold/maps.py",
-     "(np.add, np.subtract)",
-     "(np.subtract, np.add)",
+     "for d in (gamma + k, gamma - k)",
+     "for d in (gamma - k, gamma + k)",
      "tensions: tau and tau-bar swapped"),
+    ("src/statmanifold/maps.py",
+     "self.tau_jets, self.taubar_jets = -stat.T_jets,",
+     "self.tau_jets, self.taubar_jets = stat.T_jets,",
+     "tau jets from +T"),
     ("src/statmanifold/jets.py",
      "return x.reshape(lead + size[::-1]).swapaxes(-1, -2)",
      "return x.reshape(lead + size)",
