@@ -11,9 +11,9 @@ metric on N points has coefficients ``(N, m, m, ncoeff)``, so ``.value`` is
 ``(N, m, m)`` and ``.gradient()`` appends the derivative axis last.  The frames'
 jet tensors are coefficient-major: ``coeff`` views an ``(ncoeff, N, m, m)`` array,
 so ``.value`` and every coefficient are contiguous and a truncation is a prefix.
-``jet_einsum`` is the one contraction of jet tensors, and ``jet_partial``
-gathers all first partials at once through ``JetSpace.partial_table``, the one
-derivative table; the Hessian is two first partials.
+``jet_einsum`` is the one contraction of jet tensors, skipping exactly-zero
+coefficient slabs; ``jet_partial`` gathers all first partials at once through
+``JetSpace.partial_table``, the one derivative table; the Hessian is two first partials.
 
 Conventions:
 
@@ -323,6 +323,13 @@ def _matrices(x, term, rows, cols, size):
     return x.reshape(lead + size)
 
 
+def _live(x, nbatch):
+    """Per coefficient of ``x`` (ncoeff, *batch, ...), whether its slab is not all zero."""
+    live = x[(slice(None),) + (slice(1),) * nbatch].any(axis=tuple(range(1, x.ndim)))
+    live[~live] = [x[i].any() for i in np.flatnonzero(~live)]
+    return live
+
+
 def jet_einsum(subscripts, a, b):
     """Two-operand einsum of jet tensors (explicit ``->`` form); the one jet contraction.
 
@@ -333,7 +340,11 @@ def jet_einsum(subscripts, a, b):
     coefficient-first as batched matrices, (free, summed) for ``a`` and (summed, free)
     for ``b``: a view when its subscripts list its axes in that order, a transposed view
     when in the reverse, and a copy only when neither fits, as in ``"aib,bja->ij"``.
-    Each product-table pair (i, j) -> k is one ``@`` added into coefficient k.
+    Each product-table pair (i, j) -> k is one ``@`` added into coefficient k, skipped when
+    either slab is exactly zero at every point (read at the first point, in full only where
+    that is zero); with no pair left, neither operand is read as matrices.  The bits are the
+    full table's: the sum starts at +0.0 and a skipped pair adds only +-0, except that a
+    non-finite entry facing a zero slab no longer makes NaN.
     """
     lhs, arrow, rhs = subscripts.partition("->")
     terms = lhs.split(",")
@@ -350,12 +361,15 @@ def jet_einsum(subscripts, a, b):
         raise ValueError(f"subscripts {subscripts!r} do not match the operand ranks")
     extent = dict(zip(sa, x.shape[x.ndim - len(sa) :])) | dict(zip(sb, y.shape[y.ndim - len(sb) :]))
     size = {s: math.prod(extent[c] for c in s) for s in (summed, free_a, free_b)}
-    x = _matrices(x, sa, free_a, summed, (size[free_a], size[summed]))
-    y = _matrices(y, sb, summed, free_b, (size[summed], size[free_b]))
-    batch = np.broadcast_shapes(x.shape[1:-2], y.shape[1:-2])
+    batch = np.broadcast_shapes(x.shape[1 : x.ndim - len(sa)], y.shape[1 : y.ndim - len(sb)])
     acc = np.zeros((space.ncoeff, *batch, *(extent[c] for c in free_a + free_b)))
+    live = [_live(v, v.ndim - 1 - len(s)) for v, s in ((x, sa), (y, sb))]
     ti, tj, tk, _ = space.product_table()
-    for i, j, k in zip(ti, tj, tk):
-        acc[k] += (x[i] @ y[j]).reshape(acc.shape[1:])
+    keep = live[0][ti] & live[1][tj]
+    if keep.any():
+        x = _matrices(x, sa, free_a, summed, (size[free_a], size[summed]))
+        y = _matrices(y, sb, summed, free_b, (size[summed], size[free_b]))
+        for i, j, k in zip(ti[keep], tj[keep], tk[keep]):
+            acc[k] += (x[i] @ y[j]).reshape(acc.shape[1:])
     out_axes = [1 + len(batch) + (free_a + free_b).index(c) for c in rhs]
     return Jet(space, acc.transpose(*range(1, len(batch) + 1), *out_axes, 0))

@@ -311,7 +311,8 @@ def fit_constant_curvature(blocks, points=None):
     sums = {"R.M": np.concatenate(sums[0]), "M.M": np.concatenate(sums[1])}
     if points is not None:
         _require_finite(points, "constant-curvature fit", sums)
-    numerator, denom = (float(np.sum(parts)) for parts in sums.values())
+    scale = -np.frexp(np.max(sums["M.M"]))[1]  # no sum overflows; exact unless a term underflows
+    numerator, denom = (float(np.sum(np.ldexp(parts, scale))) for parts in sums.values())
     lam = numerator / denom
     return lam, np.concatenate([_peak(riemann - lam * model(g)) for riemann, g in blocks])
 

@@ -11,6 +11,7 @@ import pytest
 
 import statmanifold
 from statmanifold import Jet, JetDomainError, jet_space
+from statmanifold import jets
 from statmanifold.jets import jet_einsum, jet_partial
 
 
@@ -310,6 +311,72 @@ def test_jet_einsum_truncates_the_higher_operand(high):
     expected = jet_einsum("Ada,a->Ad", a.truncated(2), b.truncated(2))
     assert out.order == 2
     np.testing.assert_array_equal(out.coeff, expected.coeff)
+
+
+def _every_pair(monkeypatch, subscripts, a, b):
+    # the product-table reference: every pair (i, j) -> k is one @, zero slabs included
+    with monkeypatch.context() as patched:
+        patched.setattr(jets, "_live", lambda x, nbatch: np.ones(len(x), dtype=bool))
+        return jet_einsum(subscripts, a, b)
+
+
+@pytest.mark.parametrize(
+    "zeros",
+    [{"a": [0, 2, 5]}, {"b": [1, 4, 9]}, {"a": [0, 3], "b": [0, 7]}, {"a": [4], "b": [2], "sign": -1}],
+    ids=["in-a", "in-b", "in-both", "negative-zero"],
+)
+@pytest.mark.parametrize(
+    "subscripts, layouts",
+    [("ia,aj->ij", ("prefix", "transposed")), ("ji,j->i", ("transposed", "broadcast")),
+     ("aib,bja->ij", ("transposed", "major"))],
+)
+def test_jet_einsum_skips_zero_slabs_bit_for_bit(monkeypatch, subscripts, layouts, zeros):
+    # a skipped pair would only add +-0 to an accumulator that starts at +0.0, so the
+    # result has the same bits as the full product-table loop; -0.0 slabs are zero too
+    rng = np.random.default_rng(29)
+    m, n, space, high = 3, 4, jet_space(3, 2), jet_space(3, 3)
+    operands = []
+    for name, term, layout in zip("ab", subscripts.split("->")[0].split(","), layouts):
+        shape = (m,) * len(term) + (high.ncoeff if layout == "prefix" else space.ncoeff,)
+        coeff = rng.standard_normal(shape if layout == "broadcast" else (n, *shape))
+        coeff[..., zeros.get(name, [])] = zeros.get("sign", 1) * 0.0
+        if layout == "broadcast":  # one point's coefficients seen at every point, stride 0
+            coeff = np.broadcast_to(coeff, (n, *shape))
+        elif layout == "prefix":  # an order-3 jet's coefficient axis, sliced
+            coeff = coeff[..., : space.ncoeff]
+        elif layout == "transposed":  # two tensor axes swapped in place
+            coeff = np.swapaxes(coeff, 1, 2)
+        operands.append(Jet(space, _coefficient_major(coeff) if layout == "major" else coeff))
+    out = jet_einsum(subscripts, *operands)
+    assert np.array_equal(out.coeff, _every_pair(monkeypatch, subscripts, *operands).coeff)
+    assert out.coeff.strides[-1] == max(out.coeff.strides)
+
+
+def test_jet_einsum_keeps_a_slab_zero_only_at_the_first_point(monkeypatch):
+    # the first point is read first; a slab zero there is scanned over the whole batch
+    rng = np.random.default_rng(31)
+    space = jet_space(2, 2)
+    a = Jet(space, np.zeros((3, 2, 2, space.ncoeff)))
+    a.coeff[2, ..., 4] = rng.standard_normal((2, 2))
+    b = Jet(space, rng.standard_normal((3, 2, 2, space.ncoeff)))
+    out = jet_einsum("ik,kj->ij", a, b)
+    assert np.any(out.coeff[2] != 0.0) and not np.any(out.coeff[:2])
+    assert np.array_equal(out.coeff, _every_pair(monkeypatch, "ik,kj->ij", a, b).coeff)
+
+
+def test_jet_einsum_of_a_zero_operand_is_zero_without_matrices(monkeypatch):
+    def matrices(*args):
+        raise AssertionError("no pair survives, so no operand is read as matrices")
+
+    monkeypatch.setattr(jets, "_matrices", matrices)
+    rng = np.random.default_rng(37)
+    high, space = jet_space(3, 3), jet_space(3, 2)
+    a = Jet(high, np.zeros((2, 1, 3, 3, 3, high.ncoeff)))
+    b = Jet(space, rng.standard_normal((3, 3, 3, 3, space.ncoeff)))  # batches (2, 1) and (3,)
+    out = jet_einsum("aib,bja->ij", a, b)
+    assert out.order == 2 and out.coeff.shape == (2, 3, 3, 3, space.ncoeff)
+    assert out.coeff.strides[-1] == max(out.coeff.strides)
+    assert not np.any(out.coeff) and not np.any(np.signbit(out.coeff))
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from statmanifold import (
     get_builtin,
     hyperbolic_ball,
     random_polynomial_cubic,
+    run_diagnostics,
 )
 from statmanifold.jets import Jet, jet_space
 from statmanifold.pipeline import fit_constant_curvature, residual_table, scalar_relation_gap
@@ -229,6 +230,21 @@ def test_constant_curvature_fit_over_blocks_matches_one_block(instance):
     assert block_lam == pytest.approx(lam, rel=1e-15)
     assert block_residual.shape == residual.shape
     np.testing.assert_allclose(block_residual, residual, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["sphere-m2", "hyperbolic-m2"])
+def test_constant_curvature_fit_sums_past_the_float_range(name):
+    # g -> s g keeps R^l_ijk and divides lambda by s; s leaves every point's
+    # M.M = 2 (m - 1) |g|^2 finite and makes their sum over the sample overflow
+    instance = get_builtin(name)
+    spec, g = instance.spec, frames(instance)[0].g
+    mm = 2 * (spec.dim - 1) * np.sum(g * g, axis=(1, 2))
+    s = float(2 * np.sqrt(np.finfo(float).max / np.sum(mm)))
+    assert np.max(mm) < np.finfo(float).max / s**2 < np.sum(mm)
+    scaled = ManifoldSpec.from_dict(spec.to_dict())
+    scaled.metric = {key: f"{s!r}*({value})" for key, value in spec.metric.items()}
+    lam = run_diagnostics(spec).constant_curvature["lambda"]
+    assert s * run_diagnostics(scaled).constant_curvature["lambda"] == pytest.approx(lam, rel=1e-12)
 
 
 def test_ricci_symmetry_equivalence_on_instances():

@@ -128,6 +128,14 @@ MUTATIONS = [
      "return x.reshape(lead + size)",
      "jet_einsum: transposed operand view read without its swapaxes"),
     ("src/statmanifold/jets.py",
+     "    live[~live] = [x[i].any() for i in np.flatnonzero(~live)]\n",
+     "",
+     "jet_einsum: a slab zero at the first point skipped without the full scan"),
+    ("src/statmanifold/jets.py",
+     "keep = live[0][ti] & live[1][tj]",
+     "keep = live[0][ti] & live[0][tj]",
+     "jet_einsum: the first operand's zero slabs read for the second's"),
+    ("src/statmanifold/jets.py",
      "factor[d, q] = e[d] + 1",
      "factor[d, q] = 1 + (e[d] > 0)",
      "partial_table: factor 2 for 3 on squared exponents"),
