@@ -17,6 +17,7 @@ immutable and safe to share; evaluation is pure.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -382,22 +383,26 @@ def usable_fd_step(h):
     return 0 < h < np.inf and h * h > 0
 
 
-def central_differences(fn, point, h, order=2):
-    """(value, gradient, Hessian) of ``fn`` at ``point`` by central differences.
-
-    ``fn`` maps points (..., m) to values of any trailing shape; derivative
-    axes come last.  The Hessian is None at ``order`` 1.  ``fn`` is called
-    once, on the whole stencil (2m + 1 points at order 1, 2m^2 + 1 at order
-    2) stacked as points (..., stencil, m).
-    """
+def fd_stencil(point, h, order=2):
+    """Points (..., stencil, m) around each of ``point`` (..., m): the point, point +- h e_i
+    and, at ``order`` 2, point +- h e_i +- h e_j (i < j).  The order-1 stencil (2m + 1
+    points) is a prefix of the order-2 one (2m^2 + 1), so one evaluation serves both."""
     point = np.asarray(point, dtype=float)
     m = point.shape[-1]
     eye = np.eye(m)
-    i, j = np.triu_indices(m, 1)
     steps = [np.zeros((1, m)), eye, -eye]
     if order == 2:
+        i, j = np.triu_indices(m, 1)
         steps += [si * eye[i] + sj * eye[j] for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-    f = np.moveaxis(fn(point[..., None, :] + h * np.concatenate(steps)), point.ndim - 1, 0)
+    return point[..., None, :] + h * np.concatenate(steps)
+
+
+def central_differences(f, axis, h, order=2):
+    """(value, gradient, Hessian) from the values ``f`` of a function on the
+    :func:`fd_stencil` of ``order``, whose points run along ``axis``.  Values may
+    have any trailing shape; derivative axes come last; the Hessian is None at order 1."""
+    f = np.moveaxis(f, axis, 0)
+    m = (len(f) - 1) // 2 if order == 1 else math.isqrt((len(f) - 1) // 2)
     value, fp, fm = f[0], f[1 : 1 + m], f[1 + m : 1 + 2 * m]
     gradient = np.moveaxis((fp - fm) / (2.0 * h), 0, -1)
     if order == 1:
@@ -405,6 +410,7 @@ def central_differences(fn, point, h, order=2):
     hessian = np.zeros(np.shape(value) + (m, m))
     hessian[..., range(m), range(m)] = np.moveaxis((fp - 2.0 * value + fm) / h**2, 0, -1)
     pp, pm, mp, mm = np.split(f[1 + 2 * m :], 4)
+    i, j = np.triu_indices(m, 1)
     hessian[..., i, j] = hessian[..., j, i] = np.moveaxis((pp - pm - mp + mm) / (4.0 * h**2), 0, -1)
     return value, gradient, hessian
 
@@ -413,12 +419,13 @@ def fd_jet(node, point, order, h):
     """The (value, gradient, Hessian) arrays of :func:`central_differences`, for
     cross-checking only; orders 1 (Hessian None) and 2.
 
-    The whole stencil is one order-0 :func:`eval_jet` call; the point must sit
-    inside the expression's domain with margin at least ``2h`` in every
+    The whole :func:`fd_stencil` is one order-0 :func:`eval_jet` call; the point
+    must sit inside the expression's domain with margin at least ``2h`` in every
     coordinate, otherwise the stencil evaluation raises the usual domain error.
     """
     if order not in (1, 2):
         raise ValueError("fd_jet supports orders 1 and 2")
     if not usable_fd_step(h):
         raise ValueError("fd step must be finite and positive, and its square must not be 0")
-    return central_differences(lambda q: eval_jet(node, q, 0).value, point, h, order)
+    stencil = fd_stencil(point, h, order)
+    return central_differences(eval_jet(node, stencil, 0).value, stencil.ndim - 2, h, order)

@@ -221,6 +221,8 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             a, b = self._aligned(other)
+            if a.order == 0:  # the table's one pair: the values' product, bit for bit
+                return Jet(a.space, a.coeff * b.coeff)
             ti, tj, _, scatter = a.space.product_table()
             return Jet(a.space, (a.coeff[..., ti] * b.coeff[..., tj]) @ scatter)
         other = np.asarray(other, dtype=float)

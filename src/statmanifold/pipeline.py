@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .expr import central_differences, eval_jet, fd_jet, parse_expression, usable_fd_step
+from .expr import central_differences, eval_jet, fd_jet, fd_stencil, parse_expression, usable_fd_step
 from .geometry import GeometryFrame, metric_derivative
 from .manifold import (
     ManifoldSpec, OptionError, SpecValidationError, require_real, require_sample_options,
@@ -48,8 +48,8 @@ CONSTANT_CURVATURE_SCALE = 1e-6
 DIFFTENSION_FLOOR = 1e-12
 # tolerance of the conditional relations between curvature scalars
 RELATION_TOLERANCE = 1e-6
-# points per frame in run_diagnostics and crosscheck; memory grows with it: on the flat
-# m = 8 chart one 1024-point block took 9.9 s and 1.5 GB, 128-point blocks 6.2 s and 264 MB
+# points per frame in run_diagnostics and crosscheck; memory grows with it, about m^4 times
+# ncoeff(m, 2) doubles per point: ROADMAP.md item 5 has the curved m = 8 time and memory
 BLOCK_POINTS = 1024
 
 
@@ -504,42 +504,52 @@ def _crosscheck_block(compiled, points, h):
 def _fd_route(compiled, points, h, probe):
     """Gamma, R, the scalar Laplacian of ``probe`` and nabla^g T under the crosscheck's
     names, from central differences of order-0 values only: the oracle builds no frame
-    and calls no geometry kernel, so it shares no formula with the jet route."""
-    # the metric as one tensor on the stacked stencil; its centre value gives g^{-1}
-    g, dg, d2g = central_differences(
-        lambda q: compiled.metric_jets(q, 0, "stencil").value, points, h
+    and calls no geometry kernel, so it shares no formula with the jet route.
+
+    The metric is evaluated once, on the order-2 stencil; T's stencil is its first
+    2m + 1 points, where only C is evaluated.  Contractions are batched ``@``, none
+    searching an einsum path per call; the Laplacian's einsum loop is O(N m^3).
+    """
+    m = compiled.spec.dim
+    stencil = fd_stencil(points, h)
+    values = compiled.metric_jets(stencil, 0, "stencil").value  # (p, stencil, m, m)
+    _, dg, d2g = central_differences(values, 1, h)
+    # T^k = -1/2 g^{kl} g^{ij} C_ijl on the order-1 stencil, the trace of C first; the
+    # compiled C fills all six permutations from one source, so it is symmetric.  C's stencil
+    # values (19 MB at m = 8 and 276 points) are bound to no name, so they die after the trace
+    ginv_t = np.linalg.inv(values[:, : 2 * m + 1])
+    trace = np.einsum(
+        "...ij,...ijl->...l", ginv_t, compiled.cubic_jets(stencil[:, : 2 * m + 1], 0, "stencil").value
     )
-    ginv = np.linalg.inv(g)
-    # first-kind brackets d_i g_jl + d_j g_il - d_l g_ij at [p, l, i, j] from d_c g_ab at
-    # [p, a, b, c], and their derivatives from d_u d_v g_ab at [p, a, b, u, v]
+    t, dt, _ = central_differences(-0.5 * np.einsum("...kl,...l->...k", ginv_t, trace), 1, h, 1)
+    ginv = ginv_t[:, 0]  # at the points themselves, stencil slot 0
+    # first-kind brackets d_i g_jl + d_j g_il - d_l g_ij at [..., l, i, j] from d_c g_ab at
+    # [..., a, b, c]: from dg, and their derivatives at [p, d, l, i, j] from d2g, d_d moved first
     first, dfirst = (
-        np.einsum("pjli...->plij...", x) + np.einsum("pilj...->plij...", x)
-        - np.einsum("pijl...->plij...", x)
-        for x in (dg, d2g)
+        np.einsum("...jli->...lij", x) + np.einsum("...ilj->...lij", x)
+        - np.einsum("...ijl->...lij", x)
+        for x in (dg, np.moveaxis(d2g, -1, 1))
     )
-    # d_d g^{kl} = -g^{ka} (d_d g_ab) g^{bl}
-    dginv = -np.einsum("pka,pabd,pbl->pkld", ginv, dg, ginv, optimize="greedy")
-    gamma = 0.5 * np.einsum("pkl,plij->pkij", ginv, first)
+    # d_d g^{kl} = -g^{ka} (d_d g_ab) g^{bl} at [p, d, k, l]
+    dginv = -(ginv[:, None] @ np.moveaxis(dg, -1, 1) @ ginv[:, None])
+    gamma = 0.5 * (ginv @ first.reshape(-1, m, m * m)).reshape(first.shape)
     dgamma = 0.5 * (
-        np.einsum("pkld,plij->pkijd", dginv, first) + np.einsum("pkl,plijd->pkijd", ginv, dfirst)
-    )
+        dginv @ first.reshape(-1, 1, m, m * m) + ginv[:, None] @ dfirst.reshape(-1, m, m, m * m)
+    ).reshape(dfirst.shape)  # d_d Gamma^k_ij at [p, d, k, i, j]
     # R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_ia Gamma^a_jk - Gamma^l_ja Gamma^a_ik:
     # a[l, i, j, k] = d_i Gamma^l_jk + Gamma^l_ia Gamma^a_jk minus its i <-> j transpose
-    a = np.einsum("pljki->plijk", dgamma) + np.einsum("plia,pajk->plijk", gamma, gamma)
+    gamma_gamma = gamma.reshape(-1, m * m, m) @ gamma.reshape(-1, m, m * m)
+    a = np.swapaxes(dgamma, 1, 2) + gamma_gamma.reshape(dgamma.shape)
     riemann = a - np.swapaxes(a, 2, 3)
     with np.errstate(over="ignore", invalid="ignore"):
         _, df, d2f = fd_jet(probe, points, 2, h)
     _require_finite(points, "scalar probe", {"fd gradient": df, "fd Hessian": d2f})
-    laplacian = np.einsum("pij,pij->p", ginv, d2f) - np.einsum(
-        "pij,paij,pa->p", ginv, gamma, df, optimize="greedy"
-    )
-    # nabla^g T from fd derivatives of the T field (order-0 evaluations)
-    t, dt, _ = central_differences(lambda q: _tchebychev_values(compiled, q), points, h, order=1)
+    laplacian = np.einsum("pij,pij->p", ginv, d2f) - np.einsum("pij,paij,pa->p", ginv, gamma, df)
     return {
         "christoffel": gamma,
         "curvature": riemann,
         "scalar_laplacian": laplacian,
-        "tchebychev_operator": dt + np.einsum("pkda,pa->pkd", gamma, t),
+        "tchebychev_operator": dt + (gamma.reshape(-1, m * m, m) @ t[..., None]).reshape(dt.shape),
     }
 
 
@@ -555,12 +565,3 @@ def _shrink_box(spec, h):
             )
         shrunk_box[name] = (lo + 2.0 * h, hi - 2.0 * h)
     return replace(spec, sample=replace(spec.sample, box=shrunk_box))
-
-
-def _tchebychev_values(compiled, points):
-    """Pointwise T^k = -1/2 g^{kl} g^{ij} C_ijl through the order-0 route: values
-    of g and C, the trace of C first."""
-    ginv = np.linalg.inv(compiled.metric_jets(points, 0, "stencil").value)
-    # the compiled C fills all six permutations from one source, so it is symmetric
-    trace = np.einsum("...ij,...ijl->...l", ginv, compiled.cubic_jets(points, 0, "stencil").value)
-    return -0.5 * np.einsum("...kl,...l->...k", ginv, trace)

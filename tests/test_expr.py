@@ -14,7 +14,7 @@ from statmanifold import (
     random_polynomial_cubic,
     to_source,
 )
-from statmanifold.expr import MAX_DEPTH, central_differences
+from statmanifold.expr import MAX_DEPTH, central_differences, fd_stencil
 from statmanifold.jets import Jet
 
 # the fd-versus-jet corpus: every operator and call at least once
@@ -175,22 +175,20 @@ def test_fd_exact_on_quadratics():
 
 
 def test_central_differences_evaluate_each_stencil_point_once():
-    # one call on the whole stencil: the value, 2m axis points and 4 points
-    # per off-diagonal pair, 2m^2 + 1 distinct rows per point
+    # one stacked stencil: the value, 2m axis points and 4 points per
+    # off-diagonal pair, 2m^2 + 1 distinct rows per point, the order-1 stencil first
     m, h = 3, 1e-3
     point = np.array([[0.3, -0.2, 0.5], [0.1, 0.4, -0.6]])
-    seen = []
 
     def f(q):
-        seen.append(q.copy())
         return np.sin(q[..., 0]) * q[..., 1] + q[..., 1] * q[..., 2] * q[..., 2]
 
-    value, gradient, hessian = central_differences(f, point, h)
-    assert len(seen) == 1
-    stencil = seen[0]
+    stencil = fd_stencil(point, h)
     assert stencil.shape == (len(point), 2 * m * m + 1, m)
     for rows in stencil:
         assert len({row.tobytes() for row in rows}) == 2 * m * m + 1
+    assert np.array_equal(fd_stencil(point, h, order=1), stencil[:, : 2 * m + 1])
+    value, gradient, hessian = central_differences(f(stencil), 1, h)
     # the textbook stencil, one formula per entry
     e = np.eye(m) * h
     assert np.array_equal(value, f(point))
@@ -206,7 +204,8 @@ def test_central_differences_evaluate_each_stencil_point_once():
                     - f(point - e[lo] + e[hi]) + f(point - e[lo] - e[hi])
                 ) / (4.0 * h**2)
             assert np.array_equal(hessian[:, i, j], want)
-    assert central_differences(f, point, h, order=1)[2] is None
+    first = central_differences(f(stencil[:, : 2 * m + 1]), 1, h, order=1)
+    assert np.array_equal(first[1], gradient) and first[2] is None
 
 
 def test_constant_factor_gives_the_jet_product_bit_for_bit():
@@ -235,7 +234,8 @@ def test_fd_jet_is_central_differences_of_the_values(order):
     ast = parse_expression("sin(x1*x2) + exp(x2/3)", ["x1", "x2"])
     pts = 0.2 + np.random.default_rng(4).random((6, 2))
     got = fd_jet(ast, pts, order, 1e-3)
-    want = central_differences(lambda q: eval_jet(ast, q, 0).value, pts, 1e-3, order)
+    stencil = fd_stencil(pts, 1e-3, order)
+    want = central_differences(eval_jet(ast, stencil, 0).value, 1, 1e-3, order)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     if order == 1:
         assert got[2] is None and want[2] is None

@@ -174,6 +174,30 @@ def test_powc_is_the_power_rule_bit_for_bit(exponent, order):
     assert x.powc(exponent).coeff.tobytes() == x.compose(derivs).coeff.tobytes()
 
 
+def test_order_zero_product_is_the_product_table_route_bit_for_bit(monkeypatch):
+    # at order 0 Jet.__mul__ multiplies the values; the table route gathers its one
+    # pair and scatters it through a 1 x 1 matmul: compared on every centroaffine source
+    spec = statmanifold.get_builtin("centroaffine").spec
+    compiled = spec.compile()
+    points = spec.sample_points(seed=1)
+    direct = {label: compiled.rows(label, points, 0, "sample") for label in ("metric", "cubic")}
+    products = []
+
+    def table_route(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.space, self.coeff * np.asarray(other, dtype=float)[..., None])
+        a, b = self._aligned(other)
+        ti, tj, _, scatter = a.space.product_table()
+        products.append(a.order)
+        return Jet(a.space, (a.coeff[..., ti] * b.coeff[..., tj]) @ scatter)
+
+    monkeypatch.setattr(Jet, "__mul__", table_route)
+    monkeypatch.setattr(Jet, "__rmul__", table_route)
+    for label, rows in direct.items():
+        assert rows.tobytes() == compiled.rows(label, points, 0, "sample").tobytes(), label
+    assert products and set(products) == {0}
+
+
 def test_variable_jets_batched():
     pts = np.array([[1.0, 2.0], [3.0, 4.0]])
     space = jet_space(2, 2)

@@ -293,9 +293,10 @@ def test_each_crosscheck_stencil_is_one_call(monkeypatch):
     for module in (expr, manifold, pipeline):
         monkeypatch.setattr(module, "eval_jet", counted)
     pipeline._crosscheck_block(compiled, spec.sample_points(seed=1), pipeline.FD_STEP)
-    # 7 for the frames, 3 for the metric stencil, 7 for T's stencil (metric and
-    # cubic at order 0) and 2 for the probe (its jet and its fd stencil)
-    assert len(calls) == 7 + 3 + 7 + 2
+    # 7 for the frames, 3 for the metric stencil, 4 for C on T's stencil (its
+    # metric values are the metric stencil's first 2m + 1) and 2 for the probe
+    # (its jet and its fd stencil)
+    assert len(calls) == 7 + 3 + 4 + 2
 
 
 @pytest.mark.parametrize(
@@ -359,7 +360,13 @@ def _sphere_with_polynomial_cubic():
 
 
 @pytest.mark.parametrize(
-    "spec", [_sphere_with_polynomial_cubic(), get_builtin("centroaffine").spec], ids=lambda s: s.name
+    "spec",
+    [
+        _sphere_with_polynomial_cubic(),
+        get_builtin("centroaffine").spec,
+        ManifoldSpec.from_dict(report_digest.NON_EINSTEIN_M3),
+    ],
+    ids=lambda s: s.name,
 )
 def test_crosscheck_orders_give_the_compared_quantities(spec):
     # order 1 (metric 2, g^{-1} and cubic 1) against the diagnostics' 2 (metric 2,
@@ -374,6 +381,60 @@ def test_crosscheck_orders_give_the_compared_quantities(spec):
         (low_stat.tch, stat.tch),
     ):
         assert np.max(pipeline._relative(full, low)) <= 1e-13
+
+
+def _einsum_fd_route(compiled, points, h, probe):
+    """The fd route's four quantities by einsum formulas, the reference of its batched
+    ``@`` contractions; T's metric values come from an evaluation of their own."""
+    first_stencil, second_stencil = (expr.fd_stencil(points, h, order) for order in (1, 2))
+    g, dg, d2g = expr.central_differences(
+        compiled.metric_jets(second_stencil, 0, "stencil").value, 1, h
+    )
+    ginv = np.linalg.inv(g)
+    first, dfirst = (
+        np.einsum("pjli...->plij...", x) + np.einsum("pilj...->plij...", x)
+        - np.einsum("pijl...->plij...", x)
+        for x in (dg, d2g)
+    )
+    dginv = -np.einsum("pka,pabd,pbl->pkld", ginv, dg, ginv, optimize="greedy")
+    gamma = 0.5 * np.einsum("pkl,plij->pkij", ginv, first)
+    dgamma = 0.5 * (
+        np.einsum("pkld,plij->pkijd", dginv, first) + np.einsum("pkl,plijd->pkijd", ginv, dfirst)
+    )
+    a = np.einsum("pljki->plijk", dgamma) + np.einsum("plia,pajk->plijk", gamma, gamma)
+    _, df, d2f = expr.fd_jet(probe, points, 2, h)
+    laplacian = np.einsum("pij,pij->p", ginv, d2f) - np.einsum(
+        "pij,paij,pa->p", ginv, gamma, df, optimize="greedy"
+    )
+    stencil_ginv = np.linalg.inv(compiled.metric_jets(first_stencil, 0, "stencil").value)
+    cubic = compiled.cubic_jets(first_stencil, 0, "stencil").value
+    trace = np.einsum("...ij,...ijl->...l", stencil_ginv, cubic)
+    t_values = -0.5 * np.einsum("...kl,...l->...k", stencil_ginv, trace)
+    t, dt, _ = expr.central_differences(t_values, 1, h, order=1)
+    return {
+        "christoffel": gamma,
+        "curvature": a - np.swapaxes(a, 2, 3),
+        "scalar_laplacian": laplacian,
+        "tchebychev_operator": dt + np.einsum("pkda,pa->pkd", gamma, t),
+    }
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ManifoldSpec.from_dict(report_digest.NON_EINSTEIN_M3), _sphere_with_polynomial_cubic()],
+    ids=lambda s: s.name,
+)
+def test_fd_route_contractions_match_the_einsum_formulas(spec):
+    # both charts have T != 0 and R != 0, so every product of the batched route is read
+    compiled = spec.compile()
+    points = pipeline._shrink_box(spec, pipeline.FD_STEP).sample_points(seed=1)
+    probe = pipeline._probe(spec.dim)
+    fd = pipeline._fd_route(compiled, points, pipeline.FD_STEP, probe)
+    reference = _einsum_fd_route(compiled, points, pipeline.FD_STEP, probe)
+    assert set(fd) == set(reference)
+    for name, value in reference.items():
+        assert np.max(np.abs(value)) > 1e-3, name
+        assert np.max(pipeline._relative(value, fd[name])) <= 1e-12, name
 
 
 def test_blocks_ask_for_the_metric_and_the_cubic_form_at_their_orders(monkeypatch):
@@ -399,7 +460,7 @@ def test_blocks_ask_for_the_metric_and_the_cubic_form_at_their_orders(monkeypatc
     crosscheck(spec, count=10)
     assert calls == [
         ("metric", 2, "sample"), ("cubic", 1, "sample"),
-        ("metric", 0, "stencil"), ("metric", 0, "stencil"), ("cubic", 0, "stencil"),
+        ("metric", 0, "stencil"), ("cubic", 0, "stencil"),
     ]
 
 

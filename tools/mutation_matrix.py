@@ -103,6 +103,14 @@ MUTATIONS = [
      '"parallel_tchebychev_criterion": _peak(tch),',
      '"parallel_tchebychev_criterion": _peak(stat.T_jets.gradient()),',
      "parallel_tchebychev_criterion: dT read for nabla^g T"),
+    ("src/statmanifold/pipeline.py",
+     "ginv_t = np.linalg.inv(values[:, : 2 * m + 1])",
+     "ginv_t = np.linalg.inv(values[:, 1 : 2 * m + 2])",
+     "fd route: T's metric values read one stencil slot late"),
+    ("src/statmanifold/pipeline.py",
+     "dginv @ first.reshape(-1, 1, m, m * m)",
+     "np.swapaxes(dginv, 1, 2) @ first.reshape(-1, 1, m, m * m)",
+     "fd route: d g^-1 slots d and k transposed in the d Gamma product"),
     ("src/statmanifold/maps.py",
      "+ div_trace_k[:, None] * self.tau\n",
      "- div_trace_k[:, None] * self.tau\n",
