@@ -1,5 +1,5 @@
 """Chart specifications: expression-valued metric and cubic form components,
-validation, and deterministic point sampling.
+compilation and validation, and deterministic point sampling.
 
 A spec is a JSON-compatible object::
 
@@ -18,7 +18,8 @@ A spec is a JSON-compatible object::
 Metric keys cover the lower triangle (indices 1-based, nondecreasing); the
 full symmetric matrix is implied.  Cubic keys are nondecreasing index triples;
 missing triples are zero, total symmetry is implied.  The sample box must sit
-strictly inside the domain of every expression; validation probes it.
+strictly inside the domain of every expression: ``validate()`` probes it, and a
+run checks every point it evaluates.
 """
 
 from __future__ import annotations
@@ -26,12 +27,16 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
+import operator
 from dataclasses import dataclass, field, fields
 from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .expr import FUNCTIONS, IDENTIFIER, EvalDomainError, ExprError, eval_jet, parse_expression
+from .expr import (
+    FUNCTIONS, IDENTIFIER, Binary, Const, EvalDomainError, ExprError, Unary, Var, eval_jet,
+    parse_expression, to_source,
+)
 from .geometry import MetricNotPositiveDefinite, require_positive_definite
 from .jets import MAX_DIM, Jet, jet_space
 
@@ -155,9 +160,12 @@ class ManifoldSpec:
 
     # -- validation ------------------------------------------------------------
 
-    def validate(self):
-        """Raise :class:`SpecValidationError` collecting every problem found,
-        probing the box last; return the :class:`CompiledManifold` it probed."""
+    def compile(self):
+        """Check the spec's fields and keys, parse each distinct source once and write it
+        as a sum over shared atoms; return the :class:`CompiledManifold`, or raise
+        :class:`SpecValidationError` collecting every problem found.  No expression is
+        evaluated: the run path's frames and stencils gate the domain, finiteness and
+        positive definiteness at the points they use, and :meth:`validate` probes."""
         problems = []
         if not _is_integer(self.dim) or not 2 <= self.dim <= MAX_DIM:
             problems.append(f"dim must be an integer in 2..{MAX_DIM}, got {self.dim!r}")
@@ -229,11 +237,16 @@ class ManifoldSpec:
                     problems.append(f"sample {name} must be nonnegative")
         if problems:
             raise SpecValidationError(problems)
+        return CompiledManifold(self, asts)
 
-        # the probe: every distinct expression to order 2, and g positive definite
-        compiled = CompiledManifold(self, asts)
+    def validate(self):
+        """:meth:`compile`, then probe the box: every distinct expression to order 2,
+        and g positive definite, at the centre, the corners and 16 uniform points.
+        Raise :class:`SpecValidationError` collecting every problem found; return the
+        :class:`CompiledManifold` it probed."""
+        compiled = self.compile()
         points = self._probe_points()
-        rows = {}
+        problems, rows = [], {}
         for label in ("metric", "cubic"):
             try:
                 rows[label] = compiled.rows(label, points, 2, "probe")
@@ -282,11 +295,6 @@ class ManifoldSpec:
             rng = np.random.default_rng(seed)
             pts = lo + (hi - lo) * rng.random((count, self.dim))
         return np.vstack([pts, _shrunk_corners(lo, hi)])
-
-    # -- compilation ----------------------------------------------------------------
-
-    def compile(self):
-        return self.validate()
 
 
 def _require_object(name, value, keys=None):
@@ -344,25 +352,41 @@ def _shrunk_corners(lo, hi):
 
 
 class CompiledManifold:
-    """Parsed expressions of a validated spec, ready for checked jet evaluation.
+    """Parsed expressions of a compiled spec, each written as a sum over shared atoms.
 
     Per tensor (``"metric"``, ``"cubic"``), ``sources`` maps each distinct
-    component source to the AST validation parsed; source i fills row i + 1 of
-    :meth:`rows`, and ``index`` (shape ``(m,) * rank``) names each entry's row,
-    0 (zero) for an absent cubic component.  Grouping by source rather than by
-    AST equality keeps ``0`` and a parameter equal to ``-0.0`` apart.
+    component source to the AST :meth:`ManifoldSpec.compile` parsed; source i fills
+    row i + 1 of :meth:`rows`, and ``index`` (shape ``(m,) * rank``) names each
+    entry's row, 0 (zero) for an absent cubic component.  Grouping by source rather
+    than by AST equality keeps ``0`` and a parameter equal to ``-0.0`` apart.
+
+    Each source is rewritten once as sum_i c_i atom_i (:func:`_linear`).  ``atoms``
+    holds each atom once for both tensors: a coordinate monomial under its exponent
+    vector, the constant 1 included, or a non-polynomial subtree under its
+    ``to_source`` text.  ``forms[label]`` lists each source's {atom: c_i} and
+    ``coefficients[label]`` is the (1 + sources, atoms of the tensor) matrix of the
+    c_i over ``columns[label]``, the atoms the tensor uses.
     """
 
     def __init__(self, spec: ManifoldSpec, asts):
         self.spec = spec
-        self.sources, self.index = {}, {}
+        self.sources, self.index, self.forms, self.columns, self.coefficients = {}, {}, {}, {}, {}
+        subtrees = {}  # to_source text -> AST, of every subtree kept as an atom
         for label, rank in (("metric", 2), ("cubic", 3)):
             components = getattr(spec, label)
             sources = self.sources[label] = {src: asts[src] for src in components.values()}
+            forms = self.forms[label] = [_linear(ast, spec.dim, subtrees) for ast in sources.values()]
+            columns = self.columns[label] = list(dict.fromkeys(key for form in forms for key in form))
+            position = {key: j for j, key in enumerate(columns)}
+            coefficients = self.coefficients[label] = np.zeros((1 + len(forms), len(columns)))
+            for i, form in enumerate(forms, 1):
+                coefficients[i, [position[key] for key in form]] = list(form.values())
             row = {src: i for i, src in enumerate(sources, 1)}
             index = self.index[label] = np.zeros((spec.dim,) * rank, dtype=np.intp)
             for entry in np.ndindex(index.shape):
                 index[entry] = row.get(components.get(component_key(entry)), 0)
+        # every atom of either tensor, in first use: a subtree's AST, a monomial's exponent vector
+        self.atoms = {key: subtrees.get(key, key) for columns in self.columns.values() for key in columns}
 
     def metric_jets(self, points, order, kind="sample"):
         """The metric as one jet tensor: coefficients (*batch, m, m, ncoeff)."""
@@ -379,27 +403,146 @@ class CompiledManifold:
     def rows(self, label, points, order, kind):
         """Each distinct source of the ``label`` tensor evaluated once on a batch
         (..., m) of ``kind`` points (sample, probe, stencil): coefficients
-        (..., 1 + sources, ncoeff).  A source that leaves its domain or is not
-        finite there is a :class:`SpecValidationError`, one line per component
-        it fills, in spec-key order."""
+        (..., 1 + sources, ncoeff).  Each atom the tensor uses is evaluated once, and
+        the rows are one contraction of the atoms with ``coefficients[label]``.  A
+        source that leaves its domain or is not finite there is a
+        :class:`SpecValidationError`, one line per component it fills, in spec-key
+        order: an atom that fails names every source that uses it."""
         points = np.asarray(points, dtype=float)
-        sources = self.sources[label]
+        flat = points.reshape(-1, self.spec.dim)
+        columns, forms = self.columns[label], self.forms[label]
         space = jet_space(self.spec.dim, order)
-        rows = np.zeros(points.shape[:-1] + (1 + len(sources), space.ncoeff))
-        failed = {}  # source -> what is wrong with it
+        atoms = np.zeros(points.shape[:-1] + (space.ncoeff, len(columns)))
+        monomials, failed = [], {}  # the monomials' columns; atom -> how it leaves its domain
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, (src, ast) in enumerate(sources.items(), 1):
+            for j, key in enumerate(columns):
+                if type(key) is tuple:
+                    monomials.append(j)
+                    continue
                 try:
-                    rows[..., i, :] = eval_jet(ast, points, order).coeff
+                    atoms[..., j] = eval_jet(self.atoms[key], points, order).coeff
                 except EvalDomainError as err:
-                    failed[src] = f"leaves its domain inside the box: {err}"
-        bad = ~np.isfinite(rows).all(axis=-1).reshape(-1, rows.shape[-2])  # (point, row)
-        for i in np.flatnonzero(bad.any(axis=0)):
-            at = points.reshape(-1, self.spec.dim)[np.argmax(bad[:, i])].tolist()
-            failed[list(sources)[i - 1]] = f"is not finite to order {order} at {kind} point {at}"
-        if failed:
-            components = getattr(self.spec, label).items()
-            raise SpecValidationError(
-                [f"{label}[{key}] {failed[src]}" for key, src in components if src in failed]
-            )
-        return rows
+                    failed[key] = f"leaves its domain inside the box: {err}"
+            if monomials:
+                q, n, values = _monomial_jets([columns[j] for j in monomials], points, space)
+                atoms[..., q, np.array(monomials)[n]] = values
+            finite = np.isfinite(atoms)
+            all_finite = finite.all()
+            if not all_finite:
+                atoms[~finite] = 0.0  # no 0 * inf in the contraction: a failed atom fails its users
+            rows = atoms.reshape(len(flat) * space.ncoeff, -1) @ self.coefficients[label].T
+        rows = rows.reshape(atoms.shape[:-1] + (1 + len(forms),))
+        if failed or not all_finite or not np.isfinite(rows).all():
+            self._fail(label, flat, order, kind, failed, finite, rows)
+        return rows.swapaxes(-1, -2)
+
+    def _fail(self, label, flat, order, kind, failed, finite, rows):
+        """Raise the spec error of :meth:`rows`: ``failed`` maps an atom to how it left its
+        domain, ``finite`` marks the atoms' finite entries and ``rows`` holds the sums,
+        formed with the non-finite entries as 0.  A source fails by its first atom that
+        left its domain, else at the first point where it or an atom it uses is not finite."""
+        forms = self.forms[label]
+        bad = ~np.isfinite(rows).all(axis=-2).reshape(len(flat), -1)  # (point, row)
+        uses = np.array([[key in form for form in [{}] + forms] for key in self.columns[label]])
+        bad |= (~finite.all(axis=-2).reshape(len(flat), -1)).astype(float) @ uses > 0
+        problems = {}  # source -> what is wrong with it
+        for i, (src, form) in enumerate(zip(self.sources[label], forms), 1):
+            domain = [failed[key] for key in form if key in failed]
+            if domain:
+                problems[src] = domain[0]
+            elif bad[:, i].any():
+                at = flat[np.argmax(bad[:, i])].tolist()
+                problems[src] = f"is not finite to order {order} at {kind} point {at}"
+        components = getattr(self.spec, label).items()
+        raise SpecValidationError(
+            [f"{label}[{key}] {problems[src]}" for key, src in components if src in problems]
+        )
+
+
+# most terms a product of two polynomials is expanded to before it is kept as one atom
+MAX_PRODUCT_TERMS = 256
+
+
+def _linear(node, dim, subtrees):
+    """``node`` as {atom: coefficient}, linear over its atoms: the exponent vector of
+    a coordinate monomial, (0, ..., 0) for a constant, or the ``to_source`` text of a
+    non-polynomial subtree, mapped to its AST in ``subtrees``.  Constant subtrees of
+    ``+ - * /``, parameters included, fold into the coefficients; a node that is not
+    linear over its children's atoms (a call, a quotient by a non-constant, a product
+    of a subtree with a non-constant, or of two polynomials with more than
+    MAX_PRODUCT_TERMS term pairs) is one atom."""
+    kind = type(node)
+    if kind is Const:
+        return {(0,) * dim: node.value}
+    if kind is Var:
+        return {(0,) * node.index + (1,) + (0,) * (dim - 1 - node.index): 1.0}
+    form = None
+    if kind is Unary:
+        form = {key: -c for key, c in _linear(node.child, dim, subtrees).items()}
+    elif kind is Binary:
+        form = _combine(node.op, _linear(node.left, dim, subtrees), _linear(node.right, dim, subtrees))
+    if form is None:
+        key = to_source(node)
+        subtrees.setdefault(key, node)
+        form = {key: 1.0}
+    return form
+
+
+def _combine(op, left, right):
+    """The form of ``left op right`` (forms of :func:`_linear`, which it may reuse),
+    or None where it is not linear over their atoms."""
+    if op in "+-":
+        sign = 1.0 if op == "+" else -1.0
+        for key, c in right.items():
+            left[key] = left[key] + sign * c if key in left else sign * c
+        return left
+    b = _constant(right)
+    if op == "/":  # by a nonzero constant: times its reciprocal, as a jet divides
+        return {key: c * (1.0 / b) for key, c in left.items()} if b else None
+    if b is not None:
+        return {key: c * b for key, c in left.items()}
+    a = _constant(left)
+    if a is not None:
+        return {key: a * c for key, c in right.items()}
+    if len(left) * len(right) > MAX_PRODUCT_TERMS or not all(
+        type(key) is tuple for key in (*left, *right)
+    ):
+        return None
+    form = {}  # the product of two polynomials
+    for (ka, ca), (kb, cb) in product(left.items(), right.items()):
+        key = tuple(map(operator.add, ka, kb))
+        form[key] = form[key] + ca * cb if key in form else ca * cb
+    return form
+
+
+def _constant(form):
+    """The value of a form that is a constant, else None."""
+    if len(form) == 1:
+        key = next(iter(form))
+        if type(key) is tuple and not any(key):
+            return form[key]
+    return None
+
+
+def _monomial_jets(exponents, points, space):
+    """The jets of the coordinate monomials x^e, e in ``exponents``, at ``points``
+    (..., m), as (q, n, values): coefficient q of monomial n is ``values`` (..., pair),
+    one pair per non-zero coefficient.  The Taylor coefficient of x^e at the
+    exponent a <= e is prod_i binom(e_i, a_i) p_i^(e_i - a_i), with p^k formed as
+    x1*x1*x1 is, by repeated products."""
+    e, a = np.array(exponents), np.array(space.exponents)
+    d = e[:, None] - a[None]  # (monomial, coefficient, m)
+    n, q = np.nonzero((d >= 0).all(axis=-1))
+    e, a, d = e[n], a[q], d[n, q]  # per pair
+    numerator, denominator = np.ones(e.shape), np.ones(e.shape)
+    for j in range(space.order):  # binom(e, a) = prod_{j < a} (e - j) / (j + 1)
+        numerator *= np.where(a > j, e - j, 1)
+        denominator *= np.where(a > j, j + 1, 1)
+    factor = np.prod(numerator / denominator, axis=-1)
+    powers = np.ones(points.shape + (1 + d.max(),))
+    for k in range(1, powers.shape[-1]):
+        powers[..., k] = powers[..., k - 1] * points
+    # the coordinates each pair raises to a positive power, padded with x1^0 = 1
+    support = np.argsort(d == 0, axis=-1, kind="stable")[:, : max(1, (d > 0).sum(axis=-1).max())]
+    values = np.prod(powers[..., support, np.take_along_axis(d, support, -1)], axis=-1) * factor
+    return q, n, values

@@ -183,9 +183,10 @@ def _asymmetry(x, a, b):
     return x - np.swapaxes(x, a, b)
 
 
-def residual_table(geom, stat, ident):
+def residual_table(geom, stat, ident, probe=None):
     """Per-point residuals of one block of frames under their report names, as
-    (identities, conditions).
+    (identities, conditions); ``probe`` is the parsed :func:`_probe`, parsed here
+    unless given.
 
     ``identities`` are the checks that fail the run beyond the tolerance, in
     report order.  ``conditions`` hold the residuals behind the flags and the
@@ -201,7 +202,8 @@ def residual_table(geom, stat, ident):
     # sum_a coeff(nabla)^a_Xa - d_X log sqrt(det g): eta by a route independent of the
     # metric contraction of K; its norm |nabla omega_g| / omega_g vanishes iff equiaffine
     volume = np.einsum("paxa->px", stat.nabla) - 0.5 * np.einsum("pij,pijx->px", geom.ginv, dg)
-    grad = geom.gradient_field(_probe_jet(_probe(geom.dim), geom.points, 3))
+    probe = _probe(geom.dim) if probe is None else probe
+    grad = geom.gradient_field(_probe_jet(probe, geom.points, 3))
     nabla_g = metric_derivative(g, dg, stat.nabla)
     identities = {
         # (nabla_X g)(Y,Z) = (nabla_Y g)(X,Z), and nabla g = C, with the direction last
@@ -277,11 +279,11 @@ def residual_table(geom, stat, ident):
     return identities, conditions
 
 
-def _block_residuals(compiled, points):
+def _block_residuals(compiled, points, probe):
     """The residual table of one block, and the inputs of the pooled
     constant-curvature fit (R and g), kept per block."""
     geometry, stat, identity = _diagnostic_frames(compiled, points)
-    identities, conditions = residual_table(geometry, stat, identity)
+    identities, conditions = residual_table(geometry, stat, identity, probe)
     # g is a view into the metric jets: copy it so that they are freed with the block
     return {"identities": identities, "conditions": conditions, "fit": (stat.R, geometry.g.copy())}
 
@@ -352,9 +354,9 @@ def run_diagnostics(spec: ManifoldSpec, tolerance=DEFAULT_TOLERANCE, count=None,
     start = time.perf_counter()
     tol = require_real("tolerance", tolerance, "nonnegative")
     require_sample_options(count, seed)
-    compiled = spec.compile()
+    compiled, probe = spec.compile(), _probe(spec.dim)
     points = spec.sample_points(count, seed)
-    res = _per_point(points, lambda block: _block_residuals(compiled, block))
+    res = _per_point(points, lambda block: _block_residuals(compiled, block, probe))
 
     checks = {
         name: _check(points, residual, max(tol, DIFFTENSION_FLOOR) if name == "difftension" else tol)
@@ -478,19 +480,19 @@ def crosscheck(spec: ManifoldSpec, h=FD_STEP, threshold=FD_TOLERANCE, count=None
         raise OptionError("h", f"must be finite and positive, and its square must not be 0, got {h}")
     threshold = require_real("threshold", threshold, "nonnegative")
     require_sample_options(count, seed)
-    compiled = spec.compile()
+    compiled, probe = spec.compile(), _probe(spec.dim)
     points = _shrink_box(spec, h).sample_points(count, seed)
-    deviations = _per_point(points, lambda block: _crosscheck_block(compiled, block, h))
+    deviations = _per_point(points, lambda block: _crosscheck_block(compiled, block, h, probe))
     deviations = {name: float(np.max(dev)) for name, dev in deviations.items()}
     return CrosscheckReport(name=spec.name, h=h, threshold=threshold, deviations=deviations)
 
 
-def _crosscheck_block(compiled, points, h):
-    """Per-point relative deviations of the jet route from the fd route on one block."""
+def _crosscheck_block(compiled, points, h, probe):
+    """Per-point relative deviations of the jet route from the fd route on one block;
+    ``probe`` is the parsed :func:`_probe`."""
     # Gamma and R read the order-1 Gamma to first derivatives, the Laplacian
     # reads values and nabla^g T is read as values: metric 2, g^{-1} and cubic 1, probe 2
     geometry, stat = _frames(compiled, points, 1, reads=("tch",))
-    probe = _probe(compiled.spec.dim)
     jet = {
         "christoffel": geometry.gamma,
         "curvature": geometry.riemann,
@@ -513,11 +515,12 @@ def _fd_route(compiled, points, h, probe):
     m = compiled.spec.dim
     stencil = fd_stencil(points, h)
     values = compiled.metric_jets(stencil, 0, "stencil").value  # (p, stencil, m, m)
-    _, dg, d2g = central_differences(values, 1, h)
+    dg, d2g = central_differences(values, 1, h)[1:]  # the value is a view of the stencil
     # T^k = -1/2 g^{kl} g^{ij} C_ijl on the order-1 stencil, the trace of C first; the
     # compiled C fills all six permutations from one source, so it is symmetric.  C's stencil
     # values (19 MB at m = 8 and 276 points) are bound to no name, so they die after the trace
     ginv_t = np.linalg.inv(values[:, : 2 * m + 1])
+    del values  # the stencil's metric (18 MB at m = 8 and 276 points) is read no further
     trace = np.einsum(
         "...ij,...ijl->...l", ginv_t, compiled.cubic_jets(stencil[:, : 2 * m + 1], 0, "stencil").value
     )

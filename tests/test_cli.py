@@ -3,9 +3,10 @@
 import functools
 import json
 
+import numpy as np
 import pytest
 
-from statmanifold import ManifoldSpec, cli, get_builtin
+from statmanifold import CompiledManifold, ManifoldSpec, SpecValidationError, cli, get_builtin
 from statmanifold.cli import main
 
 
@@ -94,17 +95,41 @@ def test_run_rejects_invalid_spec(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "crosscheck"])
-def test_each_command_validates_the_spec_once(centroaffine_spec, monkeypatch, command):
-    calls = []
-    validate = ManifoldSpec.validate
+def test_each_command_compiles_the_spec_once_and_probes_never(
+    centroaffine_spec, monkeypatch, command
+):
+    # the frames and stencils gate the points a run uses; the box probe is validate()'s
+    calls, kinds = [], set()
+    compile_, rows = ManifoldSpec.compile, CompiledManifold.rows
 
     def counted(self):
         calls.append(self.name)
-        return validate(self)
+        return compile_(self)
 
-    monkeypatch.setattr(ManifoldSpec, "validate", counted)
+    def spied(self, label, points, order, kind):
+        kinds.add(kind)
+        return rows(self, label, points, order, kind)
+
+    monkeypatch.setattr(ManifoldSpec, "compile", counted)
+    monkeypatch.setattr(CompiledManifold, "rows", spied)
     assert main([command, str(centroaffine_spec)]) == 0
     assert len(calls) == 1
+    assert "probe" not in kinds and "sample" in kinds
+
+
+def test_a_spec_bad_only_at_a_probe_point_runs(tmp_path, capsys):
+    # 1e-300/(x1 - 1.75)^2 leaves its domain at the box centre x1 = 1.75 alone, the one
+    # probe point that is no sample point at the spec's seed, and is negligible elsewhere
+    spec = get_builtin("centroaffine").spec
+    assert spec._probe_points()[0, 0] == 1.75
+    assert np.abs(spec.sample_points()[:, 0] - 1.75).min() > 1e-3
+    spec.cubic["111"] += " + 1e-300*pow(x1 - 1.75, -2)"
+    with pytest.raises(SpecValidationError, match=r"cubic\[111\] leaves its domain inside the box"):
+        spec.validate()
+    path = tmp_path / "centre-pole.json"
+    spec.save(path)
+    assert main(["run", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["flags"]["semi_equiaffine"] is True
 
 
 def test_run_rejects_non_finite_expression(centroaffine_spec, capsys):

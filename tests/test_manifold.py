@@ -4,18 +4,23 @@ from itertools import product
 
 import numpy as np
 import pytest
+import report_digest
 
 from statmanifold import (
     ManifoldSpec,
     SampleSpec,
     SpecValidationError,
+    builtin_names,
     eval_jet,
     flat_constant_cubic,
     get_builtin,
     parse_expression,
+    random_polynomial_cubic,
     random_symmetric_constants,
 )
 from statmanifold import manifold
+from statmanifold.expr import to_source
+from statmanifold.jets import jet_space
 
 
 def minimal_spec(**overrides):
@@ -308,12 +313,14 @@ def test_metric_jets_evaluate_each_distinct_expression_once(monkeypatch):
 
     monkeypatch.setattr(manifold, "eval_jet", counted)
     compiled.metric_jets(spec.sample_points(count=5), 3)
-    # one conformal factor on the diagonal, one zero off it
+    # one conformal factor on the diagonal, one atom; the zero off it is a coefficient
+    # of the constant monomial, which no expression evaluates
     parse = lambda src: parse_expression(src, spec.coordinates, spec.parameters)
-    assert evaluated == [parse(spec.metric["11"]), parse("0")]
+    assert evaluated == [parse(spec.metric["11"])]
+    assert compiled.columns["metric"] == [to_source(parse(spec.metric["11"])), (0, 0, 0)]
 
 
-def test_compile_parses_and_probes_each_distinct_source_once(monkeypatch):
+def test_compile_parses_each_distinct_source_once_and_evaluates_none(monkeypatch):
     spec = get_builtin("sphere-m3").spec
     parsed, evaluated = [], []
 
@@ -329,9 +336,25 @@ def test_compile_parses_and_probes_each_distinct_source_once(monkeypatch):
     monkeypatch.setattr(manifold, "eval_jet", counted_eval)
     compiled = spec.compile()
     assert parsed == [spec.metric["11"], "0"]
-    assert len(evaluated) == 2  # the probe
-    # the compiled sources hold the ASTs validation parsed
-    assert list(compiled.sources["metric"].values()) == evaluated
+    assert evaluated == []  # no probe
+    # the compiled sources hold the ASTs compile() parsed
+    parse = lambda src: parse_expression(src, spec.coordinates, spec.parameters)
+    assert list(compiled.sources["metric"].values()) == [parse(spec.metric["11"]), parse("0")]
+
+
+def test_validate_probes_each_tensor_once(monkeypatch):
+    spec = get_builtin("centroaffine").spec
+    calls = []
+    rows = manifold.CompiledManifold.rows
+
+    def spied(self, label, points, order, kind):
+        calls.append((label, len(points), order, kind))
+        return rows(self, label, points, order, kind)
+
+    monkeypatch.setattr(manifold.CompiledManifold, "rows", spied)
+    spec.validate()
+    n = len(spec._probe_points())
+    assert calls == [("metric", n, 2, "probe"), ("cubic", n, 2, "probe")]
 
 
 @pytest.mark.parametrize(
@@ -369,3 +392,55 @@ def test_component_tables_equal_a_per_component_loop(spec, batch):
             oracle_cubic[(..., *entry, slice(None))] = component(spec.cubic, entry, order)
         assert np.array_equal(metric, oracle_metric)
         assert np.array_equal(cubic, oracle_cubic)
+
+
+MIXED = minimal_spec(
+    metric={"11": "2 + x1*x2 - 0.5*exp(0.3*x1)*1.5", "12": "0.1*x1", "22": "pow(1 + x2*x2, 0.5)/3 + x1*x1*x1"},
+    cubic={"111": "x1*x2*x2 + sin(x1)*3 - 2*pow(x2 + 2, -1) + exp(0.3*x1)", "122": "x1*(x1 - 2*x2)"},
+    sample={"box": {"x1": [0.5, 1.5], "x2": [0.5, 1.5]}, "count": 4, "seed": 1},
+)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [get_builtin(name).spec for name in builtin_names()]
+    + [random_polynomial_cubic(m, 2, 1).spec for m in range(2, 9)]
+    + [ManifoldSpec.from_dict(report_digest.NON_EINSTEIN_M3), MIXED],
+    ids=lambda spec: spec.name,
+)
+def test_rows_sum_the_atoms_as_each_source_evaluates(spec):
+    compiled = spec.compile()
+    points = spec.sample_points(count=4, seed=1)[:6]
+    for label in ("metric", "cubic"):
+        for order in range(4):
+            rows = compiled.rows(label, points, order, "sample")
+            ncoeff = jet_space(spec.dim, order).ncoeff
+            assert rows.shape == (len(points), 1 + len(compiled.sources[label]), ncoeff)
+            assert not rows[:, 0].any()
+            for i, ast in enumerate(compiled.sources[label].values(), 1):
+                expected = eval_jet(ast, points, order).coeff
+                assert np.max(np.abs(rows[:, i] - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_mixed_sources_share_their_atoms():
+    compiled = MIXED.compile()
+    # exp(0.3*x1) serves metric[11] and cubic[111]; 2 + x1*x2 - ... folds 0.5 and 1.5
+    assert sum(not isinstance(key, tuple) for key in compiled.atoms) == 4
+    assert compiled.forms["metric"][0] == {(0, 0): 2.0, (1, 1): 1.0, "exp(0.3 * x1)": -0.5 * 1.5}
+    assert compiled.forms["cubic"][1] == {(2, 0): 1.0, (1, 1): -2.0}
+
+
+def test_a_failing_atom_names_every_component_that_uses_it_and_no_other():
+    shared = {"111": "x1*x2", "112": "x2 + 2*{atom}", "122": "exp(x2)", "222": "{atom} - x1"}
+    for atom, problem in (
+        ("sqrt(x1)", "leaves its domain inside the box: sqrt of a non-positive value"),
+        # a dense contraction would turn 0 * inf into NaN in the rows that do not use it
+        ("exp(900*x1)", "is not finite to order 2 at sample point ["),
+    ):
+        spec = minimal_spec(cubic={key: src.format(atom=atom) for key, src in shared.items()})
+        with pytest.raises(SpecValidationError) as err:
+            spec.compile().cubic_jets(spec.sample_points(), 2)
+        assert [p.partition(" ")[0] for p in err.value.problems] == ["cubic[112]", "cubic[222]"]
+        assert all(p.partition(" ")[2].startswith(problem) for p in err.value.problems)
+    # the same sample point: the first where exp(900*x1) overflows
+    assert len({p.partition(" at sample point ")[2] for p in err.value.problems}) == 1

@@ -5,6 +5,7 @@ points end as spec errors."""
 import copy
 import json
 import tracemalloc
+import weakref
 
 import closed_forms
 import numpy as np
@@ -292,7 +293,7 @@ def test_each_crosscheck_stencil_is_one_call(monkeypatch):
 
     for module in (expr, manifold, pipeline):
         monkeypatch.setattr(module, "eval_jet", counted)
-    pipeline._crosscheck_block(compiled, spec.sample_points(seed=1), pipeline.FD_STEP)
+    pipeline._crosscheck_block(compiled, spec.sample_points(seed=1), pipeline.FD_STEP, pipeline._probe(spec.dim))
     # 7 for the frames, 3 for the metric stencil, 4 for C on T's stencil (its
     # metric values are the metric stencil's first 2m + 1) and 2 for the probe
     # (its jet and its fd stencil)
@@ -326,6 +327,28 @@ def test_crosscheck_catches_a_scaled_metric_inverse(rebind):
     report = crosscheck(get_builtin("sphere-m3").spec, seed=1)
     for name in ("christoffel", "scalar_laplacian"):
         assert report.deviations[name] > report.threshold, name
+
+
+def test_fd_route_frees_the_metric_stencil_before_it_reads_c():
+    # the order-2 metric stencil values are read only for dg, d2g and T's g^{-1}
+    spec = get_builtin("sphere-m3").spec
+    compiled = spec.compile()
+    metric_jets, cubic_jets = compiled.metric_jets, compiled.cubic_jets
+    stencil, alive = [], []
+
+    def kept(points, order, kind="sample"):
+        jet = metric_jets(points, order, kind)
+        stencil.append(weakref.ref(jet.coeff if jet.coeff.base is None else jet.coeff.base))
+        return jet
+
+    def checked(points, order, kind="sample"):
+        alive.append(stencil[0]() is not None)
+        return cubic_jets(points, order, kind)
+
+    compiled.metric_jets, compiled.cubic_jets = kept, checked
+    points = pipeline._shrink_box(spec, pipeline.FD_STEP).sample_points(count=5, seed=1)
+    pipeline._fd_route(compiled, points, pipeline.FD_STEP, pipeline._probe(spec.dim))
+    assert len(stencil) == 1 and alive == [False]
 
 
 @pytest.mark.parametrize(

@@ -79,6 +79,19 @@ MUTATIONS = [
      "hess = f_jet.hessian().reshape(n, -1) - gamma_grad",
      "hess = f_jet.hessian().reshape(n, -1) + gamma_grad",
      "laplacian_scalar: Gamma term added"),
+    ("src/statmanifold/geometry.py",
+     '        require_positive_definite(self.g, points, "sample")\n',
+     "",
+     "GeometryFrame: positive-definite gate removed"),
+    ("src/statmanifold/manifold.py",
+     "coefficients[i, [position[key] for key in form]] = list(form.values())",
+     "coefficients[i, [position[key] for key in form]] = "
+     "[*list(form.values())[:-1], -list(form.values())[-1]] if len(form) > 1 else list(form.values())",
+     "atoms: last coefficient of each source of two or more atoms negated"),
+    ("src/statmanifold/manifold.py",
+     "for i, form in enumerate(forms, 1):",
+     "for i, form in zip([2, 1, *range(3, len(forms) + 1)] if len(forms) > 1 else [1], forms):",
+     "atoms: coefficient rows of the first two sources swapped"),
     ("src/statmanifold/statistical.py",
      "nabla_jets, bar_jets = gamma_1 + k_1, gamma_1 - k_1",
      "nabla_jets, bar_jets = gamma_1 - k_1, gamma_1 - k_1",
