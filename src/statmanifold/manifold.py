@@ -29,6 +29,7 @@ import json
 import numbers
 import operator
 from dataclasses import dataclass, field, fields
+from functools import reduce
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -361,11 +362,11 @@ class CompiledManifold:
     than by AST equality keeps ``0`` and a parameter equal to ``-0.0`` apart.
 
     Each source is rewritten once as sum_i c_i atom_i (:func:`_linear`).  ``atoms``
-    holds each atom once for both tensors: a coordinate monomial under its exponent
-    vector, the constant 1 included, or a non-polynomial subtree under its
-    ``to_source`` text.  ``forms[label]`` lists each source's {atom: c_i} and
-    ``coefficients[label]`` is the (1 + sources, atoms of the tensor) matrix of the
-    c_i over ``columns[label]``, the atoms the tensor uses.
+    maps each atom of both tensors, once, to the AST :meth:`rows` evaluates: a
+    coordinate monomial, the constant 1 included, under its exponent vector, or any
+    other subtree under its ``to_source`` text.  ``forms[label]`` lists each
+    source's {atom: c_i} and ``coefficients[label]`` is the (1 + sources, atoms of
+    the tensor) matrix of the c_i over ``columns[label]``, the atoms the tensor uses.
     """
 
     def __init__(self, spec: ManifoldSpec, asts):
@@ -385,8 +386,8 @@ class CompiledManifold:
             index = self.index[label] = np.zeros((spec.dim,) * rank, dtype=np.intp)
             for entry in np.ndindex(index.shape):
                 index[entry] = row.get(components.get(component_key(entry)), 0)
-        # every atom of either tensor, in first use: a subtree's AST, a monomial's exponent vector
-        self.atoms = {key: subtrees.get(key, key) for columns in self.columns.values() for key in columns}
+        keys = dict.fromkeys(key for columns in self.columns.values() for key in columns)
+        self.atoms = {key: subtrees.get(key) or _monomial(key, spec.coordinates) for key in keys}
 
     def metric_jets(self, points, order, kind="sample"):
         """The metric as one jet tensor: coefficients (*batch, m, m, ncoeff)."""
@@ -413,19 +414,13 @@ class CompiledManifold:
         columns, forms = self.columns[label], self.forms[label]
         space = jet_space(self.spec.dim, order)
         atoms = np.zeros(points.shape[:-1] + (space.ncoeff, len(columns)))
-        monomials, failed = [], {}  # the monomials' columns; atom -> how it leaves its domain
+        failed = {}  # atom -> how it leaves its domain
         with np.errstate(over="ignore", invalid="ignore"):
             for j, key in enumerate(columns):
-                if type(key) is tuple:
-                    monomials.append(j)
-                    continue
                 try:
                     atoms[..., j] = eval_jet(self.atoms[key], points, order).coeff
                 except EvalDomainError as err:
                     failed[key] = f"leaves its domain inside the box: {err}"
-            if monomials:
-                q, n, values = _monomial_jets([columns[j] for j in monomials], points, space)
-                atoms[..., q, np.array(monomials)[n]] = values
             finite = np.isfinite(atoms)
             all_finite = finite.all()
             if not all_finite:
@@ -459,18 +454,16 @@ class CompiledManifold:
         )
 
 
-# most terms a product of two polynomials is expanded to before it is kept as one atom
-MAX_PRODUCT_TERMS = 256
-
-
 def _linear(node, dim, subtrees):
     """``node`` as {atom: coefficient}, linear over its atoms: the exponent vector of
-    a coordinate monomial, (0, ..., 0) for a constant, or the ``to_source`` text of a
-    non-polynomial subtree, mapped to its AST in ``subtrees``.  Constant subtrees of
-    ``+ - * /``, parameters included, fold into the coefficients; a node that is not
-    linear over its children's atoms (a call, a quotient by a non-constant, a product
-    of a subtree with a non-constant, or of two polynomials with more than
-    MAX_PRODUCT_TERMS term pairs) is one atom."""
+    a coordinate monomial, (0, ..., 0) for a constant, or the ``to_source`` text of
+    any other subtree, mapped to its AST in ``subtrees``.  Sums and differences
+    merge their terms; a product of two single terms, or a single term over a nonzero
+    constant, is one term, so constant subtrees, parameters included, fold into the
+    coefficients.  Any other node (a call, a quotient by a non-constant, a product of
+    a subtree with a non-constant, or a product with a sum) is one atom: the rows then
+    sum only the terms the source sums, and expand no difference that can cancel,
+    as (x1 - 1000)*x2 would near x1 = 1000."""
     kind = type(node)
     if kind is Const:
         return {(0,) * dim: node.value}
@@ -490,59 +483,34 @@ def _linear(node, dim, subtrees):
 
 def _combine(op, left, right):
     """The form of ``left op right`` (forms of :func:`_linear`, which it may reuse),
-    or None where it is not linear over their atoms."""
+    or None where :func:`_linear` keeps the node as one atom."""
     if op in "+-":
         sign = 1.0 if op == "+" else -1.0
         for key, c in right.items():
             left[key] = left[key] + sign * c if key in left else sign * c
         return left
-    b = _constant(right)
-    if op == "/":  # by a nonzero constant: times its reciprocal, as a jet divides
-        return {key: c * (1.0 / b) for key, c in left.items()} if b else None
-    if b is not None:
-        return {key: c * b for key, c in left.items()}
-    a = _constant(left)
-    if a is not None:
-        return {key: a * c for key, c in right.items()}
-    if len(left) * len(right) > MAX_PRODUCT_TERMS or not all(
-        type(key) is tuple for key in (*left, *right)
-    ):
+    if len(left) > 1 or len(right) > 1:
         return None
-    form = {}  # the product of two polynomials
-    for (ka, ca), (kb, cb) in product(left.items(), right.items()):
-        key = tuple(map(operator.add, ka, kb))
-        form[key] = form[key] + ca * cb if key in form else ca * cb
-    return form
-
-
-def _constant(form):
-    """The value of a form that is a constant, else None."""
-    if len(form) == 1:
-        key = next(iter(form))
-        if type(key) is tuple and not any(key):
-            return form[key]
+    (ka, a), (kb, b) = *left.items(), *right.items()
+    if _is_one(kb):
+        if op == "/":  # by a nonzero constant: times its reciprocal, as a jet divides
+            return {ka: a * (1.0 / b)} if b else None
+        return {ka: a * b}
+    if op == "/":
+        return None
+    if _is_one(ka):
+        return {kb: a * b}
+    if type(ka) is tuple and type(kb) is tuple:
+        return {tuple(map(operator.add, ka, kb)): a * b}
     return None
 
 
-def _monomial_jets(exponents, points, space):
-    """The jets of the coordinate monomials x^e, e in ``exponents``, at ``points``
-    (..., m), as (q, n, values): coefficient q of monomial n is ``values`` (..., pair),
-    one pair per non-zero coefficient.  The Taylor coefficient of x^e at the
-    exponent a <= e is prod_i binom(e_i, a_i) p_i^(e_i - a_i), with p^k formed as
-    x1*x1*x1 is, by repeated products."""
-    e, a = np.array(exponents), np.array(space.exponents)
-    d = e[:, None] - a[None]  # (monomial, coefficient, m)
-    n, q = np.nonzero((d >= 0).all(axis=-1))
-    e, a, d = e[n], a[q], d[n, q]  # per pair
-    numerator, denominator = np.ones(e.shape), np.ones(e.shape)
-    for j in range(space.order):  # binom(e, a) = prod_{j < a} (e - j) / (j + 1)
-        numerator *= np.where(a > j, e - j, 1)
-        denominator *= np.where(a > j, j + 1, 1)
-    factor = np.prod(numerator / denominator, axis=-1)
-    powers = np.ones(points.shape + (1 + d.max(),))
-    for k in range(1, powers.shape[-1]):
-        powers[..., k] = powers[..., k - 1] * points
-    # the coordinates each pair raises to a positive power, padded with x1^0 = 1
-    support = np.argsort(d == 0, axis=-1, kind="stable")[:, : max(1, (d > 0).sum(axis=-1).max())]
-    values = np.prod(powers[..., support, np.take_along_axis(d, support, -1)], axis=-1) * factor
-    return q, n, values
+def _is_one(key):
+    """Whether ``key`` is the atom 1, the exponent vector (0, ..., 0)."""
+    return type(key) is tuple and not any(key)
+
+
+def _monomial(exponents, names):
+    """The AST of the coordinate monomial with these exponents: x1*x1*x2, or 1."""
+    factors = [Var(names[i], i) for i, k in enumerate(exponents) for _ in range(k)]
+    return reduce(lambda a, b: Binary("*", a, b), factors) if factors else Const(1.0)

@@ -185,8 +185,9 @@ def _asymmetry(x, a, b):
 
 def residual_table(geom, stat, ident, probe=None):
     """Per-point residuals of one block of frames under their report names, as
-    (identities, conditions); ``probe`` is the parsed :func:`_probe`, parsed here
-    unless given.
+    (identities, conditions); ``probe`` is the parsed :func:`_probe`, which a run
+    parses once and passes to every block, and the documented three-argument call
+    parses here.
 
     ``identities`` are the checks that fail the run beyond the tolerance, in
     report order.  ``conditions`` hold the residuals behind the flags and the

@@ -313,10 +313,9 @@ def test_metric_jets_evaluate_each_distinct_expression_once(monkeypatch):
 
     monkeypatch.setattr(manifold, "eval_jet", counted)
     compiled.metric_jets(spec.sample_points(count=5), 3)
-    # one conformal factor on the diagonal, one atom; the zero off it is a coefficient
-    # of the constant monomial, which no expression evaluates
+    # one conformal factor on the diagonal; the zero off it is a coefficient of the atom 1
     parse = lambda src: parse_expression(src, spec.coordinates, spec.parameters)
-    assert evaluated == [parse(spec.metric["11"])]
+    assert [to_source(ast) for ast in evaluated] == [to_source(parse(spec.metric["11"])), "1.0"]
     assert compiled.columns["metric"] == [to_source(parse(spec.metric["11"])), (0, 0, 0)]
 
 
@@ -401,11 +400,19 @@ MIXED = minimal_spec(
 )
 
 
+# near x1 = 1000, expanding a product with a sum would cancel terms of 1e3 to 1e9
+SHIFTED = minimal_spec(
+    metric={"11": "1 + (x1 - 1000)*(x1 - 1000)", "12": "0", "22": "4 + 3*(x1 - 1000)"},
+    cubic={"111": "(x1 - 1000)*(x1 - 1000)*(x1 - 1000)", "112": "x2*(x1 - 1000)"},
+    sample={"box": {"x1": [999, 1001], "x2": [0.5, 1.5]}, "count": 4, "seed": 1},
+)
+
+
 @pytest.mark.parametrize(
     "spec",
     [get_builtin(name).spec for name in builtin_names()]
     + [random_polynomial_cubic(m, 2, 1).spec for m in range(2, 9)]
-    + [ManifoldSpec.from_dict(report_digest.NON_EINSTEIN_M3), MIXED],
+    + [ManifoldSpec.from_dict(report_digest.NON_EINSTEIN_M3), MIXED, SHIFTED],
     ids=lambda spec: spec.name,
 )
 def test_rows_sum_the_atoms_as_each_source_evaluates(spec):
@@ -425,9 +432,16 @@ def test_rows_sum_the_atoms_as_each_source_evaluates(spec):
 def test_mixed_sources_share_their_atoms():
     compiled = MIXED.compile()
     # exp(0.3*x1) serves metric[11] and cubic[111]; 2 + x1*x2 - ... folds 0.5 and 1.5
-    assert sum(not isinstance(key, tuple) for key in compiled.atoms) == 4
+    assert sum(not isinstance(key, tuple) for key in compiled.atoms) == 5
     assert compiled.forms["metric"][0] == {(0, 0): 2.0, (1, 1): 1.0, "exp(0.3 * x1)": -0.5 * 1.5}
-    assert compiled.forms["cubic"][1] == {(2, 0): 1.0, (1, 1): -2.0}
+    assert compiled.forms["cubic"][1] == {"x1 * (x1 - 2.0 * x2)": 1.0}  # a product with a sum
+
+
+def test_a_product_with_a_sum_is_one_atom():
+    compiled = SHIFTED.compile()
+    assert compiled.forms["metric"][2] == {(0, 0): 4.0, "3.0 * (x1 - 1000.0)": 1.0}
+    for form, ast in zip(compiled.forms["cubic"], compiled.sources["cubic"].values()):
+        assert form == {to_source(ast): 1.0}
 
 
 def test_a_failing_atom_names_every_component_that_uses_it_and_no_other():
