@@ -28,17 +28,21 @@ DOWN = "down"
 
 
 class MetricNotPositiveDefinite(ValueError):
-    """The metric is not positive definite at a sample or probe point."""
+    """The metric is not positive definite at a sample, probe or (crosscheck) stencil point."""
 
 
-def require_positive_definite(g, points, kind):
-    """Raise :class:`MetricNotPositiveDefinite` naming the ``kind`` point (sample,
-    probe) of the smallest eigenvalue unless g is positive definite at every point."""
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as err:
-        at = points[np.argmin(np.linalg.eigvalsh(g)[:, 0])].tolist()
-        raise MetricNotPositiveDefinite(f"metric is not positive definite at {kind} point {at}") from err
+def require_positive_definite(g, points, kind, failed=False):
+    """Raise :class:`MetricNotPositiveDefinite` naming the ``kind`` point (sample, probe,
+    stencil) of the smallest eigenvalue unless g is positive definite at every point by
+    its Cholesky factor; a caller whose own test ``failed`` has only the point named."""
+    if not failed:
+        try:
+            np.linalg.cholesky(g)
+            return
+        except np.linalg.LinAlgError:
+            pass
+    at = points[np.argmin(np.linalg.eigvalsh(g)[:, 0])].tolist()
+    raise MetricNotPositiveDefinite(f"metric is not positive definite at {kind} point {at}")
 
 
 def metric_derivative(g, dg, coeff, other=None):

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .expr import central_differences, eval_jet, fd_jet, fd_stencil, parse_expression, usable_fd_step
-from .geometry import GeometryFrame, metric_derivative
+from .geometry import GeometryFrame, metric_derivative, require_positive_definite
 from .manifold import (
     ManifoldSpec, OptionError, SpecValidationError, require_real, require_sample_options,
 )
@@ -504,10 +504,33 @@ def _crosscheck_block(compiled, points, h, probe):
     return {name: _relative(value, fd[name]) for name, value in jet.items()}
 
 
+def _stencil_inverse(g, points):
+    """g^{-1} of a stack (..., m, m) of metrics at the stencil ``points`` (..., m) by
+    Gauss-Jordan elimination on [g | I] without pivoting, which positive definite g does
+    not need; a pivot that is not positive is :class:`MetricNotPositiveDefinite`.  The
+    stack is innermost, so each of the m^2 row steps is one operation over all of it."""
+    m = g.shape[-1]
+    work = np.zeros((m, 2 * m) + g.shape[:-2])
+    work[:, :m] = np.moveaxis(g, (-2, -1), (0, 1))
+    for k in range(m):
+        work[k, m + k] = 1.0  # I's column k, which no earlier step reads or writes
+        pivot = work[k, k]
+        if not (pivot > 0).all():
+            stack = g.reshape(-1, m, m), points.reshape(-1, m)
+            require_positive_definite(*stack, "stencil", failed=True)
+        row = slice(k + 1, m + k + 1)  # the entries of row k left to eliminate with
+        work[k, row] /= pivot
+        for i in (*range(k), *range(k + 1, m)):
+            work[i, row] -= work[i, k] * work[k, row]
+    # contiguous, so the route's @ products read g^{-1} at slot 0 without a strided view
+    return np.ascontiguousarray(np.moveaxis(work[:, m:], (0, 1), (-2, -1)))
+
+
 def _fd_route(compiled, points, h, probe):
     """Gamma, R, the scalar Laplacian of ``probe`` and nabla^g T under the crosscheck's
-    names, from central differences of order-0 values only: the oracle builds no frame
-    and calls no geometry kernel, so it shares no formula with the jet route.
+    names, from central differences of order-0 values only: the oracle builds no frame,
+    calls no geometry kernel and inverts g by its own elimination, not the jet route's
+    numpy inverse, so it shares no formula with the jet route.
 
     The metric is evaluated once, on the order-2 stencil; T's stencil is its first
     2m + 1 points, where only C is evaluated.  Contractions are batched ``@``, none
@@ -520,7 +543,7 @@ def _fd_route(compiled, points, h, probe):
     # T^k = -1/2 g^{kl} g^{ij} C_ijl on the order-1 stencil, the trace of C first; the
     # compiled C fills all six permutations from one source, so it is symmetric.  C's stencil
     # values (19 MB at m = 8 and 276 points) are bound to no name, so they die after the trace
-    ginv_t = np.linalg.inv(values[:, : 2 * m + 1])
+    ginv_t = _stencil_inverse(values[:, : 2 * m + 1], stencil[:, : 2 * m + 1])
     del values  # the stencil's metric (18 MB at m = 8 and 276 points) is read no further
     trace = np.einsum(
         "...ij,...ijl->...l", ginv_t, compiled.cubic_jets(stencil[:, : 2 * m + 1], 0, "stencil").value

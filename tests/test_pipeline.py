@@ -25,6 +25,7 @@ from statmanifold import (
     random_polynomial_cubic,
     random_symmetric_constants,
     run_diagnostics,
+    sphere_stereographic,
     statistical,
 )
 from statmanifold import expr, geometry, manifold
@@ -442,13 +443,26 @@ def _einsum_fd_route(compiled, points, h, probe):
     }
 
 
+def _sphere_m8_with_polynomial_cubic():
+    """The report digest's curved m = 8 case, at its 20 + 256 points."""
+    spec = sphere_stereographic(8).spec
+    spec.cubic = random_polynomial_cubic(8, 1, 1).spec.cubic
+    spec.sample.count = 20
+    return spec
+
+
 @pytest.mark.parametrize(
     "spec",
-    [ManifoldSpec.from_dict(report_digest.NON_EINSTEIN_M3), _sphere_with_polynomial_cubic()],
+    [
+        ManifoldSpec.from_dict(report_digest.NON_EINSTEIN_M3),
+        _sphere_with_polynomial_cubic(),
+        _sphere_m8_with_polynomial_cubic(),
+    ],
     ids=lambda s: s.name,
 )
 def test_fd_route_contractions_match_the_einsum_formulas(spec):
-    # both charts have T != 0 and R != 0, so every product of the batched route is read
+    # every chart has T != 0 and R != 0, so every product of the batched route is read;
+    # the reference inverts with numpy, the route by its own elimination
     compiled = spec.compile()
     points = pipeline._shrink_box(spec, pipeline.FD_STEP).sample_points(seed=1)
     probe = pipeline._probe(spec.dim)
@@ -458,6 +472,51 @@ def test_fd_route_contractions_match_the_einsum_formulas(spec):
     for name, value in reference.items():
         assert np.max(np.abs(value)) > 1e-3, name
         assert np.max(pipeline._relative(value, fd[name])) <= 1e-12, name
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_stencil_inverse_matches_numpy(m):
+    # random positive definite stacks, as one matrix per point and as the route's
+    # non-contiguous prefix of 2m + 1 stencil slots
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((7, 2 * m + 3, m, m))
+    g = a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(m)
+    points = rng.random(g.shape[:-1])
+    for stack, at in ((g[:, 0].copy(), points[:, 0]), (g[:, : 2 * m + 1], points[:, : 2 * m + 1])):
+        inverse = pipeline._stencil_inverse(stack, at)
+        assert inverse.shape == stack.shape and inverse.flags.c_contiguous
+        assert np.max(pipeline._relative(np.linalg.inv(stack), inverse)) <= 1e-12
+
+
+def test_stencil_inverse_gates_on_its_own_pivots():
+    # singular up to rounding: the elimination's second pivot is -1.4e-17, while a
+    # Cholesky factor, whose rounding differs, can exist (it does with OpenBLAS)
+    b = 0.31429991856467865
+    g = np.array([[1.7489662214800967, b], [b, 0.05648161616647196]])
+    with pytest.raises(MetricNotPositiveDefinite, match=r"at stencil point \[0.25, 0.5\]$"):
+        pipeline._stencil_inverse(g[None], np.array([[0.25, 0.5]]))
+
+
+@pytest.mark.parametrize("x1", [0.0005, 0.001])
+def test_fd_route_gates_the_metric_on_the_stencil(x1):
+    # g = diag(1, x1) is positive definite at the point, but T's stencil point one step
+    # down in x1 has g_22 < 0 at the first point and g_22 = 0 at the second: neither may
+    # give T values or end as a LinAlgError, which is no spec error
+    spec = ManifoldSpec.from_dict({
+        "name": "degenerate-stencil",
+        "dim": 2,
+        "coordinates": ["x1", "x2"],
+        "metric": {"11": "1", "12": "0", "22": "x1"},
+        "cubic": {"111": "1"},
+        "sample": {"box": {"x1": [0.0, 1.0], "x2": [0.0, 1.0]}, "count": 1, "seed": 1},
+    })
+    points = np.array([[x1, 0.5]])
+    with pytest.raises(MetricNotPositiveDefinite) as err:
+        pipeline._fd_route(spec.compile(), points, pipeline.FD_STEP, pipeline._probe(2))
+    prefix = "metric is not positive definite at stencil point "
+    assert str(err.value).startswith(prefix)
+    at = json.loads(str(err.value)[len(prefix):])
+    assert np.allclose(at, [x1 - pipeline.FD_STEP, 0.5], rtol=0.0, atol=1e-15)
 
 
 def test_blocks_ask_for_the_metric_and_the_cubic_form_at_their_orders(monkeypatch):

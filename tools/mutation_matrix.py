@@ -117,9 +117,13 @@ MUTATIONS = [
      '"parallel_tchebychev_criterion": _peak(stat.T_jets.gradient()),',
      "parallel_tchebychev_criterion: dT read for nabla^g T"),
     ("src/statmanifold/pipeline.py",
-     "ginv_t = np.linalg.inv(values[:, : 2 * m + 1])",
-     "ginv_t = np.linalg.inv(values[:, 1 : 2 * m + 2])",
+     "ginv_t = _stencil_inverse(values[:, : 2 * m + 1]",
+     "ginv_t = _stencil_inverse(values[:, 1 : 2 * m + 2]",
      "fd route: T's metric values read one stencil slot late"),
+    ("src/statmanifold/pipeline.py",
+     "work[k, row] /= pivot",
+     "work[k, row] /= 1.0",
+     "fd route: the stencil inverse leaves the pivot row unnormalised"),
     ("src/statmanifold/pipeline.py",
      "dginv @ first.reshape(-1, 1, m, m * m)",
      "np.swapaxes(dginv, 1, 2) @ first.reshape(-1, 1, m, m * m)",
